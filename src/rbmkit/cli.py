@@ -28,7 +28,7 @@ from .model import (BINARY, GAUSSIAN, Hyperparams, RbmParams, free_energy,
 from .oracle import (MAX_ENUM_UNITS, enumerate_states, exact_gradient,
                      finite_diff_loglik_grad, free_energy_entropy_form,
                      joint_table, visible_marginal)
-from .samplers import _advance_chains, make_pool
+from .samplers import gibbs_chain, make_pool
 from .trainer import (ESTIMATORS, STREAM_INIT, STREAM_SAMPLE,
                       STREAM_SUBSET, metrics_csv_text, train_rbm)
 
@@ -156,12 +156,12 @@ _TRAIN_DEFAULTS = dict(
     test_images=None, test_labels=None, test_csv=None, test_subset=None,
     hidden="32", estimator="cd", discriminative=False,
     k=1, chains=None, elite_fraction=0.5, epochs=10, batch=20,
-    lr=0.05, momentum=0.0, decay=0.0, seed=0, threads=1, out="run",
+    lr=0.05, momentum=0.0, decay=0.0, seed=0, out="run",
 )
 
 _TRAIN_ECHO = ("data", "subset", "hidden", "estimator", "discriminative", "k",
                "chains", "elite_fraction", "epochs", "batch", "lr", "momentum",
-               "decay", "seed", "threads")
+               "decay", "seed")
 
 
 def cmd_train_rbm(args) -> int:
@@ -192,19 +192,17 @@ def cmd_train_rbm(args) -> int:
             return 2
         if len(hidden) == 1:
             model, metrics = train_discriminative_rbm(
-                train, hidden[0], hp, estimators[0], args.seed, kind,
-                args.threads)
+                train, hidden[0], hp, estimators[0], args.seed, kind)
             metric_sets = [metrics]
         else:
             sizes = [train.n_features] + hidden[:-1]
             stack, lower_metrics = pretrain_stack(
-                sizes, train, hp, estimators[:-1], args.seed, args.threads)
+                sizes, train, hp, estimators[:-1], args.seed)
             feats_up = dbn_mod.propagate_up(stack, train.features,
                                             stack.n_layers - 1)
             top, top_metrics = train_discriminative_rbm(
                 Dataset(feats_up, train.labels), hidden[-1], hp,
-                estimators[-1], args.seed + len(hidden) - 1, BINARY,
-                args.threads)
+                estimators[-1], args.seed + len(hidden) - 1, BINARY)
             model = DbnModel(stack.layers + [top],
                              top_label_units=top.label_units)
             metric_sets = lower_metrics + [top_metrics]
@@ -213,12 +211,12 @@ def cmd_train_rbm(args) -> int:
             init = init_params(train.n_features, hidden[0],
                                RngStream(args.seed, STREAM_INIT), kind)
             model, metrics = train_rbm(init, train, hp, estimators[0],
-                                       args.seed, args.threads)
+                                       args.seed)
             metric_sets = [metrics]
         else:
             sizes = [train.n_features] + hidden
             model, metric_sets = pretrain_stack(sizes, train, hp, estimators,
-                                                args.seed, args.threads)
+                                                args.seed)
 
     save_model(f"{args.out}.model.json", model)
     if len(metric_sets) == 1:
@@ -268,7 +266,7 @@ def cmd_compare_samplers(args) -> int:
             rows.append((est, epoch, clock, _test_error(params, test)))
 
         train_discriminative_rbm(train, hidden[0], hp, est, args.seed, kind,
-                                 args.threads, epoch_callback=on_epoch)
+                                 epoch_callback=on_epoch)
 
     buf = io.StringIO()
     buf.write(f"# config: {echo}\n")
@@ -306,13 +304,10 @@ def cmd_sample(args) -> int:
         states = model.a + init_rng.normals((n, model.n_visible))
     pool = make_pool(states, n, args.seed)
     if steps > 0:
-        states, _ = _advance_chains(model, pool, steps)
-
-    means = np.empty_like(states)
-    for c in range(n):
-        q = hidden_probs(model, states[c])
-        h = (pool.streams[c].uniforms(q.shape) < q).astype(float)
-        means[c] = visible_probs(model, h)
+        states, _ = gibbs_chain(model, pool.states, steps, pool.noise(model))
+    # a last hidden sample from each chain's own stream, shown as visible means
+    u_h = np.stack([s.uniforms(model.n_hidden) for s in pool.streams])
+    means = visible_probs(model, (u_h < hidden_probs(model, states)).astype(float))
 
     fe = free_energy(model, states)
     echo = _config_echo(args, ("model", "n", "steps", "seed"))
@@ -422,12 +417,12 @@ def run_oracle_checks(n_visible: int = 3, n_hidden: int = 3, trials: int = 25,
         if trial < 3:
             chains = make_pool((rng.uniforms((16, n_visible)) < 0.5).astype(float),
                                16, seed + trial)
+            noise = chains.noise(p)
             counts = np.zeros(V.shape[0])
             ids = (2 ** np.arange(n_visible - 1, -1, -1)).astype(np.int64)
             for _ in range(400):
-                states, _ = _advance_chains(p, chains, 1)
-                chains.states = states
-                idx = (states.astype(np.int64) @ ids)
+                chains.states, _ = gibbs_chain(p, chains.states, 1, noise)
+                idx = (chains.states.astype(np.int64) @ ids)
                 np.add.at(counts, idx, 1.0)
             emp = counts / counts.sum()
             tv = 0.5 * float(np.abs(emp - marg).sum())
@@ -479,7 +474,8 @@ def build_parser() -> argparse.ArgumentParser:
     def add_common(p):
         p.add_argument("--config", help="flat key=value file; flags win")
         p.add_argument("--seed", type=int)
-        p.add_argument("--threads", type=int)
+        p.add_argument("--threads", type=int,
+                       help="ignored; accepted so older command lines still run")
 
     def add_data(p):
         p.add_argument("--data", choices=["mnist", "isolet", "csv"])

@@ -3,9 +3,9 @@
 All floating point is 64-bit. Randomness flows exclusively through
 :class:`RngStream` objects, each addressed by a (seed, stream_id) pair on
 top of numpy's counter-based Philox generator, so that any computation is
-reproducible bit-for-bit regardless of how work is scheduled across
-threads. Streams are stateful and must never be shared between threads;
-hand each worker its own.
+reproducible bit-for-bit from its seeds. Streams are stateful: each
+consumer (a persistent chain, the epoch shuffle, weight initialization)
+owns its own, so how much one consumes never shifts another's draws.
 """
 
 from __future__ import annotations

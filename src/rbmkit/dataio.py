@@ -165,17 +165,23 @@ def minmax_normalize(ds: Dataset, stats: NormStats | None = None) -> Dataset:
     return Dataset(scaled, ds.labels, stats)
 
 
-def atomic_write_text(path, text: str):
+def _atomic_write_bytes(path, data: bytes):
+    """Write data to a temp file beside path, then rename it into place,
+    so path never holds a partial file."""
     directory = os.path.dirname(os.path.abspath(path))
     fd, tmp = tempfile.mkstemp(dir=directory, suffix=".tmp")
     try:
-        with os.fdopen(fd, "w") as fh:
-            fh.write(text)
+        with os.fdopen(fd, "wb") as fh:
+            fh.write(data)
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):
             os.unlink(tmp)
         raise
+
+
+def atomic_write_text(path, text: str):
+    _atomic_write_bytes(path, text.encode("utf-8"))
 
 
 def _floats_out(arr: np.ndarray) -> list:
@@ -284,13 +290,4 @@ def write_pgm(path, image: np.ndarray):
         raise ValueError("PGM image must be 2-D")
     gray = np.clip(np.rint(image * 255.0), 0, 255).astype(np.uint8)
     header = f"P5\n{image.shape[1]} {image.shape[0]}\n255\n".encode("ascii")
-    directory = os.path.dirname(os.path.abspath(path))
-    fd, tmp = tempfile.mkstemp(dir=directory, suffix=".tmp")
-    try:
-        with os.fdopen(fd, "wb") as fh:
-            fh.write(header + gray.tobytes())
-        os.replace(tmp, path)
-    except BaseException:
-        if os.path.exists(tmp):
-            os.unlink(tmp)
-        raise
+    _atomic_write_bytes(path, header + gray.tobytes())

@@ -57,7 +57,7 @@ class DbnModel:
 
 def one_hot(labels, n_classes: int) -> np.ndarray:
     labels = np.asarray(labels, dtype=np.int64)
-    if labels.min() < 0 or labels.max() >= n_classes:
+    if labels.size and (labels.min() < 0 or labels.max() >= n_classes):
         raise ValueError("labels outside [0, n_classes)")
     out = np.zeros((labels.size, n_classes))
     out[np.arange(labels.size), labels] = 1.0
@@ -82,7 +82,7 @@ def propagate_up(dbn: DbnModel, v, upto: int) -> np.ndarray:
     return x
 
 
-def pretrain_stack(sizes, data, hps, estimators, seed: int, threads: int = 1):
+def pretrain_stack(sizes, data, hps, estimators, seed: int):
     """Greedy layer-wise pretraining; returns (DbnModel, per-layer metrics).
 
     sizes is [input_dim, h1, h2, ...]; hps and estimators give one entry
@@ -111,7 +111,7 @@ def pretrain_stack(sizes, data, hps, estimators, seed: int, threads: int = 1):
         init = init_params(sizes[idx], sizes[idx + 1],
                            RngStream(seed + idx, STREAM_INIT))
         trained, metrics = train_rbm(init, x, hps[idx], estimators[idx],
-                                     seed + idx, threads)
+                                     seed + idx)
         layers.append(trained)
         all_metrics.append(metrics)
         x = sigmoid(x @ trained.w + trained.b)
@@ -120,8 +120,7 @@ def pretrain_stack(sizes, data, hps, estimators, seed: int, threads: int = 1):
 
 def train_discriminative_rbm(data, n_hidden: int, hp: Hyperparams,
                              estimator: str, seed: int,
-                             visible_kind: str = BINARY, threads: int = 1,
-                             epoch_callback=None):
+                             visible_kind: str = BINARY, epoch_callback=None):
     """Generative RBM over [features, one-hot label] visible vectors.
 
     Returns (RbmParams with label_units set, metrics). data must carry
@@ -139,7 +138,7 @@ def train_discriminative_rbm(data, n_hidden: int, hp: Hyperparams,
     init = init_params(feats.shape[1] + n_classes, n_hidden,
                        RngStream(seed, STREAM_INIT), visible_kind,
                        label_units=n_classes)
-    return train_rbm(init, x, hp, estimator, seed, threads, epoch_callback)
+    return train_rbm(init, x, hp, estimator, seed, epoch_callback)
 
 
 def _label_free_energies(p: RbmParams, v: np.ndarray) -> np.ndarray:
@@ -229,14 +228,19 @@ def unroll_to_network(dbn: DbnModel, n_classes: int, seed: int,
     return FeedforwardNet(weights, biases)
 
 
+def _forward_logits(net: FeedforwardNet, x: np.ndarray):
+    """Input and logistic-layer activations, plus the output layer's
+    unnormalized class scores."""
+    acts = [np.atleast_2d(np.asarray(x, dtype=np.float64))]
+    for w, b in zip(net.weights[:-1], net.biases[:-1]):
+        acts.append(sigmoid(acts[-1] @ w + b))
+    return acts, acts[-1] @ net.weights[-1] + net.biases[-1]
+
+
 def net_forward(net: FeedforwardNet, x: np.ndarray):
     """Activations of every layer; the last entry is the normalized
     class-score matrix."""
-    x = np.atleast_2d(np.asarray(x, dtype=np.float64))
-    acts = [x]
-    for w, b in zip(net.weights[:-1], net.biases[:-1]):
-        acts.append(sigmoid(acts[-1] @ w + b))
-    z = acts[-1] @ net.weights[-1] + net.biases[-1]
+    acts, z = _forward_logits(net, x)
     z -= z.max(axis=1, keepdims=True)
     ez = np.exp(z)
     acts.append(ez / ez.sum(axis=1, keepdims=True))
@@ -245,12 +249,8 @@ def net_forward(net: FeedforwardNet, x: np.ndarray):
 
 def cross_entropy(net: FeedforwardNet, x: np.ndarray, labels) -> float:
     """Mean negative log score of the true class."""
-    x = np.atleast_2d(np.asarray(x, dtype=np.float64))
     labels = np.asarray(labels, dtype=np.int64)
-    acts = [x]
-    for w, b in zip(net.weights[:-1], net.biases[:-1]):
-        acts.append(sigmoid(acts[-1] @ w + b))
-    z = acts[-1] @ net.weights[-1] + net.biases[-1]
+    _, z = _forward_logits(net, x)
     zmax = z.max(axis=1, keepdims=True)
     log_norm = zmax.squeeze(1) + np.log(np.exp(z - zmax).sum(axis=1))
     true_z = z[np.arange(labels.size), labels]

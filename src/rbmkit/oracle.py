@@ -84,12 +84,13 @@ def partition_function(p: RbmParams) -> float:
 def visible_marginal(p: RbmParams) -> np.ndarray:
     """P(v) for every visible state, marginalizing the hidden units out.
 
-    Indexed by enumerate_states(n_visible) row order; sums to 1.
+    Indexed by enumerate_states(n_visible) row order. Normalized by
+    partition_function rather than by its own sum, so the result sums to
+    1 only if log Z is right.
     """
     _check_enumerable(p)
-    neg_e = _neg_energy_table(p)
-    log_pv = _logsumexp(neg_e, axis=1)
-    return np.exp(log_pv - _logsumexp(log_pv))
+    log_pv = _logsumexp(_neg_energy_table(p), axis=1)
+    return np.exp(log_pv - partition_function(p))
 
 
 def joint_table(p: RbmParams) -> np.ndarray:

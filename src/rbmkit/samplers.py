@@ -1,22 +1,23 @@
 """Negative-phase estimators: CD-k, persistent chains, and persistent
 chains filtered by free energy.
 
-The persistent estimators keep a pool of fantasy particles, one Gibbs
-chain per row, each owning a private RngStream. Chains are advanced one
-row at a time so that a worker pool of any size produces bit-identical
-results: chain c's draws come only from its own stream and land only in
-its own row. Statistics are then reduced over the assembled matrices in
-fixed index order.
+Every estimator advances its chains through one batched kernel,
+gibbs_chain, which takes each sweep's random draws from its caller. CD-k
+draws them from one shared stream. The persistent estimators keep a pool
+of fantasy particles, one Gibbs chain per row, each owning a private
+RngStream: chain c's draws come only from its own stream and land only in
+its own row, so a chain's trajectory does not depend on how many chains
+share its pool. Statistics are then reduced over the assembled matrices
+in fixed index order.
 """
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import RngStream, sigmoid
+from .core import RngStream
 from .model import (BINARY, RbmParams, batch_stats, free_energy,
                     hidden_probs, visible_probs)
 
@@ -26,6 +27,7 @@ __all__ = [
     "CHAIN_STREAM_BASE",
     "ChainPool",
     "make_pool",
+    "gibbs_chain",
     "gibbs_step",
     "cd_k",
     "pcd_step",
@@ -53,6 +55,22 @@ class ChainPool:
     def n_chains(self) -> int:
         return self.states.shape[0]
 
+    def noise(self, p: RbmParams):
+        """Per-sweep draws for gibbs_chain in which row c comes only from
+        chain c's stream: uniforms(n_hidden + n_visible) per chain for
+        binary visibles, uniforms(n_hidden) then normals(n_visible) for
+        Gaussian ones."""
+        n_h, n_v = p.n_hidden, p.n_visible
+        if p.visible_kind == BINARY:
+            def draw():
+                u = np.stack([s.uniforms(n_h + n_v) for s in self.streams])
+                return u[:, :n_h], u[:, n_h:]
+        else:
+            def draw():
+                u_h = np.stack([s.uniforms(n_h) for s in self.streams])
+                return u_h, np.stack([s.normals(n_v) for s in self.streams])
+        return draw
+
 
 def make_pool(init_states: np.ndarray, n_chains: int, seed: int,
               stream_base: int = CHAIN_STREAM_BASE) -> ChainPool:
@@ -69,22 +87,43 @@ def make_pool(init_states: np.ndarray, n_chains: int, seed: int,
     return ChainPool(states=rows.copy(), streams=streams)
 
 
+def gibbs_chain(p: RbmParams, v, k: int, noise):
+    """Advance every row of v through k full Gibbs sweeps, all rows at once.
+
+    noise() is called once per sweep and returns that sweep's draws
+    (u_h, e_v): uniforms shaped like the hidden layer, then uniforms
+    (binary visibles) or standard normals (Gaussian visibles) shaped like
+    v. Supplying the draws lets every caller keep its own stream layout
+    while sharing this one kernel. Returns the final visible state and its
+    hidden activation probabilities, which is what negative-phase
+    statistics average; each sweep reuses the probabilities computed at
+    the end of the previous one.
+    """
+    if k < 1:
+        raise ValueError("k must be >= 1")
+    ph = hidden_probs(p, v)
+    for _ in range(k):
+        u_h, e_v = noise()
+        mean_v = visible_probs(p, (u_h < ph).astype(np.float64))
+        if p.visible_kind == BINARY:
+            v = (e_v < mean_v).astype(np.float64)
+        else:
+            v = mean_v + e_v
+        ph = hidden_probs(p, v)
+    return v, ph
+
+
 def gibbs_step(p: RbmParams, v, rng: RngStream):
     """One full Gibbs sweep: sample h given v, then v' given h.
 
     Works on a single vector or a batch of rows (one shared stream; draws
     are consumed row-major, hidden block first). Returns the new visible
-    state and the hidden activation probabilities of that new state, which
-    is what negative-phase statistics average.
+    state and the hidden activation probabilities of that new state.
     """
-    ph = hidden_probs(p, v)
-    h = (rng.uniforms(ph.shape) < ph).astype(np.float64)
-    mean_v = visible_probs(p, h)
-    if p.visible_kind == BINARY:
-        v_new = (rng.uniforms(mean_v.shape) < mean_v).astype(np.float64)
-    else:
-        v_new = mean_v + rng.normals(mean_v.shape)
-    return v_new, hidden_probs(p, v_new)
+    v = np.asarray(v, dtype=np.float64)
+    h_shape = v.shape[:-1] + (p.n_hidden,)
+    draw_v = rng.uniforms if p.visible_kind == BINARY else rng.normals
+    return gibbs_chain(p, v, 1, lambda: (rng.uniforms(h_shape), draw_v(v.shape)))
 
 
 def cd_k(p: RbmParams, data_batch: np.ndarray, k: int, rng: RngStream):
@@ -106,57 +145,12 @@ def cd_k(p: RbmParams, data_batch: np.ndarray, k: int, rng: RngStream):
     return pos, batch_stats(v, q)
 
 
-def _advance_chains(p: RbmParams, pool: ChainPool, k: int, threads: int = 1):
-    """Advance every chain k steps; returns (new states, hidden probs).
-
-    Each chain is a single-row computation under its own stream, so the
-    outcome is identical for any thread count. The loop body reuses each
-    state's hidden probabilities instead of recomputing them, which is
-    bit-identical to composing gibbs_step k times.
-    """
-    if k < 1:
-        raise ValueError("k must be >= 1")
-    n = pool.n_chains
-    new_states = np.empty_like(pool.states)
-    new_q = np.empty((n, p.n_hidden))
-    w, a, b = p.w, p.a, p.b
-    binary = p.visible_kind == BINARY
-    n_visible, n_hidden = p.n_visible, p.n_hidden
-    if pool.states.shape[1] != n_visible:
-        raise ValueError("pool states do not match model dimensions")
-
-    def advance(c: int):
-        # same expressions as gibbs_step, with the hidden probabilities
-        # carried over instead of recomputed between steps
-        stream = pool.streams[c]
-        v = pool.states[c]
-        ph = sigmoid(v @ w + b)
-        for _ in range(k):
-            h = (stream.uniforms(n_hidden) < ph).astype(np.float64)
-            mean_v = h @ w.T + a
-            if binary:
-                v = (stream.uniforms(n_visible) < sigmoid(mean_v)).astype(np.float64)
-            else:
-                v = mean_v + stream.normals(n_visible)
-            ph = sigmoid(v @ w + b)
-        new_states[c] = v
-        new_q[c] = ph
-
-    if threads <= 1 or n == 1:
-        for c in range(n):
-            advance(c)
-    else:
-        with ThreadPoolExecutor(max_workers=threads) as pool_exec:
-            list(pool_exec.map(advance, range(n)))
-    return new_states, new_q
-
-
-def pcd_step(p: RbmParams, pool: ChainPool, k: int, threads: int = 1):
+def pcd_step(p: RbmParams, pool: ChainPool, k: int):
     """Advance the persistent chains k steps and average all of them.
 
     The pool is updated in place and also returned.
     """
-    new_states, new_q = _advance_chains(p, pool, k, threads)
+    new_states, new_q = gibbs_chain(p, pool.states, k, pool.noise(p))
     neg = batch_stats(new_states, new_q)
     pool.states = new_states
     pool.age += 1
@@ -181,8 +175,7 @@ def select_elite(p: RbmParams, states: np.ndarray, elite_fraction: float) -> np.
     return order[:n_elite]
 
 
-def fepcd_step(p: RbmParams, pool: ChainPool, k: int, elite_fraction: float,
-               threads: int = 1):
+def fepcd_step(p: RbmParams, pool: ChainPool, k: int, elite_fraction: float):
     """Persistent-chain step whose statistics use only the elite chains.
 
     All chains advance and persist exactly as in pcd_step; the free energy
@@ -190,7 +183,7 @@ def fepcd_step(p: RbmParams, pool: ChainPool, k: int, elite_fraction: float,
     negative statistics. With elite_fraction == 1 this is bit-identical to
     pcd_step.
     """
-    new_states, new_q = _advance_chains(p, pool, k, threads)
+    new_states, new_q = gibbs_chain(p, pool.states, k, pool.noise(p))
     elite = np.sort(select_elite(p, new_states, elite_fraction))
     neg = batch_stats(new_states[elite], new_q[elite])
     pool.states = new_states

@@ -2,10 +2,8 @@
 
 Every source of randomness is pinned to a dedicated stream id under the
 run's seed, so a run is a pure function of (init, data, hyperparams,
-estimator, seed) and is reproducible bit-for-bit — including across
-different --threads settings, since chain advancement is per-chain (see
-samplers). Wall-clock seconds are the single exception and are excluded
-from reproducibility comparisons.
+estimator, seed) and is reproducible bit-for-bit. Wall-clock seconds are
+the single exception and are excluded from reproducibility comparisons.
 
 Stream layout under one seed:
     0 weight init | 1 epoch shuffling | 2 estimator data-side sampling
@@ -82,7 +80,7 @@ def reconstruction_error(p: RbmParams, batch: np.ndarray, rng: RngStream) -> flo
 
 
 def train_rbm(init: RbmParams, data, hp: Hyperparams, estimator: str, seed: int,
-              threads: int = 1, epoch_callback=None):
+              epoch_callback=None):
     """Train one RBM; returns (trained params, per-epoch metrics).
 
     estimator is one of "cd", "pcd", "fepcd". The persistent estimators
@@ -122,9 +120,9 @@ def train_rbm(init: RbmParams, data, hp: Hyperparams, estimator: str, seed: int,
                 if pool is None:
                     pool = make_pool(batch, n_chains, seed)
                 if estimator == PCD:
-                    neg, pool = pcd_step(p, pool, hp.k, threads)
+                    neg, pool = pcd_step(p, pool, hp.k)
                 else:
-                    neg, pool = fepcd_step(p, pool, hp.k, hp.elite_fraction, threads)
+                    neg, pool = fepcd_step(p, pool, hp.k, hp.elite_fraction)
             try:
                 p = apply_update(p, pos, neg, hp, vel)
             except ValueError as exc:

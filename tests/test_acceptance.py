@@ -26,7 +26,7 @@ from rbmkit.model import free_energy
 from rbmkit.oracle import (enumerate_states, exact_gradient,
                            finite_diff_loglik_grad, free_energy_entropy_form,
                            state_index, visible_marginal)
-from rbmkit.samplers import (_advance_chains, cd_k, fepcd_step, make_pool,
+from rbmkit.samplers import (cd_k, fepcd_step, gibbs_chain, make_pool,
                              pcd_step, select_elite)
 from rbmkit.trainer import STREAM_INIT, read_metrics_csv
 
@@ -84,10 +84,11 @@ def test_criterion_2_gibbs_stationarity(ref_model):
         marg = visible_marginal(ref_model)
         pool = make_pool((RngStream(0, 6).uniforms((64, 2)) < 0.5).astype(float),
                          64, 0)
+        noise = pool.noise(ref_model)
         counts = np.zeros(4)
         ids = np.array([2, 1])
         for _ in range(2000):
-            states, _ = _advance_chains(ref_model, pool, 1)
+            states, _ = gibbs_chain(ref_model, pool.states, 1, noise)
             pool.states = states
             np.add.at(counts, states.astype(np.int64) @ ids, 1.0)
         tv = 0.5 * float(np.abs(counts / counts.sum() - marg).sum())

@@ -6,7 +6,7 @@ import pytest
 from rbmkit import RbmParams, RngStream, load_model
 from rbmkit.cli import main, run_oracle_checks
 from rbmkit.dataio import save_model
-from rbmkit.samplers import _advance_chains, make_pool, select_elite
+from rbmkit.samplers import gibbs_chain, make_pool, select_elite
 from rbmkit.trainer import STREAM_SAMPLE, read_metrics_csv
 
 from synthdata import write_idx_fixture
@@ -224,7 +224,7 @@ class TestSampleCommand:
         init_rng = RngStream(seed, STREAM_SAMPLE)
         states = (init_rng.uniforms((n, 6)) < 0.5).astype(float)
         pool = make_pool(states, n, seed)
-        states, _ = _advance_chains(p, pool, steps)
+        states, _ = gibbs_chain(p, pool.states, steps, pool.noise(p))
         elite_order = select_elite(p, states, 1.0)
         np.testing.assert_array_equal(np.argsort(fe, kind="stable"), elite_order)
 

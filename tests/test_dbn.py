@@ -124,6 +124,7 @@ class TestDiscriminativeRbm:
         block = one_hot(TOY_LABELS, 2)
         np.testing.assert_array_equal(block.sum(axis=1), np.ones(len(TOY_LABELS)))
         assert set(np.unique(block)) == {0.0, 1.0}
+        assert one_hot([], 3).shape == (0, 3)
 
     def test_missing_labels_rejected(self):
         with pytest.raises(ValueError):

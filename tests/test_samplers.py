@@ -3,9 +3,8 @@ import pytest
 
 from rbmkit import RbmParams, RngStream
 from rbmkit.oracle import enumerate_states, exact_gradient, visible_marginal
-from rbmkit.samplers import (cd_k, fepcd_step, gibbs_step, make_pool,
-                             pcd_step, select_elite)
-from rbmkit.samplers import _advance_chains
+from rbmkit.samplers import (cd_k, fepcd_step, gibbs_chain, gibbs_step,
+                             make_pool, pcd_step, select_elite)
 
 
 def state_ids(states):
@@ -71,7 +70,7 @@ class TestGibbsStep:
         p = RbmParams(np.full((2, 2), 0.3), np.zeros(2), np.zeros(2),
                       visible_kind="gaussian")
         pool = make_pool(np.zeros((2, 2)), 2, 44)
-        states, q = _advance_chains(p, pool, 3)
+        states, q = gibbs_chain(p, pool.states, 3, pool.noise(p))
         for c in range(2):
             rng = RngStream(44, 100 + c)
             v = np.zeros(2)
@@ -160,7 +159,7 @@ class TestPcdStep:
 
     def test_advance_matches_composed_gibbs_steps(self, ref_model):
         pool = make_pool(np.zeros((3, 2)), 3, 99)
-        states, q = _advance_chains(ref_model, pool, 5)
+        states, q = gibbs_chain(ref_model, pool.states, 5, pool.noise(ref_model))
         for c in range(3):
             rng = RngStream(99, 100 + c)
             v = np.zeros(2)
@@ -169,15 +168,34 @@ class TestPcdStep:
             np.testing.assert_array_equal(states[c], v)
             np.testing.assert_array_equal(q[c], qq)
 
-    def test_thread_count_invariance(self, ref_model):
-        runs = []
-        for threads in (1, 4):
-            pool = make_pool((RngStream(14, 6).uniforms((16, 2)) < 0.5).astype(float),
-                             16, 14)
-            neg, pool = pcd_step(ref_model, pool, 3, threads=threads)
-            runs.append((neg.vh.copy(), pool.states.copy()))
-        assert np.array_equal(runs[0][0], runs[1][0])
-        assert np.array_equal(runs[0][1], runs[1][1])
+    def test_pool_size_invariance(self, ref_model):
+        # chain c's trajectory depends only on its own stream, not on the
+        # chains batched beside it; binary states keep every product of
+        # this 2x2 model exact, so the comparison can be bit for bit
+        init = (RngStream(14, 6).uniforms((16, 2)) < 0.5).astype(float)
+        pool = make_pool(init, 16, 14)
+        full_states, full_q = gibbs_chain(ref_model, init, 3, pool.noise(ref_model))
+        for c in range(16):
+            alone = make_pool(init[c], 1, 14, stream_base=100 + c)
+            states, q = gibbs_chain(ref_model, alone.states, 3, alone.noise(ref_model))
+            np.testing.assert_array_equal(states[0], full_states[c])
+            np.testing.assert_array_equal(q[0], full_q[c])
+
+    def test_kernel_draws_once_per_sweep(self, ref_model):
+        # each sweep's draws are requested just before it, so memory never
+        # grows with k
+        pool = make_pool(np.zeros((4, 2)), 4, 15)
+        draw = pool.noise(ref_model)
+        calls = []
+
+        def noise():
+            calls.append(1)
+            return draw()
+
+        gibbs_chain(ref_model, pool.states, 7, noise)
+        assert len(calls) == 7
+        with pytest.raises(ValueError):
+            gibbs_chain(ref_model, pool.states, 0, noise)
 
     def test_long_run_negative_stats_match_exact(self, ref_model):
         # estimator sanity: a million frozen-model chain-steps put the mean
@@ -270,7 +288,8 @@ class TestFepcdStep:
     def test_all_chains_persist(self, ref_model):
         pool = make_pool((RngStream(18, 6).uniforms((10, 2)) < 0.5).astype(float),
                          10, 18)
-        states_a, _ = _advance_chains(ref_model, make_pool(pool.states, 10, 18), 1)
+        twin = make_pool(pool.states, 10, 18)
+        states_a, _ = gibbs_chain(ref_model, twin.states, 1, twin.noise(ref_model))
         _, pool = fepcd_step(ref_model, pool, 1, 0.3)
         np.testing.assert_array_equal(pool.states, states_a)
 

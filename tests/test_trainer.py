@@ -83,16 +83,6 @@ class TestTrainRbm:
         assert [(r.epoch, r.recon_error, r.mean_free_energy) for r in m_pcd] == \
                [(r.epoch, r.recon_error, r.mean_free_energy) for r in m_fe]
 
-    def test_thread_count_invariance(self):
-        init = init_params(3, 2, RngStream(7, STREAM_INIT))
-        data = (RngStream(7, 6).uniforms((16, 3)) < 0.5).astype(float)
-        hp = Hyperparams(epsilon=0.2, batch_size=4, epochs=4, n_chains=6)
-        one, _ = train_rbm(init, data, hp, "fepcd", seed=7, threads=1)
-        four, _ = train_rbm(init, data, hp, "fepcd", seed=7, threads=4)
-        assert np.array_equal(one.w, four.w)
-        assert np.array_equal(one.a, four.a)
-        assert np.array_equal(one.b, four.b)
-
     def test_divergence_aborts_with_diagnostic(self, ref_model):
         hp = Hyperparams(epsilon=1e200, weight_decay=1.0, batch_size=2, epochs=3)
         with pytest.raises(TrainingDivergedError, match="epoch"):
