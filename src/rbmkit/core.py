@@ -57,26 +57,41 @@ class RngStream:
 
 
 def sigmoid(x):
-    """Logistic function 1/(1+exp(-x)).
+    """Logistic function 1/(1+exp(-x)), computed in that direct form.
 
-    Computed as exp(-log(1+exp(-x))), which never exponentiates a large
-    positive argument: large |x| saturates to 0 or 1 instead of
-    overflowing, for any float64 input. Accepts scalars or arrays.
+    The work happens in place in one freshly allocated float64 buffer, so
+    the input is never written. For x below about -709.78, exp(-x)
+    overflows to inf and 1/inf gives the correct saturated value 0; that
+    overflow is the only floating-point warning silenced. Large positive x
+    saturates to 1, NaN propagates, and the result is within a few ulp of
+    the exact logistic. A scalar input returns a float, an array an array.
     """
-    out = np.exp(-np.logaddexp(0.0, -np.asarray(x, dtype=np.float64)))
+    x = np.asarray(x, dtype=np.float64)
+    out = np.negative(x, out=np.empty_like(x))
+    with np.errstate(over="ignore"):
+        np.exp(out, out=out)
+    out += 1.0
+    np.reciprocal(out, out=out)
     if out.ndim == 0:
         return float(out)
     return out
 
 
 def log1p_exp(x):
-    """Softplus log(1+exp(x)) via the stable form max(x,0)+log1p(exp(-|x|)).
+    """Softplus log(1+exp(x)) in the stable form max(x,0) + log1p(exp(-|x|)).
 
-    numpy's logaddexp(x, 0) computes exactly that branch. Accepts scalars
-    or arrays.
+    exp only ever sees a non-positive argument, so no input overflows or
+    warns: large positive x gives x, large negative x gives exp(x) down to
+    0, and NaN propagates. A scalar input returns a float, an array an
+    array; the input is never written.
     """
-    out = np.logaddexp(x, 0.0)
-    if np.ndim(out) == 0:
+    x = np.asarray(x, dtype=np.float64)
+    out = np.abs(x, out=np.empty_like(x))
+    np.negative(out, out=out)
+    np.exp(out, out=out)
+    np.log1p(out, out=out)
+    out += np.maximum(x, 0.0)
+    if out.ndim == 0:
         return float(out)
     return out
 

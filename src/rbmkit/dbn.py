@@ -17,7 +17,7 @@ import numpy as np
 
 from .core import RngStream, log1p_exp, sigmoid
 from .errors import TrainingDivergedError
-from .model import BINARY, Hyperparams, RbmParams, init_params
+from .model import BINARY, Hyperparams, RbmParams, hidden_probs, init_params
 from .trainer import STREAM_INIT, STREAM_SHUFFLE, train_rbm
 
 __all__ = [
@@ -114,7 +114,7 @@ def pretrain_stack(sizes, data, hps, estimators, seed: int):
                                      seed + idx)
         layers.append(trained)
         all_metrics.append(metrics)
-        x = sigmoid(x @ trained.w + trained.b)
+        x = hidden_probs(trained, x)
     return DbnModel(layers), all_metrics
 
 
@@ -131,6 +131,8 @@ def train_discriminative_rbm(data, n_hidden: int, hp: Hyperparams,
         raise ValueError("discriminative training requires labels")
     feats = np.atleast_2d(np.asarray(data.features, dtype=np.float64))
     labels = np.asarray(labels, dtype=np.int64)
+    if labels.size == 0:
+        raise ValueError("empty dataset")
     n_classes = int(labels.max()) + 1
     if n_classes < 2:
         raise ValueError("need at least two classes")

@@ -1,9 +1,19 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from rbmkit import RngStream, bernoulli_sample, gaussian_sample, log1p_exp, sigmoid
+
+F64_EPS = np.finfo(np.float64).eps
+FINITE = st.floats(allow_nan=False, allow_infinity=False)
+EXACT_FORMS = [
+    (sigmoid, lambda x: 1 / (1 + np.exp(-x))),
+    (log1p_exp, lambda x: np.maximum(x, 0) + np.log1p(np.exp(-np.abs(x)))),
+]
 
 
 class TestSigmoid:
@@ -45,6 +55,59 @@ class TestLog1pExp:
     def test_softplus_identity(self):
         x = np.linspace(-100, 100, 2001)
         np.testing.assert_allclose(log1p_exp(x) - log1p_exp(-x), x, atol=1e-10)
+
+
+class TestElementwiseNumerics:
+    """Accuracy and edge behaviour shared by the logistic and the softplus."""
+
+    @pytest.mark.skipif(np.finfo(np.longdouble).eps >= F64_EPS,
+                        reason="long double is no wider than float64 here")
+    @pytest.mark.parametrize("fn, exact_form", EXACT_FORMS)
+    def test_within_4_ulp_of_long_double_reference(self, fn, exact_form):
+        x = np.linspace(-700.0, 700.0, 140_001)
+        exact = exact_form(x.astype(np.longdouble))
+        rel = np.abs((fn(x) - exact) / exact)
+        assert rel.max() <= 4 * F64_EPS
+
+    @pytest.mark.parametrize("fn", [sigmoid, log1p_exp])
+    def test_extremes_warn_nothing_and_nan_propagates(self, fn):
+        x = np.array([-np.inf, -1000.0, -745.0, 745.0, 1000.0, np.inf])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            out = fn(x)
+            scalars = [fn(v) for v in x]
+            nan_out = fn(np.array([np.nan, 0.0]))
+            nan_scalar = fn(math.nan)
+        assert np.array_equal(out, scalars)
+        assert np.all((out[:3] >= 0.0) & (out[:3] <= 1e-300))
+        expected_high = [1.0] * 3 if fn is sigmoid else x[3:]
+        assert np.array_equal(out[3:], expected_high)
+        assert math.isnan(nan_out[0]) and not math.isnan(nan_out[1])
+        assert math.isnan(nan_scalar)
+
+    @pytest.mark.parametrize("fn", [sigmoid, log1p_exp])
+    def test_input_array_not_written(self, fn):
+        x = np.linspace(-5.0, 5.0, 11).reshape(1, 11)
+        before = x.copy()
+        fn(x)
+        assert np.array_equal(x, before)
+
+    @pytest.mark.parametrize("fn", [sigmoid, log1p_exp])
+    @pytest.mark.parametrize("value", [0.5, -3, np.float64(2.0), np.array(-2.0)])
+    def test_scalar_input_returns_float(self, fn, value):
+        assert type(fn(value)) is float
+
+    @given(FINITE)
+    def test_sigmoid_bounded_and_symmetric(self, x):
+        s = sigmoid(x)
+        assert 0.0 <= s <= 1.0
+        assert abs(s + sigmoid(-x) - 1.0) <= 1e-15
+
+    @given(FINITE)
+    def test_softplus_difference_and_floor(self, x):
+        assert math.isclose(log1p_exp(x) - log1p_exp(-x), x,
+                            rel_tol=4 * F64_EPS, abs_tol=4 * F64_EPS)
+        assert log1p_exp(x) >= max(x, 0.0)
 
 
 class TestRngStream:

@@ -131,6 +131,11 @@ class TestDiscriminativeRbm:
             train_discriminative_rbm(Dataset(TOY_FEATURES), 4, Hyperparams(),
                                      "cd", seed=0)
 
+    def test_empty_dataset_rejected(self):
+        empty = Dataset(np.zeros((0, 6)), np.zeros(0, int))
+        with pytest.raises(ValueError, match="empty dataset"):
+            train_discriminative_rbm(empty, 4, Hyperparams(), "cd", seed=0)
+
 
 class TestClassifyFreeEnergy:
     def test_zero_parameters_uniform_scores(self):
