@@ -1,8 +1,9 @@
 """Dataset ingestion (MNIST IDX, ISOLET CSV), normalization, and model
 serialization.
 
-Loaders are total: any byte stream either yields a Dataset or raises a
-typed error from errors.py, never a silently truncated result. Model JSON
+Loaders are total: any byte stream either yields a value (a Dataset, or
+a model from load_model) or raises a typed error from errors.py, never a
+silently truncated result or an untyped parsing error. Model JSON
 stores every float as a 17-significant-digit decimal string, which
 round-trips all float64 values (subnormals included) bit-exactly while
 staying diffable.
@@ -11,6 +12,7 @@ staying diffable.
 from __future__ import annotations
 
 import json
+import math
 import os
 import struct
 import tempfile
@@ -88,7 +90,11 @@ def _load_idx_array(path, expected_magic: int) -> np.ndarray:
                 for _ in range(n_dims)]
         if any(d < 0 for d in dims):
             raise IdxMagicError(f"{path}: negative dimension in header")
-        n_bytes = int(np.prod(dims, dtype=np.int64))
+        n_bytes = math.prod(dims)
+        remaining = os.fstat(fh.fileno()).st_size - fh.tell()
+        if n_bytes > remaining:
+            raise IdxTruncatedError(f"{path}: header promises {n_bytes} payload "
+                                    f"bytes, file holds {remaining}")
         payload = _read_exact(fh, n_bytes, path, "payload")
         if fh.read(1):
             raise IdxTruncatedError(f"{path}: trailing bytes after payload")
@@ -109,7 +115,11 @@ def load_mnist_idx(images_path, labels_path) -> Dataset:
     if images.shape[0] != labels.shape[0]:
         raise IdxCountMismatchError(
             f"{images.shape[0]} images vs {labels.shape[0]} labels")
-    feats = images.reshape(images.shape[0], -1).astype(np.float64)
+    n_pixels = math.prod(images.shape[1:])
+    if n_pixels * 8 > np.iinfo(np.intp).max:
+        # only a zero-image file gets here: its float64 rows are unaddressable
+        raise IdxMagicError(f"{images_path}: {n_pixels} pixels per image")
+    feats = images.reshape(images.shape[0], n_pixels).astype(np.float64)
     return Dataset(feats, labels.astype(np.int64))
 
 
@@ -118,26 +128,33 @@ def load_isolet_csv(path) -> Dataset:
     n_features = 617
     rows = []
     labels = []
-    with open(path) as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line:
-                continue
-            fields = line.split(",")
-            if len(fields) != n_features + 1:
-                raise CsvFormatError(
-                    f"{path}:{lineno}: {len(fields)} columns, expected "
-                    f"{n_features + 1}")
-            try:
-                values = [float(f) for f in fields]
-            except ValueError as exc:
-                raise CsvFormatError(f"{path}:{lineno}: {exc}") from None
-            label = int(round(values[-1])) - 1
-            if not (0 <= label <= 25):
-                raise CsvFormatError(
-                    f"{path}:{lineno}: class label {values[-1]} outside 1..26")
-            rows.append(values[:-1])
-            labels.append(label)
+    try:
+        # universal newlines: every line ending reads back as "\n"
+        with open(path, encoding="utf-8") as fh:
+            text = fh.read()
+    except UnicodeDecodeError:
+        raise CsvFormatError(f"{path}: not UTF-8 text") from None
+    for lineno, line in enumerate(text.split("\n"), start=1):
+        line = line.strip()
+        if not line:
+            continue
+        fields = line.split(",")
+        if len(fields) != n_features + 1:
+            raise CsvFormatError(
+                f"{path}:{lineno}: {len(fields)} columns, expected "
+                f"{n_features + 1}")
+        try:
+            values = [float(f) for f in fields]
+        except ValueError as exc:
+            raise CsvFormatError(f"{path}:{lineno}: {exc}") from None
+        if not all(map(math.isfinite, values)):
+            raise CsvFormatError(f"{path}:{lineno}: non-finite value")
+        label = int(round(values[-1])) - 1
+        if not (0 <= label <= 25):
+            raise CsvFormatError(
+                f"{path}:{lineno}: class label {values[-1]} outside 1..26")
+        rows.append(values[:-1])
+        labels.append(label)
     if not rows:
         raise CsvFormatError(f"{path}: no data rows")
     return Dataset(np.array(rows), np.array(labels))
@@ -192,12 +209,12 @@ def _floats_out(arr: np.ndarray) -> list:
 
 
 def _floats_in(values, shape, what: str) -> np.ndarray:
-    expected = int(np.prod(shape))
+    expected = math.prod(shape)
     if not isinstance(values, list) or len(values) != expected:
         raise ModelFormatError(f"{what}: expected {expected} values")
     try:
         arr = np.array([float(x) for x in values]).reshape(shape)
-    except (TypeError, ValueError):
+    except (TypeError, ValueError, OverflowError):
         raise ModelFormatError(f"{what}: unparsable float") from None
     if not np.all(np.isfinite(arr)):
         raise ModelFormatError(f"{what}: non-finite value")
@@ -222,7 +239,7 @@ def _rbm_from_dict(doc: dict, what: str = "model") -> RbmParams:
         n_visible = int(doc["n_visible"])
         n_hidden = int(doc["n_hidden"])
         label_units = int(doc.get("label_units", 0))
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise ModelFormatError(f"{what}: bad header field ({exc})") from None
     if kind not in (BINARY, GAUSSIAN):
         raise ModelFormatError(f"{what}: unknown visible_kind {kind!r}")
@@ -257,9 +274,9 @@ def save_model(path, model):
 def load_model(path):
     """Load a model JSON; bit-identical to what save_model wrote."""
     try:
-        with open(path) as fh:
+        with open(path, encoding="utf-8") as fh:
             doc = json.load(fh)
-    except json.JSONDecodeError as exc:
+    except (UnicodeDecodeError, json.JSONDecodeError, RecursionError) as exc:
         raise ModelFormatError(f"{path}: invalid JSON ({exc})") from None
     if not isinstance(doc, dict):
         raise ModelFormatError(f"{path}: top level must be an object")
@@ -278,7 +295,7 @@ def load_model(path):
                   for i, d in enumerate(layers_doc)]
         try:
             return DbnModel(layers, int(doc.get("top_label_units", 0)))
-        except (TypeError, ValueError) as exc:
+        except (TypeError, ValueError, OverflowError) as exc:
             raise ModelFormatError(f"{path}: {exc}") from None
     raise ModelFormatError(f"{path}: unknown kind {kind!r}")
 

@@ -17,7 +17,8 @@ import numpy as np
 
 from .core import RngStream, log1p_exp, sigmoid
 from .errors import TrainingDivergedError
-from .model import BINARY, Hyperparams, RbmParams, hidden_probs, init_params
+from .model import (BINARY, Hyperparams, RbmParams, hidden_probs, init_params,
+                    momentum_step)
 from .trainer import STREAM_INIT, STREAM_SHUFFLE, train_rbm
 
 __all__ = [
@@ -206,8 +207,9 @@ class FeedforwardNet:
         return self.biases[-1].size
 
     def copy(self) -> "FeedforwardNet":
-        return FeedforwardNet([w.copy() for w in self.weights],
-                              [b.copy() for b in self.biases])
+        """Independent float64 copy of every weight and bias array."""
+        return FeedforwardNet([np.array(w, dtype=np.float64) for w in self.weights],
+                              [np.array(b, dtype=np.float64) for b in self.biases])
 
 
 def unroll_to_network(dbn: DbnModel, n_classes: int, seed: int,
@@ -285,8 +287,11 @@ def fine_tune(net: FeedforwardNet, data, hp: Hyperparams, seed: int):
     """Minibatch cross-entropy descent; returns (tuned net, epoch losses).
 
     Momentum and weight decay follow the same hyperparameters as RBM
-    training; epoch losses are the mean training cross-entropy measured
-    after each epoch.
+    training: each minibatch takes one momentum_step per weight matrix
+    (decayed) and bias vector (undecayed), and the velocities are added in
+    place into a private copy of net, so the input net is never written.
+    Epoch losses are the mean training cross-entropy measured after each
+    epoch.
     """
     labels = getattr(data, "labels", None)
     if labels is None:
@@ -308,12 +313,9 @@ def fine_tune(net: FeedforwardNet, data, hp: Hyperparams, seed: int):
             gw, gb = net_gradients(net, feats[idx], labels[idx])
             with np.errstate(over="ignore"):
                 # overflow lands as inf and trips the check below
-                for layer in range(len(net.weights)):
-                    vel_w[layer] = (hp.momentum * vel_w[layer]
-                                    - hp.epsilon * (gw[layer] + hp.weight_decay * net.weights[layer]))
-                    vel_b[layer] = hp.momentum * vel_b[layer] - hp.epsilon * gb[layer]
-                    net.weights[layer] = net.weights[layer] + vel_w[layer]
-                    net.biases[layer] = net.biases[layer] + vel_b[layer]
+                for layer, (w, b) in enumerate(zip(net.weights, net.biases)):
+                    w += momentum_step(vel_w[layer], gw[layer], hp, w)
+                    b += momentum_step(vel_b[layer], gb[layer], hp)
             if not all(np.all(np.isfinite(w)) for w in net.weights):
                 raise TrainingDivergedError(
                     f"non-finite network weights at epoch {epoch}, "

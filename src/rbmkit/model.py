@@ -125,7 +125,11 @@ class Hyperparams:
 
 @dataclass
 class UpdateState:
-    """Momentum velocities carried between parameter updates."""
+    """Momentum velocities carried between parameter updates.
+
+    apply_update writes the new velocities into these arrays in place, so
+    they must be float64 arrays owned by this state.
+    """
 
     vel_w: np.ndarray
     vel_a: np.ndarray
@@ -216,25 +220,43 @@ def batch_stats(v_batch: np.ndarray, h_batch: np.ndarray) -> GradientStats:
     if v_batch.shape[0] != h_batch.shape[0]:
         raise ValueError("visible and hidden batches disagree on row count")
     m = v_batch.shape[0]
-    vh = v_batch.T @ h_batch / m
+    vh = v_batch.T @ h_batch
+    vh /= m
     return GradientStats(vh=vh, v=v_batch.mean(axis=0), h=h_batch.mean(axis=0), count=m)
+
+
+def momentum_step(vel: np.ndarray, grad: np.ndarray, hp: Hyperparams,
+                  param: np.ndarray | None = None) -> np.ndarray:
+    """vel <- momentum*vel - epsilon*(grad + weight_decay*param), in place.
+
+    grad is the descent direction (the gradient of the loss) and is
+    overwritten as scratch. The decay term applies only when param is
+    given, so biases pass no param and stay undecayed. Returns vel.
+    Overflow is left to the caller's np.errstate.
+    """
+    vel *= hp.momentum
+    if param is not None and hp.weight_decay:
+        grad += hp.weight_decay * param
+    grad *= hp.epsilon
+    vel -= grad
+    return vel
 
 
 def apply_update(p: RbmParams, pos: GradientStats, neg: GradientStats,
                  hp: Hyperparams, state: UpdateState) -> RbmParams:
     """One stochastic ascent step on the data log-probability.
 
-    Raw steps are epsilon*(pos - neg), with epsilon*weight_decay*W pulled
-    off the weights; each is folded through its momentum velocity, which
-    is updated in place. Returns new parameters.
+    Each velocity takes a momentum_step along neg - pos (the descent
+    direction of the log-probability), with the weights alone decayed; the
+    velocities in state are updated in place. Returns new parameters:
+    neither p nor the statistics are written.
     """
     if pos.vh.shape != p.w.shape or neg.vh.shape != p.w.shape:
         raise ValueError("gradient statistics do not match parameter shape")
     with np.errstate(over="ignore"):
         # overflow lands as inf and trips the finiteness check below
-        state.vel_w = hp.momentum * state.vel_w + hp.epsilon * (
-            (pos.vh - neg.vh) - hp.weight_decay * p.w)
-        state.vel_a = hp.momentum * state.vel_a + hp.epsilon * (pos.v - neg.v)
-        state.vel_b = hp.momentum * state.vel_b + hp.epsilon * (pos.h - neg.h)
+        momentum_step(state.vel_w, np.subtract(neg.vh, pos.vh), hp, p.w)
+        momentum_step(state.vel_a, np.subtract(neg.v, pos.v), hp)
+        momentum_step(state.vel_b, np.subtract(neg.h, pos.h), hp)
         return RbmParams(p.w + state.vel_w, p.a + state.vel_a, p.b + state.vel_b,
                          p.visible_kind, p.label_units)

@@ -6,6 +6,9 @@ sampling-based gradient estimators are measured. Models must have binary
 visible units and at most MAX_ENUM_UNITS units in total; larger requests
 fail loudly rather than silently approximating.
 
+run_oracle_checks bundles these into the identity suite behind the
+oracle-check command.
+
 All sums run in log space (log-sum-exp); numpy's pairwise summation keeps
 results summation-order-robust well below the 1e-10 tolerances used by
 the identity checks.
@@ -15,7 +18,10 @@ from __future__ import annotations
 
 import numpy as np
 
-from .model import BINARY, GradientStats, RbmParams, batch_stats, hidden_probs
+from .core import RngStream
+from .model import (BINARY, GradientStats, RbmParams, batch_stats, free_energy,
+                    hidden_probs)
+from .samplers import gibbs_chain, make_pool
 
 MAX_ENUM_UNITS = 20
 
@@ -29,6 +35,8 @@ __all__ = [
     "mean_log_likelihood",
     "finite_diff_loglik_grad",
     "free_energy_entropy_form",
+    "CheckResult",
+    "run_oracle_checks",
 ]
 
 
@@ -209,3 +217,109 @@ def finite_diff_loglik_grad(p: RbmParams, data: np.ndarray, step: float = 1e-5,
             flat[idx] /= 2.0 * step
         grads[name] = g
     return grads
+
+
+class CheckResult:
+    """Outcome of one identity check; repr is the line oracle-check prints."""
+
+    def __init__(self, name: str, ok: bool, detail: str = ""):
+        self.name = name
+        self.ok = ok
+        self.detail = detail
+
+    def __repr__(self):
+        status = "PASS" if self.ok else "FAIL"
+        return f"{status} {self.name}" + (f" ({self.detail})" if self.detail else "")
+
+
+def _random_model(n_visible, n_hidden, rng) -> RbmParams:
+    return RbmParams(rng.normals((n_visible, n_hidden)),
+                     rng.normals((n_visible,)), rng.normals((n_hidden,)))
+
+
+def run_oracle_checks(n_visible: int = 3, n_hidden: int = 3, trials: int = 25,
+                      seed: int = 0, free_energy_fn=None) -> list:
+    """Identity suite over random models; one result per invariant.
+
+    free_energy_fn overrides the closed-form free energy under test (used
+    to verify the suite actually catches a broken implementation).
+    """
+    if n_visible + n_hidden > MAX_ENUM_UNITS:
+        raise ValueError("size exceeds the enumeration cap")
+    if free_energy_fn is None:
+        free_energy_fn = free_energy
+    names = ["marginal_normalization", "free_energy_marginalization",
+             "free_energy_two_forms", "conditional_consistency",
+             "gradient_finite_difference", "gibbs_stationarity"]
+    worst = {name: 0.0 for name in names}
+
+    for trial in range(trials):
+        rng = RngStream(seed, 1000 + trial)
+        p = _random_model(n_visible, n_hidden, rng)
+        V = enumerate_states(n_visible)
+        H = enumerate_states(n_hidden)
+
+        marg = visible_marginal(p)
+        worst["marginal_normalization"] = max(
+            worst["marginal_normalization"], abs(float(marg.sum()) - 1.0))
+
+        joint = joint_table(p)
+        for s in range(V.shape[0]):
+            v = V[s]
+            neg_e = np.array([v @ p.w @ H[t] + p.a @ v + p.b @ H[t]
+                              for t in range(H.shape[0])])
+            m = neg_e.max()
+            brute_f = -(m + np.log(np.exp(neg_e - m).sum()))
+            worst["free_energy_marginalization"] = max(
+                worst["free_energy_marginalization"],
+                abs(free_energy_fn(p, v) - brute_f))
+            worst["free_energy_two_forms"] = max(
+                worst["free_energy_two_forms"],
+                abs(free_energy_entropy_form(p, v) - free_energy(p, v)))
+            # P(h_j = 1 | v) by direct enumeration of the joint row
+            row = joint[s]
+            cond = (row @ H) / row.sum()
+            worst["conditional_consistency"] = max(
+                worst["conditional_consistency"],
+                float(np.max(np.abs(cond - hidden_probs(p, v)))))
+
+        data = (rng.uniforms((6, n_visible)) < 0.5).astype(float)
+        pos, neg = exact_gradient(p, data)
+        fd = finite_diff_loglik_grad(p, data, step=1e-5)
+        worst["gradient_finite_difference"] = max(
+            worst["gradient_finite_difference"],
+            float(np.max(np.abs((pos.vh - neg.vh) - fd["w"]))),
+            float(np.max(np.abs((pos.v - neg.v) - fd["a"]))),
+            float(np.max(np.abs((pos.h - neg.h) - fd["b"]))))
+
+        if trial < 3:
+            chains = make_pool((rng.uniforms((16, n_visible)) < 0.5).astype(float),
+                               16, seed + trial)
+            noise = chains.noise(p)
+            counts = np.zeros(V.shape[0])
+            ids = (2 ** np.arange(n_visible - 1, -1, -1)).astype(np.int64)
+            for _ in range(400):
+                chains.states, _ = gibbs_chain(p, chains.states, 1, noise)
+                idx = (chains.states.astype(np.int64) @ ids)
+                np.add.at(counts, idx, 1.0)
+            emp = counts / counts.sum()
+            tv = 0.5 * float(np.abs(emp - marg).sum())
+            worst["gibbs_stationarity"] = max(worst["gibbs_stationarity"], tv)
+
+    tolerances = {
+        "marginal_normalization": 1e-10,
+        "free_energy_marginalization": 1e-10,
+        "free_energy_two_forms": 1e-8,
+        "conditional_consistency": 1e-10,
+        "gradient_finite_difference": 1e-6,
+        "gibbs_stationarity": 0.08,
+    }
+    results = []
+    for name in names:
+        if trials == 0:
+            results.append(CheckResult(name, True, "no trials"))
+            continue
+        tol = tolerances[name]
+        results.append(CheckResult(name, worst[name] <= tol,
+                                   f"worst {worst[name]:.3e} vs {tol:.0e}"))
+    return results

@@ -1,14 +1,17 @@
 import json
 import os
 import struct
+import tempfile
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
-from rbmkit import (CsvFormatError, Dataset, IdxCountMismatchError,
-                    IdxMagicError, IdxTruncatedError, ModelFormatError,
-                    RbmParams, load_isolet_csv, load_mnist_idx, load_model,
-                    minmax_normalize, save_model)
+from rbmkit import (CsvFormatError, DataFormatError, Dataset,
+                    IdxCountMismatchError, IdxMagicError, IdxTruncatedError,
+                    ModelFormatError, RbmParams, load_isolet_csv,
+                    load_mnist_idx, load_model, minmax_normalize, save_model)
 from rbmkit.dataio import write_pgm
 from rbmkit.dbn import DbnModel
 
@@ -243,3 +246,142 @@ class TestWritePgm:
         raw = path.read_bytes()
         assert raw.startswith(b"P5\n2 2\n255\n")
         assert raw[-4:] == bytes([0, 128, 255, 64])
+
+
+# ------------------------------------------------ loaders are total
+#
+# Mutated bytes of a valid input must give a value or a DataFormatError,
+# never another exception. Each @example input pins one check a loader
+# needs: without it, that input raises an untyped error.
+
+SPLICES = [b"", b"0", b"-1", b"1e400", b"nan", b"inf", b"NaN", b"Infinity",
+           b"9" * 400, b",", b"\n", b"\r", b" ", b"\xff", b"\x00", b'"',
+           b"[", b"]", b"{", b"}", b":"]
+
+
+@st.composite
+def mutated(draw, base: bytes):
+    """base with up to four spans replaced by tokens or random bytes."""
+    data = bytearray(base)
+    for _ in range(draw(st.integers(0, 4))):
+        start = draw(st.integers(0, len(data)))
+        end = draw(st.integers(start, min(len(data), start + 8)))
+        data[start:end] = draw(st.sampled_from(SPLICES) | st.binary(max_size=4))
+    return bytes(data)
+
+
+@st.composite
+def idx_file(draw, magic: int, dims: list, payload: bytes,
+             dim_ranges: list):
+    """An IDX file whose header fields are redrawn within dim_ranges (so a
+    loader that trusts them reads at most their product) and whose
+    payload and tail are mutated."""
+    magic = draw(st.just(magic) | st.integers(-2**31, 2**31 - 1))
+    dims = [draw(st.just(d) | st.integers(lo, hi))
+            for d, (lo, hi) in zip(dims, dim_ranges)]
+    raw = struct.pack(f">{1 + len(dims)}i", magic, *dims) + draw(mutated(payload))
+    return raw[:draw(st.integers(0, len(raw)))] if draw(st.booleans()) else raw
+
+
+THREE_PIXELS = np.arange(12, dtype=np.uint8).tobytes()
+THREE_IMAGES = struct.pack(">iiii", 2051, 3, 2, 2) + THREE_PIXELS
+THREE_LABELS = struct.pack(">ii", 2049, 3) + bytes([1, 2, 3])
+# at most 64 * 128 * 128 bytes = 1 MiB of promised payload
+IMAGE_DIMS = [(-1, 64), (-1, 128), (-1, 128)]
+LABEL_DIMS = [(-1, 64)]
+
+RBM_JSON = json.dumps({
+    "format_version": 1, "kind": "rbm", "visible_kind": "binary",
+    "n_visible": 2, "n_hidden": 2, "label_units": 0,
+    "weights": ["0.5", "-1", "0.25", "2"], "visible_bias": ["0.1", "0"],
+    "hidden_bias": ["0", "-0.3"]}, indent=1)
+DBN_JSON = json.dumps({
+    "format_version": 1, "kind": "dbn", "top_label_units": 0,
+    "layers": [{k: v for k, v in json.loads(RBM_JSON).items()
+                if k not in ("format_version", "kind")}] * 2}, indent=1)
+
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=4),
+    lambda inner: st.lists(inner, max_size=3)
+    | st.dictionaries(st.text(max_size=4), inner, max_size=3),
+    max_leaves=6)
+
+
+@st.composite
+def model_json(draw):
+    """A model file with one field swapped for any JSON value, then with
+    its bytes mutated."""
+    doc = json.loads(draw(st.sampled_from([RBM_JSON, DBN_JSON])))
+    target = doc
+    if doc["kind"] == "dbn" and draw(st.booleans()):
+        target = doc["layers"][draw(st.integers(0, 1))]
+    key = draw(st.sampled_from(sorted(target)))
+    if isinstance(target[key], list) and target[key] and draw(st.booleans()):
+        target[key][draw(st.integers(0, len(target[key]) - 1))] = draw(JSON_VALUES)
+    elif draw(st.booleans()):
+        target[key] = draw(JSON_VALUES)
+    return draw(mutated(json.dumps(doc, indent=1).encode()))
+
+
+ISOLET_ROWS = "\n".join(isolet_row(np.linspace(-1.0, 1.0, 617) * sign, label)
+                        for sign, label in ((1, 1), (-1, 26))) + "\n"
+
+
+def with_last_field(text: str, field: str) -> bytes:
+    head, _, _ = text.splitlines()[0].rpartition(",")
+    return f"{head},{field}\n".encode()
+
+
+def load_bytes(loader, *contents):
+    """loader applied to files holding contents; a value or a typed error."""
+    with tempfile.TemporaryDirectory() as tmp:
+        paths = []
+        for i, raw in enumerate(contents):
+            paths.append(os.path.join(tmp, f"input{i}"))
+            with open(paths[-1], "wb") as fh:
+                fh.write(raw)
+        try:
+            return loader(*paths)
+        except DataFormatError:
+            return None
+
+
+class TestLoadersAreTotal:
+    @settings(max_examples=200, deadline=None)
+    @given(idx_file(2051, [3, 2, 2], THREE_PIXELS, IMAGE_DIMS),
+           idx_file(2049, [3], bytes([1, 2, 3]), LABEL_DIMS))
+    # dimension product past 2**63: int64 wraps to a negative read length
+    @example(struct.pack(">iiii", 2051, 2**31 - 1, 2**31 - 1, 3) + THREE_PIXELS,
+             THREE_LABELS)
+    # a positive product far larger than the file (about 64 TB)
+    @example(bytes.fromhex("00000803 00240003 00ce0002 00000002") + THREE_PIXELS,
+             THREE_LABELS)
+    # zero images of 2**62 pixels each: no float64 array that shape exists
+    @example(struct.pack(">iiii", 2051, 0, 2**31 - 1, 2**31 - 1),
+             struct.pack(">ii", 2049, 0))
+    def test_mutated_idx_pair(self, images, labels):
+        ds = load_bytes(load_mnist_idx, images, labels)
+        if ds is not None:
+            assert ds.labels.shape == (ds.n_samples,)
+            assert np.all((ds.features >= 0) & (ds.features <= 255))
+
+    @settings(max_examples=200, deadline=None)
+    @given(mutated(ISOLET_ROWS.encode()))
+    @example(with_last_field(ISOLET_ROWS, "inf"))
+    @example(with_last_field(ISOLET_ROWS, "nan"))
+    @example(b"nan," + with_last_field(ISOLET_ROWS, "1").split(b",", 1)[1])
+    @example(b"\xff" + ISOLET_ROWS.encode())
+    def test_mutated_isolet_csv(self, raw):
+        ds = load_bytes(load_isolet_csv, raw)
+        if ds is not None:
+            assert ds.n_features == 617
+            assert np.all((ds.labels >= 0) & (ds.labels <= 25))
+
+    @settings(max_examples=200, deadline=None)
+    @given(model_json())
+    @example(b"\xff" + RBM_JSON.encode())
+    @example(RBM_JSON.replace('"n_visible": 2', '"n_visible": 1e400').encode())
+    @example(RBM_JSON.replace('"0.5"', "9" * 400).encode())
+    def test_mutated_model_json(self, raw):
+        model = load_bytes(load_model, raw)
+        assert model is None or isinstance(model, (RbmParams, DbnModel))

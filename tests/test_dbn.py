@@ -9,7 +9,7 @@ from rbmkit.dbn import (DbnModel, FeedforwardNet, classify_free_energy,
                         net_gradients, pretrain_stack, propagate_up,
                         train_discriminative_rbm, unroll_to_network)
 from rbmkit.oracle import state_index, visible_marginal
-from rbmkit.trainer import STREAM_INIT
+from rbmkit.trainer import STREAM_INIT, STREAM_SHUFFLE
 
 from synthdata import digit_dataset
 
@@ -288,3 +288,57 @@ class TestBackprop:
         net = unroll_to_network(TestUnroll().build_stack(), 2, seed=5)
         with pytest.raises(ValueError):
             fine_tune(net, Dataset(np.zeros((3, 4))), Hyperparams(), seed=0)
+
+    @pytest.mark.parametrize("momentum", [0.0, 0.9])
+    @pytest.mark.parametrize("decay", [0.0, 0.01])
+    def test_bit_identical_to_reference_loop(self, momentum, decay):
+        net, data = self.random_problem(37)
+        hp = Hyperparams(epsilon=0.3, momentum=momentum, weight_decay=decay,
+                         epochs=3, batch_size=8)
+        tuned, losses = fine_tune(net, data, hp, seed=37)
+        ref = reference_fine_tune(net, data, hp, seed=37)
+        for got, want in zip(tuned.weights + tuned.biases, ref.weights + ref.biases):
+            np.testing.assert_array_equal(got, want)
+        assert losses[-1] == cross_entropy(ref, data.features, data.labels)
+
+    def test_input_net_left_unwritten(self):
+        net, data = self.random_problem(38)
+        before = [arr.copy() for arr in net.weights + net.biases]
+        hp = Hyperparams(epsilon=0.3, momentum=0.9, weight_decay=0.01,
+                         epochs=2, batch_size=8)
+        tuned, _ = fine_tune(net, data, hp, seed=38)
+        for arr, orig in zip(net.weights + net.biases, before):
+            np.testing.assert_array_equal(arr, orig)
+        for new, old in zip(tuned.weights + tuned.biases, net.weights + net.biases):
+            assert not np.shares_memory(new, old)
+
+    @staticmethod
+    def random_problem(seed):
+        rng = RngStream(seed, 0)
+        net = FeedforwardNet([rng.normals((6, 5)), rng.normals((5, 4)), rng.normals((4, 3))],
+                             [rng.normals(5), rng.normals(4), rng.normals(3)])
+        data = Dataset(rng.uniforms((30, 6)), (rng.uniforms(30) * 3).astype(np.int64))
+        return net, data
+
+
+def reference_fine_tune(net, data, hp, seed):
+    """Reference fine_tune loop that builds fresh velocity and parameter
+    arrays every minibatch; fine_tune's in-place steps must match it bit
+    for bit."""
+    net = net.copy()
+    vel_w = [np.zeros_like(w) for w in net.weights]
+    vel_b = [np.zeros_like(b) for b in net.biases]
+    shuffle_rng = RngStream(seed, STREAM_SHUFFLE)
+    m = data.n_samples
+    for _ in range(hp.epochs):
+        order = shuffle_rng.permutation(m)
+        for start in range(0, m, hp.batch_size):
+            idx = order[start:start + hp.batch_size]
+            gw, gb = net_gradients(net, data.features[idx], data.labels[idx])
+            for layer in range(len(net.weights)):
+                vel_w[layer] = (hp.momentum * vel_w[layer]
+                                - hp.epsilon * (gw[layer] + hp.weight_decay * net.weights[layer]))
+                vel_b[layer] = hp.momentum * vel_b[layer] - hp.epsilon * gb[layer]
+                net.weights[layer] = net.weights[layer] + vel_w[layer]
+                net.biases[layer] = net.biases[layer] + vel_b[layer]
+    return net

@@ -6,7 +6,7 @@ import pytest
 
 from rbmkit import (GAUSSIAN, GradientStats, Hyperparams, RbmParams,
                     RngStream, UpdateState, apply_update, batch_stats, energy,
-                    free_energy, hidden_probs, visible_probs)
+                    free_energy, hidden_probs, momentum_step, visible_probs)
 from rbmkit.oracle import free_energy_entropy_form
 
 
@@ -214,6 +214,68 @@ class TestApplyUpdate:
         hp = Hyperparams()
         with pytest.raises(ValueError):
             apply_update(ref_model, bad, bad, hp, UpdateState.zeros_like(ref_model))
+
+    @pytest.mark.parametrize("momentum", [0.0, 0.9])
+    @pytest.mark.parametrize("decay", [0.0, 0.01])
+    def test_bit_identical_to_ascent_form(self, momentum, decay):
+        hp = Hyperparams(epsilon=0.1, momentum=momentum, weight_decay=decay)
+        rng = RngStream(35, 0)
+        p = RbmParams(rng.normals((7, 5)), rng.normals(7), rng.normals(5))
+        state = UpdateState.zeros_like(p)
+        ref_p, ref_vel = (p.w, p.a, p.b), (state.vel_w, state.vel_a, state.vel_b)
+        for _ in range(4):
+            pos = random_stats(rng, 7, 5)
+            neg = random_stats(rng, 7, 5)
+            ref_p, ref_vel = ascent_form_update(ref_p, pos, neg, hp, ref_vel)
+            p = apply_update(p, pos, neg, hp, state)
+            for got, want in zip((p.w, p.a, p.b, state.vel_w, state.vel_a,
+                                  state.vel_b), ref_p + ref_vel):
+                np.testing.assert_array_equal(got, want)
+
+    def test_writes_neither_params_nor_statistics(self):
+        hp = Hyperparams(epsilon=0.1, momentum=0.9, weight_decay=0.01)
+        rng = RngStream(36, 0)
+        p = RbmParams(rng.normals((4, 3)), rng.normals(4), rng.normals(3))
+        pos, neg = random_stats(rng, 4, 3), random_stats(rng, 4, 3)
+        inputs = (p.w, p.a, p.b, pos.vh, pos.v, pos.h, neg.vh, neg.v, neg.h)
+        before = [arr.copy() for arr in inputs]
+        state = UpdateState.zeros_like(p)
+        out = apply_update(p, pos, neg, hp, state)
+        apply_update(out, pos, neg, hp, state)
+        for arr, orig in zip(inputs, before):
+            np.testing.assert_array_equal(arr, orig)
+        for new, old in zip((out.w, out.a, out.b), (p.w, p.a, p.b)):
+            assert not np.shares_memory(new, old)
+
+
+def random_stats(rng, n_visible, n_hidden):
+    return make_stats(rng.uniforms((n_visible, n_hidden)),
+                      rng.uniforms(n_visible), rng.uniforms(n_hidden))
+
+
+def ascent_form_update(params, pos, neg, hp, vel):
+    """Reference update in ascent form: velocities step along pos - neg
+    with the decay pulled off. apply_update's descent form (neg - pos,
+    through momentum_step) must match it bit for bit."""
+    w, a, b = params
+    vel_w = hp.momentum * vel[0] + hp.epsilon * ((pos.vh - neg.vh) - hp.weight_decay * w)
+    vel_a = hp.momentum * vel[1] + hp.epsilon * (pos.v - neg.v)
+    vel_b = hp.momentum * vel[2] + hp.epsilon * (pos.h - neg.h)
+    return (w + vel_w, a + vel_a, b + vel_b), (vel_w, vel_a, vel_b)
+
+
+class TestMomentumStep:
+    def test_updates_velocity_in_place(self):
+        hp = Hyperparams(epsilon=0.5, momentum=0.5, weight_decay=0.1)
+        vel = np.ones(3)
+        assert momentum_step(vel, np.full(3, 2.0), hp) is vel
+        np.testing.assert_array_equal(vel, 0.5 - 0.5 * 2.0)
+
+    def test_decay_applies_only_with_param(self):
+        hp = Hyperparams(epsilon=0.5, momentum=0.5, weight_decay=0.1)
+        vel = np.full(2, -0.5)
+        momentum_step(vel, np.full(2, 2.0), hp, np.full(2, 10.0))
+        np.testing.assert_array_equal(vel, 0.5 * -0.5 - 0.5 * (2.0 + 0.1 * 10.0))
 
 
 class TestValidation:
