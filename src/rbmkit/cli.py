@@ -10,7 +10,6 @@ renamed into place after the work succeeds.
 from __future__ import annotations
 
 import argparse
-import io
 import sys
 
 import numpy as np
@@ -24,11 +23,11 @@ from .dbn import (DbnModel, classify_free_energy, pretrain_stack,
                   train_discriminative_rbm)
 from .errors import DataFormatError, TrainingDivergedError
 from .model import (BINARY, GAUSSIAN, Hyperparams, RbmParams, free_energy,
-                    hidden_probs, init_params, visible_probs)
+                    hidden_probs, visible_probs)
 from .oracle import CheckResult, run_oracle_checks
 from .samplers import gibbs_chain, make_pool
-from .trainer import (ESTIMATORS, STREAM_INIT, STREAM_SAMPLE,
-                      STREAM_SUBSET, metrics_csv_text, train_rbm)
+from .trainer import (ESTIMATORS, STREAM_SAMPLE, STREAM_SUBSET,
+                      metrics_csv_text)
 
 __all__ = ["main", "run_oracle_checks", "CheckResult"]
 
@@ -50,26 +49,25 @@ def _read_config_file(path) -> dict:
     return values
 
 
-# casters for config keys whose built-in default is None
-_NONE_DEFAULT_CASTERS = {"subset": int, "test_subset": int, "chains": int}
+def _apply_config(parser: argparse.ArgumentParser, path):
+    """Make the config file's entries the command parser's defaults.
+
+    Parsing again then resolves explicit flag > config entry > built-in
+    default, and argparse converts each string with its flag's type. Keys
+    that name none of the command's options are ignored.
+    """
+    is_flag = {action.dest: action.nargs == 0 for action in parser._actions
+               if action.default is not argparse.SUPPRESS}
+    parser.set_defaults(**{
+        key: value.lower() in ("1", "true", "yes") if is_flag[key] else value
+        for key, value in _read_config_file(path).items() if key in is_flag})
 
 
-def _merge_config(args: argparse.Namespace, defaults: dict) -> argparse.Namespace:
-    """Resolution order: explicit flag > config file entry > default."""
-    config = _read_config_file(args.config) if getattr(args, "config", None) else {}
-    for key, default in defaults.items():
-        if getattr(args, key, None) is not None:
-            continue
-        if key in config:
-            if isinstance(default, bool):
-                setattr(args, key, config[key].lower() in ("1", "true", "yes"))
-            else:
-                caster = (type(default) if default is not None
-                          else _NONE_DEFAULT_CASTERS.get(key, str))
-                setattr(args, key, caster(config[key]))
-        else:
-            setattr(args, key, default)
-    return args
+def _write_csv(path, echo: str, header, rows):
+    """'# config:' line, header and rows of strings, written atomically."""
+    lines = [f"# config: {echo}", ",".join(header)]
+    lines += [",".join(row) for row in rows]
+    atomic_write_text(path, "\n".join(lines) + "\n")
 
 
 def _config_echo(args, keys) -> str:
@@ -149,35 +147,23 @@ def _visible_kind(args) -> str:
 
 # ---------------------------------------------------------------- train-rbm
 
-_TRAIN_DEFAULTS = dict(
-    data=None, images=None, labels=None, csv=None, subset=None,
-    test_images=None, test_labels=None, test_csv=None, test_subset=None,
-    hidden="32", estimator="cd", discriminative=False,
-    k=1, chains=None, elite_fraction=0.5, epochs=10, batch=20,
-    lr=0.05, momentum=0.0, decay=0.0, seed=0, out="run",
-)
-
 _TRAIN_ECHO = ("data", "subset", "hidden", "estimator", "discriminative", "k",
                "chains", "elite_fraction", "epochs", "batch", "lr", "momentum",
                "decay", "seed")
 
 
 def cmd_train_rbm(args) -> int:
-    _merge_config(args, _TRAIN_DEFAULTS)
     if args.data is None:
-        print("error: --data is required", file=sys.stderr)
-        return 2
+        raise ValueError("--data is required")
     hidden = _int_list(args.hidden)
     estimators = _str_list(args.estimator)
     if len(estimators) == 1:
         estimators = estimators * len(hidden)
     if len(estimators) != len(hidden):
-        print("error: need one estimator or one per hidden layer", file=sys.stderr)
-        return 2
+        raise ValueError("need one estimator or one per hidden layer")
     for est in estimators:
         if est not in ESTIMATORS:
-            print(f"error: unknown estimator {est!r}", file=sys.stderr)
-            return 2
+            raise ValueError(f"unknown estimator {est!r}")
     hp = _hyperparams(args)
     echo = _config_echo(args, _TRAIN_ECHO)
 
@@ -186,8 +172,7 @@ def cmd_train_rbm(args) -> int:
 
     if args.discriminative:
         if train.labels is None:
-            print("error: --discriminative needs labeled data", file=sys.stderr)
-            return 2
+            raise ValueError("--discriminative needs labeled data")
         if len(hidden) == 1:
             model, metrics = train_discriminative_rbm(
                 train, hidden[0], hp, estimators[0], args.seed, kind)
@@ -195,7 +180,7 @@ def cmd_train_rbm(args) -> int:
         else:
             sizes = [train.n_features] + hidden[:-1]
             stack, lower_metrics = pretrain_stack(
-                sizes, train, hp, estimators[:-1], args.seed)
+                sizes, train, hp, estimators[:-1], args.seed, kind)
             feats_up = dbn_mod.propagate_up(stack, train.features,
                                             stack.n_layers - 1)
             top, top_metrics = train_discriminative_rbm(
@@ -205,16 +190,10 @@ def cmd_train_rbm(args) -> int:
                              top_label_units=top.label_units)
             metric_sets = lower_metrics + [top_metrics]
     else:
+        model, metric_sets = pretrain_stack([train.n_features] + hidden, train,
+                                            hp, estimators, args.seed, kind)
         if len(hidden) == 1:
-            init = init_params(train.n_features, hidden[0],
-                               RngStream(args.seed, STREAM_INIT), kind)
-            model, metrics = train_rbm(init, train, hp, estimators[0],
-                                       args.seed)
-            metric_sets = [metrics]
-        else:
-            sizes = [train.n_features] + hidden
-            model, metric_sets = pretrain_stack(sizes, train, hp, estimators,
-                                                args.seed)
+            model = model.layers[0]
 
     save_model(f"{args.out}.model.json", model)
     if len(metric_sets) == 1:
@@ -236,20 +215,14 @@ def _test_error(p: RbmParams, test: Dataset) -> float:
 
 
 def cmd_compare_samplers(args) -> int:
-    _merge_config(args, dict(_TRAIN_DEFAULTS, out="compare.csv"))
     if args.data is None:
-        print("error: --data is required", file=sys.stderr)
-        return 2
+        raise ValueError("--data is required")
     train, test = _load_train_test(args)
     if train.labels is None or test is None or test.labels is None:
-        print("error: compare-samplers needs labeled train and test data",
-              file=sys.stderr)
-        return 2
+        raise ValueError("compare-samplers needs labeled train and test data")
     hidden = _int_list(args.hidden)
     if len(hidden) != 1:
-        print("error: compare-samplers trains single discriminative RBMs",
-              file=sys.stderr)
-        return 2
+        raise ValueError("compare-samplers trains single discriminative RBMs")
     hp = _hyperparams(args)
     kind = _visible_kind(args)
     echo = _config_echo(args, tuple(k for k in _TRAIN_ECHO if k != "estimator"))
@@ -266,34 +239,24 @@ def cmd_compare_samplers(args) -> int:
         train_discriminative_rbm(train, hidden[0], hp, est, args.seed, kind,
                                  epoch_callback=on_epoch)
 
-    buf = io.StringIO()
-    buf.write(f"# config: {echo}\n")
-    buf.write("estimator,epoch,seconds,error\n")
-    for est, epoch, secs, err in rows:
-        buf.write(f"{est},{epoch},{secs:.6f},{format(err, '.17g')}\n")
-    atomic_write_text(args.out, buf.getvalue())
+    _write_csv(args.out, echo, ("estimator", "epoch", "seconds", "error"),
+               ((est, str(epoch), f"{secs:.6f}", format(err, ".17g"))
+                for est, epoch, secs, err in rows))
     print(f"wrote {args.out}")
     return 0
 
 
 # ----------------------------------------------------------------- sample
 
-_SAMPLE_DEFAULTS = dict(model=None, n=16, steps=100, seed=0, out="samples.pgm")
-
-
 def cmd_sample(args) -> int:
-    _merge_config(args, _SAMPLE_DEFAULTS)
     if args.model is None:
-        print("error: --model is required", file=sys.stderr)
-        return 2
+        raise ValueError("--model is required")
     model = load_model(args.model)
     if not isinstance(model, RbmParams):
-        print("error: sampling works on single-RBM model files", file=sys.stderr)
-        return 2
-    n, steps = int(args.n), int(args.steps)
+        raise ValueError("sampling works on single-RBM model files")
+    n, steps = args.n, args.steps
     if n < 1 or steps < 0:
-        print("error: need n >= 1 and steps >= 0", file=sys.stderr)
-        return 2
+        raise ValueError("need n >= 1 and steps >= 0")
 
     init_rng = RngStream(args.seed, STREAM_SAMPLE)
     if model.visible_kind == BINARY:
@@ -321,31 +284,19 @@ def cmd_sample(args) -> int:
                 means[c, :d].reshape(side, side)
         write_pgm(args.out, grid)
     else:
-        buf = io.StringIO()
-        buf.write(f"# config: {echo}\n")
-        buf.write(",".join(f"v{i}" for i in range(means.shape[1])) + "\n")
-        for c in range(n):
-            buf.write(",".join(format(x, ".17g") for x in means[c]) + "\n")
-        atomic_write_text(args.out, buf.getvalue())
+        _write_csv(args.out, echo, (f"v{i}" for i in range(means.shape[1])),
+                   ((format(x, ".17g") for x in row) for row in means))
 
     fe_path = f"{args.out}.free_energy.csv"
-    buf = io.StringIO()
-    buf.write(f"# config: {echo}\n")
-    buf.write("sample,free_energy\n")
-    for c in range(n):
-        buf.write(f"{c},{format(float(fe[c]), '.17g')}\n")
-    atomic_write_text(fe_path, buf.getvalue())
+    _write_csv(fe_path, echo, ("sample", "free_energy"),
+               ((str(c), format(x, ".17g")) for c, x in enumerate(fe)))
     print(f"wrote {args.out} and {fe_path}")
     return 0
 
 
 # ------------------------------------------------------------ oracle-check
 
-_ORACLE_DEFAULTS = dict(visible=3, hidden=3, trials=25, seed=0)
-
-
 def cmd_oracle_check(args) -> int:
-    _merge_config(args, _ORACLE_DEFAULTS)
     if args.trials == 0:
         print("warning: trials=0, nothing exercised", file=sys.stderr)
     results = run_oracle_checks(args.visible, args.hidden, args.trials,
@@ -359,7 +310,8 @@ def cmd_oracle_check(args) -> int:
 
 # ------------------------------------------------------------------ parser
 
-def build_parser() -> argparse.ArgumentParser:
+def build_parser():
+    """(rbmkit parser, {command name: that command's parser})."""
     parser = argparse.ArgumentParser(
         prog="rbmkit",
         description="RBM/DBN training toolkit with free-energy elite sampling")
@@ -367,7 +319,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     def add_common(p):
         p.add_argument("--config", help="flat key=value file; flags win")
-        p.add_argument("--seed", type=int)
+        p.add_argument("--seed", type=int, default=0)
         p.add_argument("--threads", type=int,
                        help="ignored; accepted so older command lines still run")
 
@@ -382,24 +334,25 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--test-csv", dest="test_csv")
         p.add_argument("--test-subset", dest="test_subset", type=int)
 
-    def add_training(p):
-        p.add_argument("--hidden")
-        p.add_argument("--estimator")
-        p.add_argument("--k", type=int)
+    def add_training(p, out):
+        p.add_argument("--hidden", default="32")
+        p.add_argument("--estimator", default="cd")
+        p.add_argument("--k", type=int, default=1)
         p.add_argument("--chains", type=int)
-        p.add_argument("--elite-fraction", dest="elite_fraction", type=float)
-        p.add_argument("--epochs", type=int)
-        p.add_argument("--batch", type=int)
-        p.add_argument("--lr", type=float)
-        p.add_argument("--momentum", type=float)
-        p.add_argument("--decay", type=float)
-        p.add_argument("--out")
+        p.add_argument("--elite-fraction", dest="elite_fraction", type=float,
+                       default=0.5)
+        p.add_argument("--epochs", type=int, default=10)
+        p.add_argument("--batch", type=int, default=20)
+        p.add_argument("--lr", type=float, default=0.05)
+        p.add_argument("--momentum", type=float, default=0.0)
+        p.add_argument("--decay", type=float, default=0.0)
+        p.add_argument("--out", default=out)
 
     p_train = sub.add_parser("train-rbm", help="train an RBM or DBN stack")
     add_common(p_train)
     add_data(p_train)
-    add_training(p_train)
-    p_train.add_argument("--discriminative", action="store_const", const=True,
+    add_training(p_train, "run")
+    p_train.add_argument("--discriminative", action="store_true",
                          help="append one-hot labels to the visible layer")
     p_train.set_defaults(func=cmd_train_rbm)
 
@@ -407,44 +360,42 @@ def build_parser() -> argparse.ArgumentParser:
                            help="train one discriminative RBM per estimator")
     add_common(p_cmp)
     add_data(p_cmp)
-    add_training(p_cmp)
+    add_training(p_cmp, "compare.csv")
     p_cmp.set_defaults(func=cmd_compare_samplers, discriminative=True)
 
     p_sample = sub.add_parser("sample", help="draw Gibbs samples from a model")
     add_common(p_sample)
     p_sample.add_argument("--model")
-    p_sample.add_argument("--n", type=int)
-    p_sample.add_argument("--steps", type=int)
-    p_sample.add_argument("--out")
+    p_sample.add_argument("--n", type=int, default=16)
+    p_sample.add_argument("--steps", type=int, default=100)
+    p_sample.add_argument("--out", default="samples.pgm")
     p_sample.set_defaults(func=cmd_sample)
 
     p_check = sub.add_parser("oracle-check",
                              help="run the exact-enumeration identity suite")
     add_common(p_check)
-    p_check.add_argument("--visible", type=int)
-    p_check.add_argument("--hidden", type=int)
-    p_check.add_argument("--trials", type=int)
+    p_check.add_argument("--visible", type=int, default=3)
+    p_check.add_argument("--hidden", type=int, default=3)
+    p_check.add_argument("--trials", type=int, default=25)
     p_check.set_defaults(func=cmd_oracle_check)
 
-    return parser
+    return parser, sub.choices
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    parser, commands = build_parser()
+    args = parser.parse_args(argv)
     try:
+        if args.config:
+            _apply_config(commands[args.command], args.config)
+            args = parser.parse_args(argv)
         return args.func(args)
-    except DataFormatError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except FileNotFoundError as exc:
+    except (DataFormatError, OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except TrainingDivergedError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
 
 
 if __name__ == "__main__":

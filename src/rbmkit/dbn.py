@@ -83,14 +83,16 @@ def propagate_up(dbn: DbnModel, v, upto: int) -> np.ndarray:
     return x
 
 
-def pretrain_stack(sizes, data, hps, estimators, seed: int):
+def pretrain_stack(sizes, data, hps, estimators, seed: int,
+                   visible_kind: str = BINARY):
     """Greedy layer-wise pretraining; returns (DbnModel, per-layer metrics).
 
     sizes is [input_dim, h1, h2, ...]; hps and estimators give one entry
     per trained layer (a single Hyperparams or estimator name is broadcast
-    to all layers). Layer L trains on the activation probabilities
-    produced by the layers below it, with run seed seed+L so a one-layer
-    stack is identical to a plain train_rbm run.
+    to all layers). visible_kind is the bottom layer's unit kind; the
+    layers above it see probabilities and are binary. Layer L trains on
+    the activation probabilities produced by the layers below it, with run
+    seed seed+L so a one-layer stack is identical to a plain train_rbm run.
     """
     feats = np.atleast_2d(np.asarray(getattr(data, "features", data), dtype=np.float64))
     n_rbms = len(sizes) - 1
@@ -109,13 +111,15 @@ def pretrain_stack(sizes, data, hps, estimators, seed: int):
     all_metrics = []
     x = feats
     for idx in range(n_rbms):
+        if idx:
+            x = hidden_probs(layers[-1], x)
         init = init_params(sizes[idx], sizes[idx + 1],
-                           RngStream(seed + idx, STREAM_INIT))
+                           RngStream(seed + idx, STREAM_INIT),
+                           visible_kind if idx == 0 else BINARY)
         trained, metrics = train_rbm(init, x, hps[idx], estimators[idx],
                                      seed + idx)
         layers.append(trained)
         all_metrics.append(metrics)
-        x = hidden_probs(trained, x)
     return DbnModel(layers), all_metrics
 
 

@@ -147,7 +147,7 @@ def metrics_csv_text(metrics, config_line: str | None = None) -> str:
     buf = io.StringIO()
     if config_line:
         buf.write(f"# config: {config_line}\n")
-    writer = csv.writer(buf)
+    writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(METRICS_FIELDS)
     for row in metrics:
         writer.writerow([

@@ -1,4 +1,6 @@
 import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -117,24 +119,41 @@ class TestTrainRbmCommand:
         assert metric_rows[0] == metric_rows[1] == metric_rows[2]
 
 
+@pytest.fixture
+def isolet_csv(tmp_path):
+    """12 ISOLET-format rows: 617 real-valued features and a label 1..12."""
+    rng = RngStream(70, 0)
+    rows = []
+    for i in range(12):
+        label = (i % 26) + 1
+        feats = rng.normals(617) + 0.1 * label
+        rows.append(", ".join(f"{x:.4f}" for x in feats) + f", {label}.")
+    csv_path = tmp_path / "isolet.data"
+    csv_path.write_text("\n".join(rows) + "\n")
+    return str(csv_path)
+
+
 class TestIsoletPath:
-    def test_train_rbm_gaussian_visibles(self, tmp_path):
-        rng = RngStream(70, 0)
-        rows = []
-        for i in range(12):
-            label = (i % 26) + 1
-            feats = rng.normals(617) + 0.1 * label
-            rows.append(", ".join(f"{x:.4f}" for x in feats) + f", {label}.")
-        csv_path = tmp_path / "isolet.data"
-        csv_path.write_text("\n".join(rows) + "\n")
+    def isolet_args(self, csv_path, out, hidden):
+        return ["train-rbm", "--data", "isolet", "--csv", csv_path,
+                "--hidden", hidden, "--epochs", "2", "--batch", "6",
+                "--lr", "0.01", "--seed", "2", "--out", out]
+
+    def test_train_rbm_gaussian_visibles(self, isolet_csv, tmp_path):
         out = str(tmp_path / "iso")
-        code = main(["train-rbm", "--data", "isolet", "--csv", str(csv_path),
-                     "--hidden", "4", "--epochs", "2", "--batch", "6",
-                     "--lr", "0.01", "--seed", "2", "--out", out])
-        assert code == 0
+        assert main(self.isolet_args(isolet_csv, out, "4")) == 0
         model = load_model(f"{out}.model.json")
         assert model.visible_kind == "gaussian"
         assert model.n_visible == 617
+
+    @pytest.mark.parametrize("extra", [[], ["--discriminative"]])
+    def test_stack_has_gaussian_bottom_layer(self, isolet_csv, tmp_path, extra):
+        out = str(tmp_path / "isostack")
+        assert main(self.isolet_args(isolet_csv, out, "8,4") + extra) == 0
+        model = load_model(f"{out}.model.json")
+        assert [layer.visible_kind for layer in model.layers] == \
+               ["gaussian", "binary"]
+        assert model.layers[0].n_visible == 617
 
 
 class TestGenericCsvPath:
@@ -267,3 +286,165 @@ class TestOracleCheckCommand:
     def test_zero_trials_trivial_pass_with_warning(self, capsys):
         assert main(["oracle-check", "--trials", "0"]) == 0
         assert "warning" in capsys.readouterr().err
+
+
+class TestErrorExits:
+    def test_directory_as_config_exits_2(self, tmp_path, capsys):
+        assert main(["oracle-check", "--config", str(tmp_path)]) == 2
+        assert capsys.readouterr().err.startswith("error:")
+
+    def test_directory_as_images_exits_2(self, idx_pair, tmp_path, capsys):
+        _, labels = idx_pair
+        code = main(["train-rbm", "--data", "mnist", "--images", str(tmp_path),
+                     "--labels", labels, "--out", str(tmp_path / "x")])
+        assert code == 2
+        assert capsys.readouterr().err.startswith("error:")
+
+
+class _Resolved(Exception):
+    """Carries the option namespace a command resolved, before any work."""
+
+
+@pytest.fixture
+def resolve(monkeypatch):
+    """resolve(argv) -> the namespace train-rbm or compare-samplers resolved.
+
+    The command stops where it would first read data, so no file named in
+    the options needs to exist.
+    """
+    import rbmkit.cli as cli
+
+    def stop(args):
+        raise _Resolved(args)
+
+    monkeypatch.setattr(cli, "_load_train_test", stop)
+
+    def run(argv):
+        with pytest.raises(_Resolved) as info:
+            main(argv)
+        return info.value.args[0]
+    return run
+
+
+@pytest.fixture
+def oracle_call(monkeypatch):
+    """oracle_call(argv) -> (visible, hidden, trials, seed) oracle-check used."""
+    import rbmkit.cli as cli
+    calls = []
+    monkeypatch.setattr(cli, "run_oracle_checks",
+                        lambda *args: calls.append(args) or [])
+
+    def run(argv):
+        assert main(argv) == 0
+        return calls.pop()
+    return run
+
+
+# Built-in defaults as the README's CLI section documents them.
+TRAIN_DEFAULTS = dict(
+    images=None, labels=None, csv=None, subset=None, test_images=None,
+    test_labels=None, test_csv=None, test_subset=None, hidden="32",
+    estimator="cd", k=1, chains=None, elite_fraction=0.5, epochs=10,
+    batch=20, lr=0.05, momentum=0.0, decay=0.0, seed=0)
+
+
+def write_config(tmp_path, text):
+    path = tmp_path / "run.cfg"
+    path.write_text(text)
+    return str(path)
+
+
+class TestOptionResolution:
+    def test_train_rbm_defaults(self, resolve):
+        args = resolve(["train-rbm", "--data", "mnist"])
+        for key, value in TRAIN_DEFAULTS.items():
+            assert getattr(args, key) == value, key
+        assert args.discriminative is False
+        assert args.out == "run"
+
+    def test_compare_samplers_defaults(self, resolve):
+        args = resolve(["compare-samplers", "--data", "mnist"])
+        for key, value in TRAIN_DEFAULTS.items():
+            assert getattr(args, key) == value, key
+        assert args.discriminative is True
+        assert args.out == "compare.csv"
+
+    def test_oracle_check_defaults(self, oracle_call):
+        assert oracle_call(["oracle-check"]) == (3, 3, 25, 0)
+
+    def test_sample_defaults(self, tmp_path, monkeypatch):
+        model_path = str(tmp_path / "m.model.json")
+        save_model(model_path, RbmParams(np.zeros((4, 2)), np.zeros(4),
+                                         np.zeros(2)))
+        monkeypatch.chdir(tmp_path)
+        assert main(["sample", "--model", model_path]) == 0
+        assert os.path.exists("samples.pgm")
+        lines = open("samples.pgm.free_energy.csv").read().splitlines()
+        assert lines[0] == f"# config: model={model_path} n=16 steps=100 seed=0"
+        assert len(lines) == 2 + 16
+
+    def test_config_values_arrive_typed(self, resolve, tmp_path):
+        cfg = write_config(tmp_path, "data=mnist\nsubset=20\nchains=4\n"
+                                     "test-subset=7\nelite_fraction=0.25\n")
+        args = resolve(["train-rbm", "--config", cfg])
+        assert (args.subset, args.chains, args.test_subset) == (20, 4, 7)
+        assert all(type(v) is int
+                   for v in (args.subset, args.chains, args.test_subset))
+        assert args.elite_fraction == 0.25
+        assert type(args.elite_fraction) is float
+
+    @pytest.mark.parametrize("text, expected", [
+        ("false", False), ("true", True), ("1", True), ("YES", True),
+        ("0", False), ("no", False)])
+    def test_discriminative_from_config(self, resolve, tmp_path, text,
+                                        expected):
+        cfg = write_config(tmp_path, f"data=mnist\ndiscriminative={text}\n")
+        assert resolve(["train-rbm", "--config", cfg]).discriminative is expected
+
+    def test_discriminative_flag_beats_config(self, resolve, tmp_path):
+        cfg = write_config(tmp_path, "data=mnist\ndiscriminative=false\n")
+        args = resolve(["train-rbm", "--config", cfg, "--discriminative"])
+        assert args.discriminative is True
+
+    def test_flag_beats_config(self, resolve, tmp_path):
+        cfg = write_config(tmp_path, "data=csv\nepochs=4\nlr=0.5\nhidden=9\n")
+        args = resolve(["train-rbm", "--config", cfg, "--epochs", "2",
+                        "--data", "mnist"])
+        assert (args.data, args.epochs, args.lr, args.hidden) == \
+               ("mnist", 2, 0.5, "9")
+
+    def test_sample_reads_n_and_steps_from_config(self, tmp_path):
+        model_path = str(tmp_path / "m.model.json")
+        save_model(model_path, RbmParams(np.zeros((3, 2)), np.zeros(3),
+                                         np.zeros(2)))
+        out = str(tmp_path / "s.csv")
+        cfg = write_config(tmp_path, f"model={model_path}\nn=3\nsteps=2\n"
+                                     f"seed=4\nout={out}\n")
+        assert main(["sample", "--config", cfg, "--seed", "5"]) == 0
+        lines = open(f"{out}.free_energy.csv").read().splitlines()
+        assert lines[0] == f"# config: model={model_path} n=3 steps=2 seed=5"
+        assert len(lines) == 2 + 3
+
+    def test_oracle_check_reads_trials_from_config(self, oracle_call,
+                                                   tmp_path):
+        cfg = write_config(tmp_path, "trials=2\nvisible=2\nseed=8\n")
+        assert oracle_call(["oracle-check", "--config", cfg]) == (2, 3, 2, 8)
+
+    def test_foreign_keys_ignored(self, resolve, tmp_path):
+        cfg = write_config(tmp_path, "data=mnist\nfunc=oops\ncommand=sample\n"
+                                     "n=5\ntrials=3\n")
+        args = resolve(["train-rbm", "--config", cfg])
+        assert args.command == "train-rbm"
+        assert not hasattr(args, "n")
+        assert not hasattr(args, "trials")
+
+    def test_unparsable_config_value_exits_2(self, tmp_path):
+        cfg = write_config(tmp_path, "trials=abc\n")
+        src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            filter(None, [src, os.environ.get("PYTHONPATH")])))
+        proc = subprocess.run([sys.executable, "-m", "rbmkit.cli",
+                               "oracle-check", "--config", cfg],
+                              capture_output=True, text=True, env=env)
+        assert proc.returncode == 2
+        assert "Traceback" not in proc.stderr

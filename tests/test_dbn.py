@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
 
-from rbmkit import (Dataset, Hyperparams, RbmParams, RngStream,
+from rbmkit import (BINARY, GAUSSIAN, Dataset, Hyperparams, RbmParams,
+                    RngStream,
                     TrainingDivergedError, init_params, one_hot, sigmoid,
                     train_rbm)
 from rbmkit.dbn import (DbnModel, FeedforwardNet, classify_free_energy,
@@ -73,6 +74,17 @@ class TestPretrainStack:
         assert np.array_equal(stack.layers[0].w, direct.w)
         assert np.array_equal(stack.layers[0].a, direct.a)
         assert np.array_equal(stack.layers[0].b, direct.b)
+
+    def test_visible_kind_applies_to_bottom_layer_only(self):
+        data = RngStream(12, 6).normals((8, 3))
+        hp = Hyperparams(epsilon=0.01, batch_size=4, epochs=2)
+        stack, _ = pretrain_stack([3, 4, 2], data, hp, "cd", seed=12,
+                                  visible_kind=GAUSSIAN)
+        assert [layer.visible_kind for layer in stack.layers] == \
+               [GAUSSIAN, BINARY]
+        init = init_params(3, 4, RngStream(12, STREAM_INIT), GAUSSIAN)
+        direct, _ = train_rbm(init, data, hp, "cd", seed=12)
+        assert np.array_equal(stack.layers[0].w, direct.w)
 
     def test_zero_epoch_stack_is_well_formed(self):
         data = (RngStream(10, 6).uniforms((6, 4)) < 0.5).astype(float)

@@ -4,8 +4,8 @@ import pytest
 from rbmkit import (Hyperparams, RbmParams, RngStream, TrainingDivergedError,
                     init_params, reconstruction_error, train_rbm)
 from rbmkit.oracle import mean_log_likelihood
-from rbmkit.trainer import (FEPCD, PCD, STREAM_INIT, read_metrics_csv,
-                            write_metrics_csv)
+from rbmkit.trainer import (FEPCD, PCD, STREAM_INIT, metrics_csv_text,
+                            read_metrics_csv, write_metrics_csv)
 
 TWO_PATTERN_DATA = np.array([[1.0, 1.0]] * 4 + [[0.0, 0.0]] * 2)
 
@@ -121,3 +121,11 @@ class TestMetricsCsv:
         assert text[1] == "epoch,recon_error,mean_free_energy,seconds,estimator,seed"
         back = read_metrics_csv(path)
         assert metrics_tuple(back) == metrics_tuple(metrics)
+
+    def test_one_line_ending_throughout(self):
+        init = init_params(2, 2, RngStream(8, STREAM_INIT))
+        hp = Hyperparams(epsilon=0.1, batch_size=2, epochs=2)
+        _, metrics = train_rbm(init, TWO_PATTERN_DATA, hp, "cd", seed=8)
+        text = metrics_csv_text(metrics, "estimator=cd")
+        assert "\r" not in text
+        assert len(text.split("\n")) == 1 + 1 + 2 + 1
