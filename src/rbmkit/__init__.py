@@ -13,8 +13,8 @@ from .errors import (CsvFormatError, DataFormatError, IdxCountMismatchError,
                      TrainingDivergedError)
 from .model import (BINARY, GAUSSIAN, GradientStats, Hyperparams, RbmParams,
                     UpdateState, apply_update, batch_stats, energy,
-                    free_energy, hidden_probs, init_params, momentum_step,
-                    visible_probs)
+                    free_energy, hidden_input, hidden_probs, init_params,
+                    momentum_step, visible_probs)
 from .oracle import (exact_gradient, finite_diff_loglik_grad,
                      free_energy_entropy_form, mean_log_likelihood,
                      partition_function, visible_marginal)

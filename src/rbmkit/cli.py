@@ -265,7 +265,7 @@ def cmd_sample(args) -> int:
         states = model.a + init_rng.normals((n, model.n_visible))
     pool = make_pool(states, n, args.seed)
     if steps > 0:
-        states, _ = gibbs_chain(model, pool.states, steps, pool.noise(model))
+        states, _, _ = gibbs_chain(model, pool.states, steps, pool.noise(model))
     # a last hidden sample from each chain's own stream, shown as visible means
     u_h = np.stack([s.uniforms(model.n_hidden) for s in pool.streams])
     means = visible_probs(model, (u_h < hidden_probs(model, states)).astype(float))

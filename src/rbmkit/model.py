@@ -196,13 +196,18 @@ def visible_probs(p: RbmParams, h) -> np.ndarray:
     return mean
 
 
-def free_energy(p: RbmParams, v):
+def free_energy(p: RbmParams, v, h_input=None):
     """F(v) = -log sum_h exp(-E(v, h)), in closed form.
 
+    h_input, when given, must be hidden_input(p, v) for these same
+    parameters and rows; it is reused instead of recomputing v @ w + b,
+    so a caller that already holds it gets the same value bit for bit.
     Returns a float for a single vector, a 1-D array for a batch.
     """
     v = _check_visible(p, v)
-    hidden_term = np.sum(log1p_exp(v @ p.w + p.b), axis=-1)
+    if h_input is None:
+        h_input = v @ p.w + p.b
+    hidden_term = np.sum(log1p_exp(h_input), axis=-1)
     if p.visible_kind == BINARY:
         visible_term = -(v @ p.a)
     else:

@@ -299,7 +299,7 @@ def run_oracle_checks(n_visible: int = 3, n_hidden: int = 3, trials: int = 25,
             counts = np.zeros(V.shape[0])
             ids = (2 ** np.arange(n_visible - 1, -1, -1)).astype(np.int64)
             for _ in range(400):
-                chains.states, _ = gibbs_chain(p, chains.states, 1, noise)
+                chains.states, _, _ = gibbs_chain(p, chains.states, 1, noise)
                 idx = (chains.states.astype(np.int64) @ ids)
                 np.add.at(counts, idx, 1.0)
             emp = counts / counts.sum()

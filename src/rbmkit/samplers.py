@@ -17,8 +17,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import RngStream
-from .model import (BINARY, RbmParams, batch_stats, free_energy,
+from .core import RngStream, sigmoid
+from .model import (BINARY, RbmParams, batch_stats, free_energy, hidden_input,
                     hidden_probs, visible_probs)
 
 CHAIN_STREAM_BASE = 100
@@ -87,21 +87,27 @@ def make_pool(init_states: np.ndarray, n_chains: int, seed: int,
     return ChainPool(states=rows.copy(), streams=streams)
 
 
-def gibbs_chain(p: RbmParams, v, k: int, noise):
+def gibbs_chain(p: RbmParams, v, k: int, noise, ph=None):
     """Advance every row of v through k full Gibbs sweeps, all rows at once.
 
     noise() is called once per sweep and returns that sweep's draws
     (u_h, e_v): uniforms shaped like the hidden layer, then uniforms
     (binary visibles) or standard normals (Gaussian visibles) shaped like
     v. Supplying the draws lets every caller keep its own stream layout
-    while sharing this one kernel. Returns the final visible state and its
-    hidden activation probabilities, which is what negative-phase
-    statistics average; each sweep reuses the probabilities computed at
+    while sharing this one kernel. ph, when given, must be
+    hidden_probs(p, v); the first sweep then starts from it instead of
+    recomputing it. Each later sweep reuses the probabilities computed at
     the end of the previous one.
+
+    Returns (v, ph, h_input): the final visible state, its hidden
+    activation probabilities (what negative-phase statistics average) and
+    its hidden input hidden_input(p, v), which free_energy and
+    select_elite accept so the final v @ w + b is computed once.
     """
     if k < 1:
         raise ValueError("k must be >= 1")
-    ph = hidden_probs(p, v)
+    if ph is None:
+        ph = hidden_probs(p, v)
     for _ in range(k):
         u_h, e_v = noise()
         mean_v = visible_probs(p, (u_h < ph).astype(np.float64))
@@ -109,21 +115,25 @@ def gibbs_chain(p: RbmParams, v, k: int, noise):
             v = (e_v < mean_v).astype(np.float64)
         else:
             v = mean_v + e_v
-        ph = hidden_probs(p, v)
-    return v, ph
+        x = hidden_input(p, v)
+        ph = sigmoid(x)
+    return v, ph, x
 
 
-def gibbs_step(p: RbmParams, v, rng: RngStream):
+def gibbs_step(p: RbmParams, v, rng: RngStream, ph=None):
     """One full Gibbs sweep: sample h given v, then v' given h.
 
     Works on a single vector or a batch of rows (one shared stream; draws
-    are consumed row-major, hidden block first). Returns the new visible
-    state and the hidden activation probabilities of that new state.
+    are consumed row-major, hidden block first). ph, when given, must be
+    hidden_probs(p, v) and is reused as in gibbs_chain. Returns the new
+    visible state and the hidden activation probabilities of that new
+    state.
     """
     v = np.asarray(v, dtype=np.float64)
     h_shape = v.shape[:-1] + (p.n_hidden,)
     draw_v = rng.uniforms if p.visible_kind == BINARY else rng.normals
-    return gibbs_chain(p, v, 1, lambda: (rng.uniforms(h_shape), draw_v(v.shape)))
+    return gibbs_chain(p, v, 1, lambda: (rng.uniforms(h_shape), draw_v(v.shape)),
+                       ph)[:2]
 
 
 def cd_k(p: RbmParams, data_batch: np.ndarray, k: int, rng: RngStream):
@@ -131,17 +141,20 @@ def cd_k(p: RbmParams, data_batch: np.ndarray, k: int, rng: RngStream):
 
     Positive statistics pair the data with its hidden probabilities; the
     negative side pairs the k-step reconstruction with the hidden
-    probabilities at the final step.
+    probabilities at the final step. Those positive-phase probabilities
+    start the first sweep, and each sweep's returned probabilities start
+    the next.
     """
     if k < 1:
         raise ValueError("k must be >= 1")
     data_batch = np.atleast_2d(np.asarray(data_batch, dtype=np.float64))
     if data_batch.shape[0] == 0:
         raise ValueError("empty batch")
-    pos = batch_stats(data_batch, hidden_probs(p, data_batch))
+    q = hidden_probs(p, data_batch)
+    pos = batch_stats(data_batch, q)
     v = data_batch
     for _ in range(k):
-        v, q = gibbs_step(p, v, rng)
+        v, q = gibbs_step(p, v, rng, q)
     return pos, batch_stats(v, q)
 
 
@@ -150,19 +163,22 @@ def pcd_step(p: RbmParams, pool: ChainPool, k: int):
 
     The pool is updated in place and also returned.
     """
-    new_states, new_q = gibbs_chain(p, pool.states, k, pool.noise(p))
+    new_states, new_q, _ = gibbs_chain(p, pool.states, k, pool.noise(p))
     neg = batch_stats(new_states, new_q)
     pool.states = new_states
     pool.age += 1
     return neg, pool
 
 
-def select_elite(p: RbmParams, states: np.ndarray, elite_fraction: float) -> np.ndarray:
+def select_elite(p: RbmParams, states: np.ndarray, elite_fraction: float,
+                 h_input=None) -> np.ndarray:
     """Indices of the ceil(fraction * n) rows with lowest free energy.
 
     Lower free energy means higher model probability, so these are the
     rows most representative of the model distribution. Returned ordered
     by (free energy, row index); ties break toward the lower index.
+    h_input, when given, must be hidden_input(p, states); free_energy
+    reuses it.
     """
     states = np.atleast_2d(np.asarray(states, dtype=np.float64))
     if states.shape[0] == 0:
@@ -170,7 +186,7 @@ def select_elite(p: RbmParams, states: np.ndarray, elite_fraction: float) -> np.
     if not (0.0 < elite_fraction <= 1.0):
         raise ValueError("elite_fraction must be in (0, 1]")
     n_elite = int(np.ceil(elite_fraction * states.shape[0]))
-    f = free_energy(p, states)
+    f = free_energy(p, states, h_input)
     order = np.argsort(f, kind="stable")
     return order[:n_elite]
 
@@ -181,10 +197,11 @@ def fepcd_step(p: RbmParams, pool: ChainPool, k: int, elite_fraction: float):
     All chains advance and persist exactly as in pcd_step; the free energy
     of each post-step state then decides which chains contribute to the
     negative statistics. With elite_fraction == 1 this is bit-identical to
-    pcd_step.
+    pcd_step. The ranking reuses the hidden input gibbs_chain computed for
+    the post-step states.
     """
-    new_states, new_q = gibbs_chain(p, pool.states, k, pool.noise(p))
-    elite = np.sort(select_elite(p, new_states, elite_fraction))
+    new_states, new_q, new_input = gibbs_chain(p, pool.states, k, pool.noise(p))
+    elite = np.sort(select_elite(p, new_states, elite_fraction, new_input))
     neg = batch_stats(new_states[elite], new_q[elite])
     pool.states = new_states
     pool.age += 1

@@ -20,10 +20,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import RngStream
+from .core import RngStream, sigmoid
 from .errors import TrainingDivergedError
 from .model import (Hyperparams, RbmParams, UpdateState, apply_update,
-                    batch_stats, free_energy, hidden_probs, visible_probs)
+                    batch_stats, free_energy, hidden_input, hidden_probs,
+                    visible_probs)
 from .samplers import cd_k, fepcd_step, make_pool, pcd_step
 
 STREAM_INIT = 0
@@ -68,12 +69,19 @@ def _features_of(data) -> np.ndarray:
     return feats
 
 
-def reconstruction_error(p: RbmParams, batch: np.ndarray, rng: RngStream) -> float:
-    """Mean squared gap between a batch and its one-step reconstruction means."""
+def reconstruction_error(p: RbmParams, batch: np.ndarray, rng: RngStream,
+                         h_input=None) -> float:
+    """Mean squared gap between a batch and its one-step reconstruction means.
+
+    h_input, when given, must be hidden_input(p, batch); the hidden
+    probabilities are taken from it instead of recomputing batch @ w + b.
+    """
     batch = np.atleast_2d(np.asarray(batch, dtype=np.float64))
     if batch.shape[0] == 0:
         raise ValueError("empty batch")
-    q = hidden_probs(p, batch)
+    if h_input is None:
+        h_input = hidden_input(p, batch)
+    q = sigmoid(h_input)
     h = (rng.uniforms(q.shape) < q).astype(np.float64)
     recon = visible_probs(p, h)
     return float(np.mean((batch - recon) ** 2))
@@ -87,8 +95,9 @@ def train_rbm(init: RbmParams, data, hp: Hyperparams, estimator: str, seed: int,
     keep one chain pool alive across the whole run, initialized from the
     first minibatch. Per-epoch metrics (mean reconstruction error and mean
     data free energy) accumulate over the minibatches as they are
-    processed, on post-update parameters. epoch_callback(epoch, params,
-    metrics_row), when given, runs after each epoch off the training clock.
+    processed, on post-update parameters, from one hidden input per
+    minibatch. epoch_callback(epoch, params, metrics_row), when given,
+    runs after each epoch off the training clock.
     """
     hp.validate()
     if estimator not in ESTIMATORS:
@@ -129,8 +138,9 @@ def train_rbm(init: RbmParams, data, hp: Hyperparams, estimator: str, seed: int,
                 raise TrainingDivergedError(
                     f"non-finite parameters at epoch {epoch}, "
                     f"batch offset {start} ({estimator}, seed {seed})") from exc
-            recon_sum += reconstruction_error(p, batch, eval_rng) * batch.shape[0]
-            fe_sum += float(np.sum(free_energy(p, batch)))
+            x = hidden_input(p, batch)
+            recon_sum += reconstruction_error(p, batch, eval_rng, x) * batch.shape[0]
+            fe_sum += float(np.sum(free_energy(p, batch, x)))
         metrics.append(EpochMetrics(epoch, recon_sum / m, fe_sum / m,
                                     time.perf_counter() - t0, estimator, seed))
         if epoch_callback is not None:

@@ -88,7 +88,7 @@ def test_criterion_2_gibbs_stationarity(ref_model):
         counts = np.zeros(4)
         ids = np.array([2, 1])
         for _ in range(2000):
-            states, _ = gibbs_chain(ref_model, pool.states, 1, noise)
+            states, _, _ = gibbs_chain(ref_model, pool.states, 1, noise)
             pool.states = states
             np.add.at(counts, states.astype(np.int64) @ ids, 1.0)
         tv = 0.5 * float(np.abs(counts / counts.sum() - marg).sum())

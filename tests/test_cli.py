@@ -243,7 +243,7 @@ class TestSampleCommand:
         init_rng = RngStream(seed, STREAM_SAMPLE)
         states = (init_rng.uniforms((n, 6)) < 0.5).astype(float)
         pool = make_pool(states, n, seed)
-        states, _ = gibbs_chain(p, pool.states, steps, pool.noise(p))
+        states, _, _ = gibbs_chain(p, pool.states, steps, pool.noise(p))
         elite_order = select_elite(p, states, 1.0)
         np.testing.assert_array_equal(np.argsort(fe, kind="stable"), elite_order)
 

@@ -3,8 +3,8 @@ import pytest
 
 from rbmkit import (BINARY, GAUSSIAN, Dataset, Hyperparams, RbmParams,
                     RngStream,
-                    TrainingDivergedError, init_params, one_hot, sigmoid,
-                    train_rbm)
+                    TrainingDivergedError, free_energy, init_params, one_hot,
+                    sigmoid, train_rbm)
 from rbmkit.dbn import (DbnModel, FeedforwardNet, classify_free_energy,
                         classify_net, cross_entropy, fine_tune, net_forward,
                         net_gradients, pretrain_stack, propagate_up,
@@ -186,6 +186,20 @@ class TestClassifyFreeEnergy:
             pred, scores = classify_free_energy(p, v)
             np.testing.assert_allclose(scores, exact, atol=1e-8)
             assert pred == int(np.argmax(exact))
+
+    def test_gaussian_scores_are_softmax_of_clamped_free_energy(self):
+        rng = RngStream(78, 0)
+        d, n_classes, n_hidden = 4, 3, 5
+        p = RbmParams(rng.normals((d + n_classes, n_hidden)),
+                      rng.normals(d + n_classes), rng.normals(n_hidden),
+                      visible_kind=GAUSSIAN, label_units=n_classes)
+        v = rng.normals((20, d))
+        f = np.array([[free_energy(p, np.concatenate([row, one_hot([c], n_classes)[0]]))
+                       for c in range(n_classes)] for row in v])
+        e = np.exp(f.min(axis=1, keepdims=True) - f)
+        pred, scores = classify_free_energy(p, v)
+        np.testing.assert_allclose(scores, e / e.sum(axis=1, keepdims=True), atol=1e-10)
+        np.testing.assert_array_equal(pred, np.argmin(f, axis=1))
 
     def test_batch_and_single_agree(self):
         p = RbmParams(np.ones((4, 2)), np.zeros(4), np.zeros(2), label_units=2)

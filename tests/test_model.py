@@ -6,7 +6,8 @@ import pytest
 
 from rbmkit import (GAUSSIAN, GradientStats, Hyperparams, RbmParams,
                     RngStream, UpdateState, apply_update, batch_stats, energy,
-                    free_energy, hidden_probs, momentum_step, visible_probs)
+                    free_energy, hidden_input, hidden_probs, momentum_step,
+                    visible_probs)
 from rbmkit.oracle import free_energy_entropy_form
 
 
@@ -100,6 +101,7 @@ class TestFreeEnergy:
             v = (rng.uniforms(3) < 0.5).astype(float)
             assert free_energy(p, v) == pytest.approx(enum_free_energy(p, v),
                                                       abs=1e-10)
+            assert free_energy(p, v, hidden_input(p, v)) == free_energy(p, v)
 
     def test_gaussian_matches_hidden_enumeration(self):
         rng = RngStream(12, 0)
@@ -109,6 +111,7 @@ class TestFreeEnergy:
             v = rng.normals(3)
             assert free_energy(p, v) == pytest.approx(enum_free_energy(p, v),
                                                       abs=1e-10)
+            assert free_energy(p, v, hidden_input(p, v)) == free_energy(p, v)
 
     def test_entropy_form_agrees(self):
         rng = RngStream(13, 0)

@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
 
-from rbmkit import RbmParams, RngStream
+from rbmkit import (RbmParams, RngStream, batch_stats, free_energy,
+                    hidden_input, hidden_probs)
 from rbmkit.oracle import enumerate_states, exact_gradient, visible_marginal
 from rbmkit.samplers import (cd_k, fepcd_step, gibbs_chain, gibbs_step,
                              make_pool, pcd_step, select_elite)
@@ -70,7 +71,7 @@ class TestGibbsStep:
         p = RbmParams(np.full((2, 2), 0.3), np.zeros(2), np.zeros(2),
                       visible_kind="gaussian")
         pool = make_pool(np.zeros((2, 2)), 2, 44)
-        states, q = gibbs_chain(p, pool.states, 3, pool.noise(p))
+        states, q, _ = gibbs_chain(p, pool.states, 3, pool.noise(p))
         for c in range(2):
             rng = RngStream(44, 100 + c)
             v = np.zeros(2)
@@ -125,6 +126,21 @@ class TestCdK:
         assert np.array_equal(n1.vh, n2.vh)
         assert np.array_equal(p1.vh, p2.vh)
 
+    def test_k3_equals_composed_gibbs_steps(self):
+        rng = RngStream(10, 0)
+        p = RbmParams(rng.normals((5, 3)), rng.normals(5), rng.normals(3))
+        batch = (rng.uniforms((6, 5)) < 0.5).astype(float)
+        pos, neg = cd_k(p, batch, 3, RngStream(10, 1))
+        stream = RngStream(10, 1)
+        v = batch
+        for _ in range(3):
+            v, q = gibbs_step(p, v, stream)
+        for got, want in ((pos, batch_stats(batch, hidden_probs(p, batch))),
+                          (neg, batch_stats(v, q))):
+            np.testing.assert_array_equal(got.vh, want.vh)
+            np.testing.assert_array_equal(got.v, want.v)
+            np.testing.assert_array_equal(got.h, want.h)
+
 
 class TestPcdStep:
     def test_single_chain_k1_equals_gibbs_step(self, ref_model):
@@ -159,7 +175,8 @@ class TestPcdStep:
 
     def test_advance_matches_composed_gibbs_steps(self, ref_model):
         pool = make_pool(np.zeros((3, 2)), 3, 99)
-        states, q = gibbs_chain(ref_model, pool.states, 5, pool.noise(ref_model))
+        states, q, x = gibbs_chain(ref_model, pool.states, 5, pool.noise(ref_model))
+        np.testing.assert_array_equal(x, hidden_input(ref_model, states))
         for c in range(3):
             rng = RngStream(99, 100 + c)
             v = np.zeros(2)
@@ -174,10 +191,10 @@ class TestPcdStep:
         # this 2x2 model exact, so the comparison can be bit for bit
         init = (RngStream(14, 6).uniforms((16, 2)) < 0.5).astype(float)
         pool = make_pool(init, 16, 14)
-        full_states, full_q = gibbs_chain(ref_model, init, 3, pool.noise(ref_model))
+        full_states, full_q, _ = gibbs_chain(ref_model, init, 3, pool.noise(ref_model))
         for c in range(16):
             alone = make_pool(init[c], 1, 14, stream_base=100 + c)
-            states, q = gibbs_chain(ref_model, alone.states, 3, alone.noise(ref_model))
+            states, q, _ = gibbs_chain(ref_model, alone.states, 3, alone.noise(ref_model))
             np.testing.assert_array_equal(states[0], full_states[c])
             np.testing.assert_array_equal(q[0], full_q[c])
 
@@ -275,8 +292,28 @@ class TestFepcdStep:
             assert np.array_equal(neg_a.h, neg_b.h)
             assert np.array_equal(pool_a.states, pool_b.states)
 
+    def test_negative_stats_average_post_step_elite(self):
+        # a frozen 6x4 model and a known 16-chain pool: the statistics must
+        # come from the lowest-F rows *after* the step, which here are not
+        # the lowest-F rows before it
+        rng = RngStream(26, 0)
+        p = RbmParams(rng.normals((6, 4)), rng.normals(6), rng.normals(4))
+        init = (rng.uniforms((16, 6)) < 0.5).astype(float)
+        twin = make_pool(init, 16, 26)
+        post, q, _ = gibbs_chain(p, twin.states, 2, twin.noise(p))
+        elite = np.sort(np.argsort(free_energy(p, post), kind="stable")[:8])
+        pre_elite = np.sort(np.argsort(free_energy(p, init), kind="stable")[:8])
+        assert not np.array_equal(elite, pre_elite)
+        want = batch_stats(post[elite], q[elite])
+        neg, _ = fepcd_step(p, make_pool(init, 16, 26), 2, 0.5)
+        assert neg.count == 8
+        np.testing.assert_array_equal(neg.vh, want.vh)
+        np.testing.assert_array_equal(neg.v, want.v)
+        np.testing.assert_array_equal(neg.h, want.h)
+        neg_pcd, _ = pcd_step(p, make_pool(init, 16, 26), 2)
+        assert not np.array_equal(neg.vh, neg_pcd.vh)
+
     def test_elite_split_by_free_energy(self, ref_model):
-        from rbmkit import free_energy
         pool = make_pool((RngStream(17, 6).uniforms((10, 2)) < 0.5).astype(float),
                          10, 17)
         _, pool = fepcd_step(ref_model, pool, 1, 0.5)
@@ -289,7 +326,7 @@ class TestFepcdStep:
         pool = make_pool((RngStream(18, 6).uniforms((10, 2)) < 0.5).astype(float),
                          10, 18)
         twin = make_pool(pool.states, 10, 18)
-        states_a, _ = gibbs_chain(ref_model, twin.states, 1, twin.noise(ref_model))
+        states_a, _, _ = gibbs_chain(ref_model, twin.states, 1, twin.noise(ref_model))
         _, pool = fepcd_step(ref_model, pool, 1, 0.3)
         np.testing.assert_array_equal(pool.states, states_a)
 

@@ -3,6 +3,7 @@ import pytest
 
 from rbmkit import (Hyperparams, RbmParams, RngStream, TrainingDivergedError,
                     init_params, reconstruction_error, train_rbm)
+from rbmkit import trainer
 from rbmkit.oracle import mean_log_likelihood
 from rbmkit.trainer import (FEPCD, PCD, STREAM_INIT, metrics_csv_text,
                             read_metrics_csv, write_metrics_csv)
@@ -82,6 +83,35 @@ class TestTrainRbm:
         assert np.array_equal(p_pcd.b, p_fe.b)
         assert [(r.epoch, r.recon_error, r.mean_free_energy) for r in m_pcd] == \
                [(r.epoch, r.recon_error, r.mean_free_energy) for r in m_fe]
+
+    @pytest.mark.parametrize("estimator", [PCD, FEPCD])
+    def test_chain_pool_persists_across_minibatches(self, monkeypatch, estimator):
+        # one pool per run; each minibatch's chains start where the
+        # previous minibatch left them
+        step_name = f"{estimator}_step"
+        make_pool, step = trainer.make_pool, getattr(trainer, step_name)
+        built, spans = [], []
+
+        def counting_make_pool(*args, **kwargs):
+            built.append(args)
+            return make_pool(*args, **kwargs)
+
+        def recording_step(p, pool, *args):
+            start = pool.states.copy()
+            neg, pool = step(p, pool, *args)
+            spans.append((start, pool.states.copy()))
+            return neg, pool
+
+        monkeypatch.setattr(trainer, "make_pool", counting_make_pool)
+        monkeypatch.setattr(trainer, step_name, recording_step)
+        init = init_params(4, 3, RngStream(30, STREAM_INIT))
+        data = (RngStream(30, 6).uniforms((12, 4)) < 0.5).astype(float)
+        train_rbm(init, data, Hyperparams(epsilon=0.2, batch_size=4, epochs=3),
+                  estimator, seed=30)
+        assert len(built) == 1
+        assert len(spans) == 9
+        for (_, left), (start, _) in zip(spans, spans[1:]):
+            np.testing.assert_array_equal(start, left)
 
     def test_divergence_aborts_with_diagnostic(self, ref_model):
         hp = Hyperparams(epsilon=1e200, weight_decay=1.0, batch_size=2, epochs=3)

@@ -1,0 +1,132 @@
+"""Mutation check: shows the tier-1 suite fails on each known estimator,
+trainer and classifier fault.
+
+Usage, from the repository root:
+
+    python3 tools/mutants.py
+
+Each mutant is one textual edit to one file of src/rbmkit. The script
+copies src/ to a temporary directory, applies the edit there, and runs
+tier-1 against the copy (PYTHONPATH points at it) without criterion 5,
+whose fallback data scores every estimator alike and so cannot tell
+these faults apart. The clean copy must pass first. A mutant counts as
+killed when the run fails; an edit that no longer matches the source
+exactly once is an error, so the list cannot go stale silently. Exit code
+0 when every mutant is killed.
+"""
+
+from __future__ import annotations
+
+import os
+import shutil
+import subprocess
+import sys
+import tempfile
+import time
+
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+DESELECT = "tests/test_acceptance.py::test_criterion_5_desk_scale_estimator_comparison"
+TIMEOUT_S = 900
+
+# name -> (file under src/rbmkit, original text, replacement)
+MUTANTS = {
+    "fepcd-averages-every-chain": (
+        "samplers.py",
+        "neg = batch_stats(new_states[elite], new_q[elite])",
+        "neg = batch_stats(new_states, new_q)"),
+    "elite-ranked-by-pre-step-states": (
+        "samplers.py",
+        "select_elite(p, new_states, elite_fraction, new_input)",
+        "select_elite(p, pool.states, elite_fraction)"),
+    "elite-ranked-by-starting-hidden-input": (
+        "samplers.py",
+        "select_elite(p, new_states, elite_fraction, new_input)",
+        "select_elite(p, new_states, elite_fraction, hidden_input(p, pool.states))"),
+    "pool-rebuilt-every-minibatch": (
+        "trainer.py",
+        "if pool is None:",
+        "if True:"),
+    "elite-keeps-highest-free-energy": (
+        "samplers.py",
+        'order = np.argsort(f, kind="stable")',
+        'order = np.argsort(-f, kind="stable")'),
+    "gibbs-chain-one-sweep": (
+        "samplers.py",
+        "    for _ in range(k):\n        u_h, e_v = noise()",
+        "    for _ in range(1):\n        u_h, e_v = noise()"),
+    "momentum-ignored": (
+        "model.py",
+        "vel *= hp.momentum",
+        "vel *= 0.0"),
+    "gaussian-classifier-drops-label-term": (
+        "dbn.py",
+        "visible_term = feature_term + 0.5 * np.sum((eye[c] - p.a[d:]) ** 2)",
+        "visible_term = feature_term"),
+    "gaussian-classifier-label-term-sign": (
+        "dbn.py",
+        "visible_term = feature_term + 0.5 * np.sum((eye[c] - p.a[d:]) ** 2)",
+        "visible_term = feature_term - 0.5 * np.sum((eye[c] - p.a[d:]) ** 2)"),
+}
+
+
+def apply(src_dir: str, name: str):
+    fname, old, new = MUTANTS[name]
+    path = os.path.join(src_dir, "rbmkit", fname)
+    with open(path) as fh:
+        text = fh.read()
+    if text.count(old) != 1:
+        raise SystemExit(f"mutant {name}: expected one match in {fname}, "
+                         f"found {text.count(old)}")
+    with open(path, "w") as fh:
+        fh.write(text.replace(old, new))
+
+
+def run_tier1(src_dir: str):
+    """(passed, pytest summary line plus the first failing test ids) of
+    tier-1 against src_dir."""
+    env = dict(os.environ, PYTHONPATH=src_dir, PYTHONDONTWRITEBYTECODE="1")
+    cmd = [sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider",
+           "--continue-on-collection-errors", "--deselect", DESELECT]
+    try:
+        proc = subprocess.run(cmd, cwd=ROOT, env=env, capture_output=True,
+                              text=True, timeout=TIMEOUT_S)
+    except subprocess.TimeoutExpired:
+        return False, f"timed out after {TIMEOUT_S}s"
+    lines = proc.stdout.strip().splitlines()
+    failed = [ln.split()[1] for ln in lines if ln.startswith("FAILED ")]
+    summary = lines[-1] if lines else f"exit {proc.returncode}"
+    if failed:
+        summary += "; first failures: " + ", ".join(failed[:3])
+    return proc.returncode == 0, summary
+
+
+def main() -> int:
+    with tempfile.TemporaryDirectory(prefix="rbmkit-mutants-") as tmp:
+        src_dir = os.path.join(tmp, "src")
+        shutil.copytree(os.path.join(ROOT, "src"), src_dir,
+                        ignore=shutil.ignore_patterns("__pycache__", "*.egg-info"))
+        t0 = time.perf_counter()
+        ok, summary = run_tier1(src_dir)
+        print(f"clean: {summary} ({time.perf_counter() - t0:.0f}s)")
+        if not ok:
+            print("the clean copy already fails tier-1")
+            return 1
+        survivors = []
+        for name in MUTANTS:
+            mutant_dir = os.path.join(tmp, name)
+            shutil.copytree(src_dir, mutant_dir)
+            apply(mutant_dir, name)
+            t0 = time.perf_counter()
+            ok, summary = run_tier1(mutant_dir)
+            verdict = "SURVIVED" if ok else "killed"
+            print(f"{name}: {verdict} - {summary} ({time.perf_counter() - t0:.0f}s)")
+            if ok:
+                survivors.append(name)
+            shutil.rmtree(mutant_dir)
+    print(f"{len(MUTANTS) - len(survivors)}/{len(MUTANTS)} mutants killed"
+          + (f"; survivors: {', '.join(survivors)}" if survivors else ""))
+    return 1 if survivors else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
