@@ -15,7 +15,7 @@ import sys
 import numpy as np
 
 from . import dbn as dbn_mod
-from .core import RngStream
+from .core import RngStream, sigmoid
 from .dataio import (Dataset, atomic_write_text, load_isolet_csv,
                      load_mnist_idx, load_model, minmax_normalize, save_model,
                      write_pgm)
@@ -23,7 +23,7 @@ from .dbn import (DbnModel, classify_free_energy, pretrain_stack,
                   train_discriminative_rbm)
 from .errors import DataFormatError, TrainingDivergedError
 from .model import (BINARY, GAUSSIAN, Hyperparams, RbmParams, free_energy,
-                    hidden_probs, visible_probs)
+                    hidden_input, visible_probs)
 from .oracle import CheckResult, run_oracle_checks
 from .samplers import gibbs_chain, make_pool
 from .trainer import (ESTIMATORS, STREAM_SAMPLE, STREAM_SUBSET,
@@ -264,13 +264,15 @@ def cmd_sample(args) -> int:
     else:
         states = model.a + init_rng.normals((n, model.n_visible))
     pool = make_pool(states, n, args.seed)
+    x = hidden_input(model, states)
+    ph = sigmoid(x)
     if steps > 0:
-        states, _, _ = gibbs_chain(model, pool.states, steps, pool.noise(model))
+        states, ph, x = gibbs_chain(model, states, steps, pool.noise(model), ph)
     # a last hidden sample from each chain's own stream, shown as visible means
-    u_h = np.stack([s.uniforms(model.n_hidden) for s in pool.streams])
-    means = visible_probs(model, (u_h < hidden_probs(model, states)).astype(float))
+    u_h = pool.noise(model)()[0]
+    means = visible_probs(model, (u_h < ph).astype(float))
 
-    fe = free_energy(model, states)
+    fe = free_energy(model, states, x)
     echo = _config_echo(args, ("model", "n", "steps", "seed"))
     d = model.n_visible - model.label_units
     side = int(round(d ** 0.5))

@@ -35,7 +35,9 @@ class DbnModel:
     """Ordered stack of trained RBMs, bottom (data-facing) layer first.
 
     top_label_units > 0 means the top RBM's visible layer carries that
-    many one-hot label units after the features coming up the stack.
+    many one-hot label units after the features coming up the stack; it
+    must equal the top layer's label_units, and no lower layer may carry
+    a label block.
     """
 
     layers: list
@@ -44,12 +46,17 @@ class DbnModel:
     def __post_init__(self):
         if not self.layers:
             raise ValueError("a DBN needs at least one layer")
+        if self.top_label_units != self.layers[-1].label_units:
+            raise ValueError(
+                f"top_label_units {self.top_label_units} != top layer's "
+                f"label_units {self.layers[-1].label_units}")
+        if any(layer.label_units for layer in self.layers[:-1]):
+            raise ValueError("only the top layer may carry label units")
         for lo, hi in zip(self.layers, self.layers[1:]):
-            expected = lo.n_hidden + (hi.label_units if hi is self.layers[-1] else 0)
-            if hi.n_visible != expected:
+            if hi.n_visible - hi.label_units != lo.n_hidden:
                 raise ValueError(
                     f"layer dimensions do not chain: {lo.n_hidden} hidden "
-                    f"feeding {hi.n_visible} visible")
+                    f"feeding {hi.n_visible - hi.label_units} feature visible")
 
     @property
     def n_layers(self) -> int:

@@ -35,7 +35,9 @@ __all__ = [
     "mean_log_likelihood",
     "finite_diff_loglik_grad",
     "free_energy_entropy_form",
+    "state_index",
     "CheckResult",
+    "TOLERANCES",
     "run_oracle_checks",
 ]
 
@@ -69,16 +71,19 @@ def enumerate_states(n_units: int) -> np.ndarray:
     return ((ids[:, None] >> shifts) & 1).astype(np.float64)
 
 
-def state_index(v) -> int:
-    """Row index of a binary vector in enumerate_states order."""
+def state_index(v):
+    """Row index of a binary vector in enumerate_states order; for a
+    batch of rows, an int64 array of their row indices."""
     bits = np.asarray(v).astype(np.int64)
-    n = bits.size
-    return int(bits @ (2 ** np.arange(n - 1, -1, -1)))
+    n = bits.shape[-1]
+    ids = bits @ (2 ** np.arange(n - 1, -1, -1))
+    return int(ids) if ids.ndim == 0 else ids
 
 
-def _neg_energy_table(p: RbmParams) -> np.ndarray:
-    """-E(v, h) for every joint state, shape (2^n_visible, 2^n_hidden)."""
-    V = enumerate_states(p.n_visible)
+def _neg_energy_table(p: RbmParams, rows=None) -> np.ndarray:
+    """-E(v, h) for each visible row (by default every visible state, the
+    full joint grid) against every hidden state."""
+    V = enumerate_states(p.n_visible) if rows is None else rows
     H = enumerate_states(p.n_hidden)
     return V @ p.w @ H.T + (V @ p.a)[:, None] + (H @ p.b)[None, :]
 
@@ -149,10 +154,8 @@ def mean_log_likelihood(p: RbmParams, data: np.ndarray, weights=None) -> float:
     """Mean of log P(v) over dataset rows, by full enumeration."""
     _check_enumerable(p)
     data = np.atleast_2d(np.asarray(data, dtype=np.float64))
-    H = enumerate_states(p.n_hidden)
     # log sum_h exp(-E(v, h)) for each data row, then subtract log Z
-    neg_e = data @ p.w @ H.T + (data @ p.a)[:, None] + (H @ p.b)[None, :]
-    log_unnorm = _logsumexp(neg_e, axis=1)
+    log_unnorm = _logsumexp(_neg_energy_table(p, data), axis=1)
     log_pv = log_unnorm - partition_function(p)
     if weights is None:
         return float(np.mean(log_pv))
@@ -160,14 +163,15 @@ def mean_log_likelihood(p: RbmParams, data: np.ndarray, weights=None) -> float:
     return float((weights / weights.sum()) @ log_pv)
 
 
-def free_energy_entropy_form(p: RbmParams, v) -> float:
+def free_energy_entropy_form(p: RbmParams, v):
     """Free energy via the expected-input-plus-entropy decomposition.
 
     F(v) = -a.v - sum_j q_j I_j + sum_j [q_j log q_j + (1-q_j) log(1-q_j)]
     with q_j the hidden activation probability for input I_j; the q log q
     terms are clamped to 0 where q saturates. Algebraically equal to the
     closed softplus form in model.free_energy — kept separate as a
-    cross-check of that identity.
+    cross-check of that identity. Like free_energy, returns a float for a
+    single vector and a 1-D array for a batch of rows.
     """
     if p.visible_kind != BINARY:
         raise ValueError("entropy form applies to binary visible units")
@@ -181,8 +185,9 @@ def free_energy_entropy_form(p: RbmParams, v) -> float:
         out[interior] = x[interior] * np.log(x[interior])
         return out
 
-    entropy_part = np.sum(xlogx(q) + xlogx(1.0 - q))
-    return float(-(v @ p.a) - np.sum(q * inputs) + entropy_part)
+    entropy_part = np.sum(xlogx(q) + xlogx(1.0 - q), axis=-1)
+    out = -(v @ p.a) - np.sum(q * inputs, axis=-1) + entropy_part
+    return float(out) if out.ndim == 0 else out
 
 
 def finite_diff_loglik_grad(p: RbmParams, data: np.ndarray, step: float = 1e-5,
@@ -197,25 +202,19 @@ def finite_diff_loglik_grad(p: RbmParams, data: np.ndarray, step: float = 1e-5,
     if not (1e-7 <= step <= 1e-3):
         raise ValueError("step must lie in [1e-7, 1e-3]")
 
-    def loglik_with(w, a, b):
-        q = RbmParams(w, a, b, p.visible_kind, p.label_units)
-        return mean_log_likelihood(q, data, weights)
-
+    q = p.copy()
     grads = {}
     for name in ("w", "a", "b"):
-        base = getattr(p, name)
-        g = np.zeros_like(base)
-        flat = g.reshape(-1)
-        for idx in range(base.size):
+        param = getattr(q, name).reshape(-1)  # a view: writes perturb q
+        g = np.zeros(param.size)
+        for idx in range(param.size):
+            base = param[idx]
             for sign in (+1.0, -1.0):
-                pert = base.copy().reshape(-1)
-                pert[idx] += sign * step
-                arrs = {n: getattr(p, n) for n in ("w", "a", "b")}
-                arrs[name] = pert.reshape(base.shape)
-                val = loglik_with(arrs["w"], arrs["a"], arrs["b"])
-                flat[idx] += sign * val
-            flat[idx] /= 2.0 * step
-        grads[name] = g
+                param[idx] = base + sign * step
+                g[idx] += sign * mean_log_likelihood(q, data, weights)
+            param[idx] = base
+            g[idx] /= 2.0 * step
+        grads[name] = g.reshape(getattr(p, name).shape)
     return grads
 
 
@@ -224,12 +223,23 @@ class CheckResult:
 
     def __init__(self, name: str, ok: bool, detail: str = ""):
         self.name = name
-        self.ok = ok
+        self.ok = bool(ok)
         self.detail = detail
 
     def __repr__(self):
         status = "PASS" if self.ok else "FAIL"
         return f"{status} {self.name}" + (f" ({self.detail})" if self.detail else "")
+
+
+# identity -> largest gap tolerated over all trials, in report order
+TOLERANCES = {
+    "marginal_normalization": 1e-10,
+    "free_energy_marginalization": 1e-10,
+    "free_energy_two_forms": 1e-8,
+    "conditional_consistency": 1e-10,
+    "gradient_finite_difference": 1e-6,
+    "gibbs_stationarity": 0.08,
+}
 
 
 def _random_model(n_visible, n_hidden, rng) -> RbmParams:
@@ -241,85 +251,59 @@ def run_oracle_checks(n_visible: int = 3, n_hidden: int = 3, trials: int = 25,
                       seed: int = 0, free_energy_fn=None) -> list:
     """Identity suite over random models; one result per invariant.
 
-    free_energy_fn overrides the closed-form free energy under test (used
-    to verify the suite actually catches a broken implementation).
+    Every identity but the gradient and Gibbs checks is evaluated on all
+    2^n_visible visible states at once. free_energy_fn overrides the
+    closed-form free energy under test (used to verify the suite actually
+    catches a broken implementation); it receives the whole state matrix.
     """
     if n_visible + n_hidden > MAX_ENUM_UNITS:
         raise ValueError("size exceeds the enumeration cap")
+    if trials == 0:
+        return [CheckResult(name, True, "no trials") for name in TOLERANCES]
     if free_energy_fn is None:
         free_energy_fn = free_energy
-    names = ["marginal_normalization", "free_energy_marginalization",
-             "free_energy_two_forms", "conditional_consistency",
-             "gradient_finite_difference", "gibbs_stationarity"]
-    worst = {name: 0.0 for name in names}
+    V = enumerate_states(n_visible)
+    H = enumerate_states(n_hidden)
+    worst = dict.fromkeys(TOLERANCES, 0.0)
+
+    def note(name, gaps):
+        worst[name] = max(worst[name], float(np.max(gaps)))
 
     for trial in range(trials):
         rng = RngStream(seed, 1000 + trial)
         p = _random_model(n_visible, n_hidden, rng)
-        V = enumerate_states(n_visible)
-        H = enumerate_states(n_hidden)
 
         marg = visible_marginal(p)
-        worst["marginal_normalization"] = max(
-            worst["marginal_normalization"], abs(float(marg.sum()) - 1.0))
+        note("marginal_normalization", abs(marg.sum() - 1.0))
 
+        brute_f = -_logsumexp(_neg_energy_table(p), axis=1)
+        note("free_energy_marginalization", np.abs(free_energy_fn(p, V) - brute_f))
+        note("free_energy_two_forms",
+             np.abs(free_energy_entropy_form(p, V) - free_energy(p, V)))
+
+        # P(h_j = 1 | v) by direct enumeration of each joint row
         joint = joint_table(p)
-        for s in range(V.shape[0]):
-            v = V[s]
-            neg_e = np.array([v @ p.w @ H[t] + p.a @ v + p.b @ H[t]
-                              for t in range(H.shape[0])])
-            m = neg_e.max()
-            brute_f = -(m + np.log(np.exp(neg_e - m).sum()))
-            worst["free_energy_marginalization"] = max(
-                worst["free_energy_marginalization"],
-                abs(free_energy_fn(p, v) - brute_f))
-            worst["free_energy_two_forms"] = max(
-                worst["free_energy_two_forms"],
-                abs(free_energy_entropy_form(p, v) - free_energy(p, v)))
-            # P(h_j = 1 | v) by direct enumeration of the joint row
-            row = joint[s]
-            cond = (row @ H) / row.sum()
-            worst["conditional_consistency"] = max(
-                worst["conditional_consistency"],
-                float(np.max(np.abs(cond - hidden_probs(p, v)))))
+        cond = (joint @ H) / joint.sum(axis=1, keepdims=True)
+        note("conditional_consistency", np.abs(cond - hidden_probs(p, V)))
 
         data = (rng.uniforms((6, n_visible)) < 0.5).astype(float)
         pos, neg = exact_gradient(p, data)
         fd = finite_diff_loglik_grad(p, data, step=1e-5)
-        worst["gradient_finite_difference"] = max(
-            worst["gradient_finite_difference"],
-            float(np.max(np.abs((pos.vh - neg.vh) - fd["w"]))),
-            float(np.max(np.abs((pos.v - neg.v) - fd["a"]))),
-            float(np.max(np.abs((pos.h - neg.h) - fd["b"]))))
+        grad_gaps = [(pos.vh - neg.vh) - fd["w"], (pos.v - neg.v) - fd["a"],
+                     (pos.h - neg.h) - fd["b"]]
+        note("gradient_finite_difference", max(np.max(np.abs(g)) for g in grad_gaps))
 
         if trial < 3:
             chains = make_pool((rng.uniforms((16, n_visible)) < 0.5).astype(float),
                                16, seed + trial)
             noise = chains.noise(p)
+            states, ph = chains.states, None
             counts = np.zeros(V.shape[0])
-            ids = (2 ** np.arange(n_visible - 1, -1, -1)).astype(np.int64)
             for _ in range(400):
-                chains.states, _, _ = gibbs_chain(p, chains.states, 1, noise)
-                idx = (chains.states.astype(np.int64) @ ids)
-                np.add.at(counts, idx, 1.0)
-            emp = counts / counts.sum()
-            tv = 0.5 * float(np.abs(emp - marg).sum())
-            worst["gibbs_stationarity"] = max(worst["gibbs_stationarity"], tv)
+                states, ph, _ = gibbs_chain(p, states, 1, noise, ph)
+                np.add.at(counts, state_index(states), 1.0)
+            tv = 0.5 * np.abs(counts / counts.sum() - marg).sum()
+            note("gibbs_stationarity", tv)
 
-    tolerances = {
-        "marginal_normalization": 1e-10,
-        "free_energy_marginalization": 1e-10,
-        "free_energy_two_forms": 1e-8,
-        "conditional_consistency": 1e-10,
-        "gradient_finite_difference": 1e-6,
-        "gibbs_stationarity": 0.08,
-    }
-    results = []
-    for name in names:
-        if trials == 0:
-            results.append(CheckResult(name, True, "no trials"))
-            continue
-        tol = tolerances[name]
-        results.append(CheckResult(name, worst[name] <= tol,
-                                   f"worst {worst[name]:.3e} vs {tol:.0e}"))
-    return results
+    return [CheckResult(name, worst[name] <= tol, f"worst {worst[name]:.3e} vs {tol:.0e}")
+            for name, tol in TOLERANCES.items()]

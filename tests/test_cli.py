@@ -5,7 +5,8 @@ import sys
 import numpy as np
 import pytest
 
-from rbmkit import RbmParams, RngStream, load_model
+from rbmkit import (RbmParams, RngStream, free_energy, hidden_probs,
+                    load_model, visible_probs)
 from rbmkit.cli import main, run_oracle_checks
 from rbmkit.dataio import save_model
 from rbmkit.samplers import gibbs_chain, make_pool, select_elite
@@ -246,6 +247,14 @@ class TestSampleCommand:
         states, _, _ = gibbs_chain(p, pool.states, steps, pool.noise(p))
         elite_order = select_elite(p, states, 1.0)
         np.testing.assert_array_equal(np.argsort(fe, kind="stable"), elite_order)
+        np.testing.assert_array_equal(fe, free_energy(p, states))
+        # then one hidden sample per chain from its own stream, shown as means
+        u_h = np.stack([s.uniforms(3) for s in pool.streams])
+        means = visible_probs(p, (u_h < hidden_probs(p, states)).astype(float))
+        rows = [ln for ln in open(out).read().splitlines() if not ln.startswith("#")]
+        assert rows[0] == ",".join(f"v{i}" for i in range(6))
+        got = np.array([[float(x) for x in ln.split(",")] for ln in rows[1:]])
+        np.testing.assert_array_equal(got, means)
 
     def test_deterministic_outputs(self, tmp_path):
         p = RbmParams(np.zeros((9, 2)), np.zeros(9), np.zeros(2))

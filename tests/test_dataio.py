@@ -204,6 +204,16 @@ class TestModelJson:
         with pytest.raises(ModelFormatError):
             load_model(path)
 
+    def test_top_label_units_mismatch_is_schema_error(self, ref_model, tmp_path):
+        top = RbmParams(np.zeros((4, 2)), np.zeros(4), np.zeros(2), label_units=2)
+        path = tmp_path / "dbn.json"
+        save_model(path, DbnModel([ref_model, top], top_label_units=2))
+        doc = json.loads(path.read_text())
+        doc["top_label_units"] = 7
+        path.write_text(json.dumps(doc))
+        with pytest.raises(ModelFormatError, match="top_label_units"):
+            load_model(path)
+
     def test_version_mismatch_rejected(self, ref_model, tmp_path):
         path = tmp_path / "model.json"
         save_model(path, ref_model)

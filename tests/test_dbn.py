@@ -36,6 +36,18 @@ class TestDbnModel:
         model = DbnModel([ref_model, top], top_label_units=3)
         assert model.n_layers == 2
 
+    def test_top_label_units_must_match_top_layer(self, ref_model):
+        top = RbmParams(np.zeros((4, 2)), np.zeros(4), np.zeros(2), label_units=2)
+        with pytest.raises(ValueError, match="top_label_units"):
+            DbnModel([ref_model, top], top_label_units=7)
+        with pytest.raises(ValueError, match="top_label_units"):
+            DbnModel([ref_model, top])
+
+    def test_label_block_below_top_rejected(self, ref_model):
+        middle = RbmParams(np.zeros((2, 2)), np.zeros(2), np.zeros(2), label_units=1)
+        with pytest.raises(ValueError, match="only the top layer"):
+            DbnModel([ref_model, middle, second_layer()])
+
 
 class TestPropagateUp:
     def test_zero_layer_outputs_half(self, zero_model):

@@ -123,6 +123,17 @@ class TestFreeEnergy:
             assert free_energy_entropy_form(p, v) == pytest.approx(
                 free_energy(p, v), abs=1e-8)
 
+    def test_entropy_form_batch_matches_rows(self):
+        rng = RngStream(14, 0)
+        p = RbmParams(rng.normals((4, 3)), rng.normals(4), rng.normals(3))
+        states = (rng.uniforms((6, 4)) < 0.5).astype(float)
+        batch = free_energy_entropy_form(p, states)
+        assert batch.shape == (6,)
+        for row, value in zip(states, batch):
+            single = free_energy_entropy_form(p, row)
+            assert type(single) is float
+            assert value == pytest.approx(single, abs=1e-12)
+
     def test_entropy_form_saturated_inputs(self):
         p = RbmParams(np.array([[60.0], [-60.0]]), np.zeros(2), np.array([0.0]))
         for v in ([1.0, 0.0], [0.0, 1.0], [1.0, 1.0]):

@@ -6,10 +6,11 @@ import pytest
 
 from rbmkit import (GAUSSIAN, RbmParams, RngStream, energy, free_energy,
                     hidden_probs)
+from rbmkit import oracle
 from rbmkit.oracle import (enumerate_states, exact_gradient,
                            finite_diff_loglik_grad, joint_table,
                            mean_log_likelihood, partition_function,
-                           visible_marginal)
+                           run_oracle_checks, state_index, visible_marginal)
 
 # Golden values for the pinned 2x2 reference model, frozen from the first
 # enumeration run and double-checked below against a plain python loop.
@@ -41,6 +42,12 @@ class TestEnumerateStates:
         got = enumerate_states(3)
         want = list(itertools.product([0.0, 1.0], repeat=3))
         np.testing.assert_array_equal(got, want)
+
+    def test_state_index_inverts_enumeration(self):
+        states = enumerate_states(4)
+        np.testing.assert_array_equal(state_index(states), np.arange(16))
+        assert state_index(states[11]) == 11
+        assert type(state_index(states[11])) is int
 
 
 class TestPartitionFunction:
@@ -219,3 +226,50 @@ class TestMeanLogLikelihood:
         marg = visible_marginal(ref_model)
         got = mean_log_likelihood(ref_model, [[1.0, 1.0]])
         assert got == pytest.approx(math.log(marg[3]), abs=1e-12)
+
+
+def _shift_positive_vh(exact):
+    def faulty(p, data, weights=None):
+        pos, neg = exact(p, data, weights)
+        pos.vh = pos.vh + 1e-4
+        return pos, neg
+    return faulty
+
+
+def _stuck_at_zero(chain):
+    def faulty(p, v, k, noise, ph=None):
+        v = np.zeros_like(v)
+        return v, hidden_probs(p, v), v @ p.w + p.b
+    return faulty
+
+
+# (identity, rbmkit.oracle binding it reads, fault wrapped around that binding)
+ORACLE_FAULTS = [
+    ("marginal_normalization", "partition_function",
+     lambda f: lambda p: f(p) + 1e-3),
+    ("free_energy_marginalization", "free_energy",
+     lambda f: lambda p, v, h_input=None: f(p, v, h_input) + 1e-6),
+    ("free_energy_two_forms", "free_energy",
+     lambda f: lambda p, v, h_input=None: f(p, v, h_input) + 1e-6),
+    ("conditional_consistency", "hidden_probs",
+     lambda f: lambda p, v: f(p, v) * (1.0 - 1e-6)),
+    ("gradient_finite_difference", "exact_gradient", _shift_positive_vh),
+    ("gibbs_stationarity", "gibbs_chain", _stuck_at_zero),
+]
+
+
+class TestRunOracleChecks:
+    def test_names_order_and_plain_bool_verdicts(self):
+        results = run_oracle_checks(trials=2, seed=4)
+        assert [r.name for r in results] == [
+            "marginal_normalization", "free_energy_marginalization",
+            "free_energy_two_forms", "conditional_consistency",
+            "gradient_finite_difference", "gibbs_stationarity"]
+        assert all(r.ok is True for r in results)
+
+    @pytest.mark.parametrize("identity, binding, fault", ORACLE_FAULTS,
+                             ids=[f[0] for f in ORACLE_FAULTS])
+    def test_every_identity_can_fail(self, monkeypatch, identity, binding, fault):
+        monkeypatch.setattr(oracle, binding, fault(getattr(oracle, binding)))
+        verdicts = {r.name: r.ok for r in run_oracle_checks(trials=3, seed=4)}
+        assert not verdicts[identity]

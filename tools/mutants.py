@@ -1,5 +1,6 @@
 """Mutation check: shows the tier-1 suite fails on each known estimator,
-trainer and classifier fault.
+trainer and classifier fault, and on each way of making an oracle
+identity vacuous.
 
 Usage, from the repository root:
 
@@ -66,6 +67,30 @@ MUTANTS = {
         "dbn.py",
         "visible_term = feature_term + 0.5 * np.sum((eye[c] - p.a[d:]) ** 2)",
         "visible_term = feature_term - 0.5 * np.sum((eye[c] - p.a[d:]) ** 2)"),
+    "oracle-tv-forced-zero": (
+        "oracle.py",
+        "tv = 0.5 * np.abs(counts / counts.sum() - marg).sum()",
+        "tv = 0.0"),
+    "oracle-normalization-gap-zero": (
+        "oracle.py",
+        'note("marginal_normalization", abs(marg.sum() - 1.0))',
+        'note("marginal_normalization", 0.0)'),
+    "oracle-gradient-gap-zero": (
+        "oracle.py",
+        "max(np.max(np.abs(g)) for g in grad_gaps)",
+        "0.0"),
+    "oracle-entropy-form-is-closed-form": (
+        "oracle.py",
+        "np.abs(free_energy_entropy_form(p, V) - free_energy(p, V))",
+        "np.abs(free_energy(p, V) - free_energy(p, V))"),
+    "oracle-conditional-from-hidden-probs": (
+        "oracle.py",
+        "cond = (joint @ H) / joint.sum(axis=1, keepdims=True)",
+        "cond = hidden_probs(p, V)"),
+    "oracle-brute-free-energy-from-closed-form": (
+        "oracle.py",
+        "brute_f = -_logsumexp(_neg_energy_table(p), axis=1)",
+        "brute_f = free_energy(p, V)"),
 }
 
 
