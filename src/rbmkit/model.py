@@ -62,9 +62,7 @@ class RbmParams:
             raise ValueError(f"unknown visible_kind {self.visible_kind!r}")
         if not (0 <= self.label_units <= self.a.size):
             raise ValueError("label_units out of range")
-        for arr in (self.w, self.a, self.b):
-            if not np.all(np.isfinite(arr)):
-                raise ValueError("non-finite parameter entries")
+        _check_finite(self.w, self.a, self.b)
 
     @property
     def n_visible(self) -> int:
@@ -77,6 +75,12 @@ class RbmParams:
     def copy(self) -> "RbmParams":
         return RbmParams(self.w.copy(), self.a.copy(), self.b.copy(),
                          self.visible_kind, self.label_units)
+
+
+def _check_finite(*arrays):
+    for arr in arrays:
+        if not np.isfinite(arr).all():
+            raise ValueError("non-finite parameter entries")
 
 
 @dataclass
@@ -254,7 +258,8 @@ def apply_update(p: RbmParams, pos: GradientStats, neg: GradientStats,
     Each velocity takes a momentum_step along neg - pos (the descent
     direction of the log-probability), with the weights alone decayed; the
     velocities in state are updated in place. Returns new parameters:
-    neither p nor the statistics are written.
+    neither p nor the statistics are written. Raises ValueError, as the
+    RbmParams constructor does, when an entry comes out non-finite.
     """
     if pos.vh.shape != p.w.shape or neg.vh.shape != p.w.shape:
         raise ValueError("gradient statistics do not match parameter shape")
@@ -263,5 +268,11 @@ def apply_update(p: RbmParams, pos: GradientStats, neg: GradientStats,
         momentum_step(state.vel_w, np.subtract(neg.vh, pos.vh), hp, p.w)
         momentum_step(state.vel_a, np.subtract(neg.v, pos.v), hp)
         momentum_step(state.vel_b, np.subtract(neg.h, pos.h), hp)
-        return RbmParams(p.w + state.vel_w, p.a + state.vel_a, p.b + state.vel_b,
-                         p.visible_kind, p.label_units)
+        w, a, b = p.w + state.vel_w, p.a + state.vel_a, p.b + state.vel_b
+    _check_finite(w, a, b)
+    # fresh contiguous float64 arrays of p's shapes: of the constructor's
+    # checks only finiteness can fail, so the rest is skipped
+    new = object.__new__(RbmParams)
+    new.__dict__.update(w=w, a=a, b=b, visible_kind=p.visible_kind,
+                        label_units=p.label_units)
+    return new

@@ -256,6 +256,12 @@ def run_oracle_checks(n_visible: int = 3, n_hidden: int = 3, trials: int = 25,
     closed-form free energy under test (used to verify the suite actually
     catches a broken implementation); it receives the whole state matrix.
     """
+    if n_visible < 1:
+        raise ValueError(f"n_visible (--visible) must be >= 1, got {n_visible}")
+    if n_hidden < 1:
+        raise ValueError(f"n_hidden (--hidden) must be >= 1, got {n_hidden}")
+    if trials < 0:
+        raise ValueError(f"trials (--trials) must be >= 0, got {trials}")
     if n_visible + n_hidden > MAX_ENUM_UNITS:
         raise ValueError("size exceeds the enumeration cap")
     if trials == 0:

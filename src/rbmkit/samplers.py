@@ -9,6 +9,14 @@ RngStream: chain c's draws come only from its own stream and land only in
 its own row, so a chain's trajectory does not depend on how many chains
 share its pool. Statistics are then reduced over the assembled matrices
 in fixed index order.
+
+A binary pool draws each chain's uniforms a block of sweeps at a time
+(NOISE_BLOCK_BYTES) and hands out one sweep's slice per call, so its
+streams may run up to one block ahead of what the pool has used. One
+Philox generator gives the same doubles whatever widths they are drawn
+in, so every chain sees the same sequence as with one call per sweep.
+Gaussian pools draw per sweep: normals consume a variable number of raw
+outputs, so they cannot be drawn ahead without changing the draws.
 """
 
 from __future__ import annotations
@@ -23,8 +31,20 @@ from .model import (BINARY, RbmParams, batch_stats, free_energy, hidden_input,
 
 CHAIN_STREAM_BASE = 100
 
+# Uniforms a binary pool draws per refill. The cost of a draw on a small
+# model is the Python-level generator call per chain, not generating the
+# numbers: a 3x3 pool of 16 chains needs 768 bytes a sweep, so one block
+# serves 85 sweeps, and a 12x8 pool of 20 chains 20 sweeps. Every 794-wide
+# pool needs at least 137 KB a sweep (20 chains x 858 uniforms), so it
+# still draws one sweep per call; there Philox generation itself takes
+# about 9 us of each 858-uniform call and drawing ahead would gain nothing.
+# At 64 KiB that one call serves tens of sweeps on small pools, and the
+# block stays small next to a core's L2 cache.
+NOISE_BLOCK_BYTES = 64 * 1024
+
 __all__ = [
     "CHAIN_STREAM_BASE",
+    "NOISE_BLOCK_BYTES",
     "ChainPool",
     "make_pool",
     "gibbs_chain",
@@ -38,7 +58,12 @@ __all__ = [
 
 @dataclass
 class ChainPool:
-    """Persistent fantasy-particle states plus their private streams."""
+    """Persistent fantasy-particle states plus their private streams.
+
+    A binary pool keeps the uniforms it has drawn but not yet used, one
+    row per chain, and the next draw continues from them; so streams may
+    run up to one block (NOISE_BLOCK_BYTES) ahead of the pool.
+    """
 
     states: np.ndarray
     streams: list = field(repr=False, default_factory=list)
@@ -50,6 +75,9 @@ class ChainPool:
             raise ValueError("a chain pool needs at least one chain")
         if len(self.streams) != self.states.shape[0]:
             raise ValueError("one RngStream per chain required")
+        # drawn uniforms, one row per chain; columns before _cursor are used
+        self._block = np.empty((self.states.shape[0], 0))
+        self._cursor = 0
 
     @property
     def n_chains(self) -> int:
@@ -58,18 +86,39 @@ class ChainPool:
     def noise(self, p: RbmParams):
         """Per-sweep draws for gibbs_chain in which row c comes only from
         chain c's stream: uniforms(n_hidden + n_visible) per chain for
-        binary visibles, uniforms(n_hidden) then normals(n_visible) for
-        Gaussian ones."""
+        binary visibles, sliced from the pool's block and refilled a block
+        of sweeps at a time; uniforms(n_hidden) then normals(n_visible) per
+        chain and sweep for Gaussian ones, which a pool still holding
+        unused uniforms refuses with ValueError rather than skip them."""
         n_h, n_v = p.n_hidden, p.n_visible
         if p.visible_kind == BINARY:
+            width = n_h + n_v
+            # 8 bytes per float64 uniform
+            sweeps = max(1, NOISE_BLOCK_BYTES // (8 * self.n_chains * width))
+
             def draw():
-                u = np.stack([s.uniforms(n_h + n_v) for s in self.streams])
+                start = self._cursor
+                if self._block.shape[1] - start < width:
+                    self._refill(sweeps * width)
+                    start = 0
+                self._cursor = start + width
+                u = self._block[:, start:start + width]
                 return u[:, :n_h], u[:, n_h:]
         else:
             def draw():
+                if self._cursor < self._block.shape[1]:
+                    raise ValueError("the pool holds unused uniforms; a Gaussian "
+                                     "draw would skip them")
                 u_h = np.stack([s.uniforms(n_h) for s in self.streams])
                 return u_h, np.stack([s.normals(n_v) for s in self.streams])
         return draw
+
+    def _refill(self, n: int):
+        """Draw n more uniforms per chain after the unused ones."""
+        fresh = np.stack([s.uniforms(n) for s in self.streams])
+        rest = self._block[:, self._cursor:]
+        self._block = np.concatenate([rest, fresh], axis=1) if rest.shape[1] else fresh
+        self._cursor = 0
 
 
 def make_pool(init_states: np.ndarray, n_chains: int, seed: int,

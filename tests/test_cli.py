@@ -9,7 +9,8 @@ from rbmkit import (RbmParams, RngStream, free_energy, hidden_probs,
                     load_model, visible_probs)
 from rbmkit.cli import main, run_oracle_checks
 from rbmkit.dataio import save_model
-from rbmkit.samplers import gibbs_chain, make_pool, select_elite
+from rbmkit.samplers import (CHAIN_STREAM_BASE, gibbs_chain, make_pool,
+                             select_elite)
 from rbmkit.trainer import STREAM_SAMPLE, read_metrics_csv
 
 from synthdata import write_idx_fixture
@@ -248,8 +249,13 @@ class TestSampleCommand:
         elite_order = select_elite(p, states, 1.0)
         np.testing.assert_array_equal(np.argsort(fe, kind="stable"), elite_order)
         np.testing.assert_array_equal(fe, free_energy(p, states))
-        # then one hidden sample per chain from its own stream, shown as means
-        u_h = np.stack([s.uniforms(3) for s in pool.streams])
+        # then one hidden sample per chain from its own stream, shown as
+        # means: chain c's next uniforms after steps sweeps of 3 + 6 each
+        u_h = np.empty((n, 3))
+        for c in range(n):
+            stream = RngStream(seed, CHAIN_STREAM_BASE + c)
+            stream.uniforms(steps * (3 + 6))
+            u_h[c] = stream.uniforms(3)
         means = visible_probs(p, (u_h < hidden_probs(p, states)).astype(float))
         rows = [ln for ln in open(out).read().splitlines() if not ln.startswith("#")]
         assert rows[0] == ",".join(f"v{i}" for i in range(6))
@@ -295,6 +301,14 @@ class TestOracleCheckCommand:
     def test_zero_trials_trivial_pass_with_warning(self, capsys):
         assert main(["oracle-check", "--trials", "0"]) == 0
         assert "warning" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("option,value", [("--trials", "-1"), ("--visible", "0"),
+                                              ("--hidden", "-2")])
+    def test_bad_size_exits_2_naming_the_option(self, option, value, capsys):
+        assert main(["oracle-check", option, value]) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error:") and option in captured.err
+        assert "PASS" not in captured.out
 
 
 class TestErrorExits:

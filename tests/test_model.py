@@ -261,6 +261,34 @@ class TestApplyUpdate:
         for new, old in zip((out.w, out.a, out.b), (p.w, p.a, p.b)):
             assert not np.shares_memory(new, old)
 
+    @pytest.mark.parametrize("field", ["vel_w", "vel_a", "vel_b"])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_velocity_raises(self, ref_model, field, bad):
+        # train_rbm turns this ValueError into TrainingDivergedError
+        stats = make_stats([[0.2, 0.3], [0.1, 0.4]], [0.5, 0.5], [0.5, 0.5])
+        state = UpdateState.zeros_like(ref_model)
+        getattr(state, field)[0] = bad
+        with pytest.raises(ValueError, match="non-finite"):
+            apply_update(ref_model, stats, stats, Hyperparams(momentum=0.5), state)
+
+    def test_overflow_raises(self):
+        p = RbmParams(np.array([[1e308]]), np.array([0.0]), np.array([0.0]))
+        state = UpdateState(np.array([[1e308]]), np.zeros(1), np.zeros(1))
+        stats = make_stats([[0.0]], [0.0], [0.0])
+        with pytest.raises(ValueError, match="non-finite"):
+            apply_update(p, stats, stats, Hyperparams(momentum=1.0), state)
+
+    def test_result_keeps_kind_labels_and_layout(self):
+        rng = RngStream(37, 0)
+        p = RbmParams(rng.normals((5, 3)), rng.normals(5), rng.normals(3),
+                      GAUSSIAN, label_units=2)
+        out = apply_update(p, random_stats(rng, 5, 3), random_stats(rng, 5, 3),
+                           Hyperparams(), UpdateState.zeros_like(p))
+        assert (out.visible_kind, out.label_units) == (GAUSSIAN, 2)
+        for got, want in zip((out.w, out.a, out.b), (p.w, p.a, p.b)):
+            assert got.shape == want.shape and got.dtype == np.float64
+            assert got.flags.c_contiguous
+
 
 def random_stats(rng, n_visible, n_hidden):
     return make_stats(rng.uniforms((n_visible, n_hidden)),

@@ -4,8 +4,9 @@ import pytest
 from rbmkit import (RbmParams, RngStream, batch_stats, free_energy,
                     hidden_input, hidden_probs)
 from rbmkit.oracle import enumerate_states, exact_gradient, visible_marginal
-from rbmkit.samplers import (cd_k, fepcd_step, gibbs_chain, gibbs_step,
-                             make_pool, pcd_step, select_elite)
+from rbmkit.samplers import (CHAIN_STREAM_BASE, NOISE_BLOCK_BYTES, cd_k,
+                             fepcd_step, gibbs_chain, gibbs_step, make_pool,
+                             pcd_step, select_elite)
 
 
 def state_ids(states):
@@ -226,6 +227,82 @@ class TestPcdStep:
             neg, pool = pcd_step(ref_model, pool, 1)
             acc += neg.vh
         assert np.max(np.abs(acc / steps - exact_neg.vh)) < 0.01
+
+
+def dyadic_model(rng, n_visible, n_hidden):
+    """Parameters in quarters, so every product and sum a Gibbs sweep
+    forms on 0/1 states is exact whatever order BLAS adds it in."""
+    def quarters(shape):
+        return np.floor(rng.normals(shape) * 4) / 4
+    return RbmParams(quarters((n_visible, n_hidden)), quarters(n_visible),
+                     quarters(n_hidden))
+
+
+class TestNoiseBlock:
+    def test_block_refills_match_per_chain_gibbs_steps(self):
+        # 200 sweeps of a 3x3 pool of 16 chains in uneven calls cross at
+        # least two refills; every chain must still follow its own stream
+        rng = RngStream(27, 0)
+        p = dyadic_model(rng, 3, 3)
+        sweeps_per_block = NOISE_BLOCK_BYTES // (8 * 16 * 6)
+        assert sweeps_per_block * 2 < 200
+        ks = [1, 7, 30, 2, 50, 13, 40, 57]
+        assert sum(ks) == 200
+        init = (rng.uniforms((16, 3)) < 0.5).astype(float)
+        pool = make_pool(init, 16, 27)
+        got = []
+        for i, k in enumerate(ks):
+            if i % 2:
+                _, pool = pcd_step(p, pool, k)
+                q = hidden_probs(p, pool.states)
+            else:
+                pool.states, q, _ = gibbs_chain(p, pool.states, k, pool.noise(p))
+            got.append((pool.states.copy(), q))
+        for c in range(16):
+            stream = RngStream(27, CHAIN_STREAM_BASE + c)
+            v = init[c]
+            for k, (states, q) in zip(ks, got):
+                for _ in range(k):
+                    v, qq = gibbs_step(p, v, stream)
+                np.testing.assert_array_equal(states[c], v)
+                np.testing.assert_array_equal(q[c], qq)
+
+    def test_changing_width_keeps_each_stream_in_order(self):
+        # models of four widths drawn from one pool in a seeded order: the
+        # leftover of one width's block must come first in the next draw
+        models = [RbmParams(np.zeros((nv, nh)), np.zeros(nv), np.zeros(nh))
+                  for nv, nh in ((3, 3), (5, 4), (30, 20), (1, 1))]
+        pool = make_pool(np.zeros((16, 1)), 16, 28)
+        order = RngStream(28, 0).uniforms(300)
+        drawn = []
+        for x in order:
+            u_h, u_v = pool.noise(models[int(x * len(models))])()
+            drawn.append(np.concatenate([u_h, u_v], axis=1))
+        drawn = np.concatenate(drawn, axis=1)
+        for c in range(16):
+            want = RngStream(28, CHAIN_STREAM_BASE + c).uniforms(drawn.shape[1])
+            np.testing.assert_array_equal(drawn[c], want)
+
+    def test_gaussian_draws_are_per_sweep_uniforms_then_normals(self):
+        p = RbmParams(np.zeros((4, 3)), np.zeros(4), np.zeros(3),
+                      visible_kind="gaussian")
+        pool = make_pool(np.zeros((5, 4)), 5, 29)
+        draw = pool.noise(p)
+        sweeps = [draw() for _ in range(4)]
+        for c in range(5):
+            stream = RngStream(29, CHAIN_STREAM_BASE + c)
+            for u_h, e_v in sweeps:
+                np.testing.assert_array_equal(u_h[c], stream.uniforms(3))
+                np.testing.assert_array_equal(e_v[c], stream.normals(4))
+
+    def test_gaussian_draw_refused_while_uniforms_are_buffered(self):
+        binary = RbmParams(np.zeros((3, 3)), np.zeros(3), np.zeros(3))
+        gaussian = RbmParams(np.zeros((3, 3)), np.zeros(3), np.zeros(3),
+                             visible_kind="gaussian")
+        pool = make_pool(np.zeros((16, 3)), 16, 30)
+        pool.noise(binary)()
+        with pytest.raises(ValueError, match="unused uniforms"):
+            pool.noise(gaussian)()
 
 
 class TestSelectElite:

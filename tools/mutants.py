@@ -1,6 +1,6 @@
 """Mutation check: shows the tier-1 suite fails on each known estimator,
-trainer and classifier fault, and on each way of making an oracle
-identity vacuous.
+chain-noise, trainer and classifier fault, and on each way of making an
+oracle identity vacuous.
 
 Usage, from the repository root:
 
@@ -55,6 +55,14 @@ MUTANTS = {
         "samplers.py",
         "    for _ in range(k):\n        u_h, e_v = noise()",
         "    for _ in range(1):\n        u_h, e_v = noise()"),
+    "noise-block-cursor-stuck": (
+        "samplers.py",
+        "self._cursor = start + width",
+        "self._cursor = start"),
+    "noise-refill-drops-leftover": (
+        "samplers.py",
+        "self._block = np.concatenate([rest, fresh], axis=1) if rest.shape[1] else fresh",
+        "self._block = fresh"),
     "momentum-ignored": (
         "model.py",
         "vel *= hp.momentum",
