@@ -141,6 +141,17 @@ def _hyperparams(args) -> Hyperparams:
     )
 
 
+def _estimators(args) -> list:
+    """--estimator's comma-separated names, each one of ESTIMATORS."""
+    estimators = _str_list(args.estimator)
+    if not estimators:
+        raise ValueError("--estimator names no estimator")
+    for est in estimators:
+        if est not in ESTIMATORS:
+            raise ValueError(f"unknown estimator {est!r}")
+    return estimators
+
+
 def _visible_kind(args) -> str:
     return GAUSSIAN if args.data == "isolet" else BINARY
 
@@ -156,14 +167,11 @@ def cmd_train_rbm(args) -> int:
     if args.data is None:
         raise ValueError("--data is required")
     hidden = _int_list(args.hidden)
-    estimators = _str_list(args.estimator)
+    estimators = _estimators(args)
     if len(estimators) == 1:
         estimators = estimators * len(hidden)
     if len(estimators) != len(hidden):
         raise ValueError("need one estimator or one per hidden layer")
-    for est in estimators:
-        if est not in ESTIMATORS:
-            raise ValueError(f"unknown estimator {est!r}")
     hp = _hyperparams(args)
     echo = _config_echo(args, _TRAIN_ECHO)
 
@@ -217,6 +225,9 @@ def _test_error(p: RbmParams, test: Dataset) -> float:
 def cmd_compare_samplers(args) -> int:
     if args.data is None:
         raise ValueError("--data is required")
+    estimators = _estimators(args)
+    if len(set(estimators)) != len(estimators):
+        raise ValueError("--estimator names an estimator twice")
     train, test = _load_train_test(args)
     if train.labels is None or test is None or test.labels is None:
         raise ValueError("compare-samplers needs labeled train and test data")
@@ -225,10 +236,10 @@ def cmd_compare_samplers(args) -> int:
         raise ValueError("compare-samplers trains single discriminative RBMs")
     hp = _hyperparams(args)
     kind = _visible_kind(args)
-    echo = _config_echo(args, tuple(k for k in _TRAIN_ECHO if k != "estimator"))
+    echo = _config_echo(args, _TRAIN_ECHO)
 
     rows = []
-    for est in ESTIMATORS:
+    for est in estimators:
         clock = 0.0
 
         def on_epoch(epoch, params, metric):
@@ -363,7 +374,8 @@ def build_parser():
     add_common(p_cmp)
     add_data(p_cmp)
     add_training(p_cmp, "compare.csv")
-    p_cmp.set_defaults(func=cmd_compare_samplers, discriminative=True)
+    p_cmp.set_defaults(func=cmd_compare_samplers, discriminative=True,
+                       estimator=",".join(ESTIMATORS))
 
     p_sample = sub.add_parser("sample", help="draw Gibbs samples from a model")
     add_common(p_sample)

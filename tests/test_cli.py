@@ -213,6 +213,32 @@ class TestCompareSamplersCommand:
                       for est, clocks in by_est.items()}
         print(f"mean epoch seconds: {mean_epoch}")
 
+    def compare(self, idx_pair, out, estimator):
+        images, labels = idx_pair
+        return main(["compare-samplers", "--data", "mnist",
+                     "--images", images, "--labels", labels,
+                     "--test-images", images, "--test-labels", labels,
+                     "--hidden", "6", "--epochs", "3", "--batch", "8",
+                     "--seed", "1", "--estimator", estimator, "--out", out])
+
+    def test_estimator_selects_the_rows(self, idx_pair, tmp_path):
+        out = str(tmp_path / "compare.csv")
+        assert self.compare(idx_pair, out, "fepcd") == 0
+        lines = open(out).read().splitlines()
+        assert lines[0].startswith("# config: ")
+        assert " estimator=fepcd " in lines[0]
+        assert lines[1] == "estimator,epoch,seconds,error"
+        assert [ln.split(",")[:2] for ln in lines[2:]] == [
+            ["fepcd", "1"], ["fepcd", "2"], ["fepcd", "3"]]
+
+    @pytest.mark.parametrize("estimator", ["bogus", "cd,bogus", "pcd,pcd", ","])
+    def test_bad_estimator_list_exits_2(self, idx_pair, tmp_path, capsys,
+                                        estimator):
+        out = tmp_path / "compare.csv"
+        assert self.compare(idx_pair, str(out), estimator) == 2
+        assert "estimator" in capsys.readouterr().err
+        assert not out.exists()
+
 
 class TestSampleCommand:
     def test_zero_model_zero_steps_uniform_gray(self, tmp_path):
@@ -387,7 +413,7 @@ class TestOptionResolution:
 
     def test_compare_samplers_defaults(self, resolve):
         args = resolve(["compare-samplers", "--data", "mnist"])
-        for key, value in TRAIN_DEFAULTS.items():
+        for key, value in dict(TRAIN_DEFAULTS, estimator="cd,pcd,fepcd").items():
             assert getattr(args, key) == value, key
         assert args.discriminative is True
         assert args.out == "compare.csv"

@@ -1,5 +1,6 @@
 import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -180,6 +181,99 @@ class TestFiniteDiff:
             finite_diff_loglik_grad(ref_model, [[1.0, 1.0]], step=1e-2)
         with pytest.raises(ValueError):
             finite_diff_loglik_grad(ref_model, [[1.0, 1.0]], step=1e-9)
+
+
+def loop_finite_diff(p, data, step=1e-5, weights=None):
+    """finite_diff_loglik_grad as one mean_log_likelihood call per entry
+    and sign: the plain loop the stacked evaluation must reproduce."""
+    q = p.copy()
+    grads = {}
+    for name in ("w", "a", "b"):
+        param = getattr(q, name).reshape(-1)  # a view: writes perturb q
+        g = np.zeros(param.size)
+        for idx in range(param.size):
+            base = param[idx]
+            for sign in (+1.0, -1.0):
+                param[idx] = base + sign * step
+                g[idx] += sign * mean_log_likelihood(q, data, weights)
+            param[idx] = base
+            g[idx] /= 2.0 * step
+        grads[name] = g.reshape(getattr(p, name).shape)
+    return grads
+
+
+def seeded_case(n_visible, n_hidden, seed=0, rows=7):
+    """A random model, binary data rows and positive row weights."""
+    rng = RngStream(300 + seed, n_visible * 100 + n_hidden)
+    p = RbmParams(rng.normals((n_visible, n_hidden)), rng.normals(n_visible),
+                  rng.normals(n_hidden))
+    data = (rng.uniforms((rows, n_visible)) < 0.5).astype(float)
+    return p, data, rng.uniforms(rows) + 0.1
+
+
+def assert_same_grads(got, want):
+    for key in ("w", "a", "b"):
+        assert got[key].shape == want[key].shape, key
+        assert np.array_equal(got[key], want[key]), key
+
+
+class TestStackedFiniteDiff:
+    @pytest.mark.parametrize("weighted", [False, True], ids=["plain", "weighted"])
+    @pytest.mark.parametrize("n_visible, n_hidden",
+                             [(1, 1), (3, 3), (4, 5), (6, 2), (8, 6)])
+    def test_equals_the_per_entry_loop(self, n_visible, n_hidden, weighted):
+        p, data, weights = seeded_case(n_visible, n_hidden)
+        weights = weights if weighted else None
+        assert_same_grads(finite_diff_loglik_grad(p, data, weights=weights),
+                          loop_finite_diff(p, data, weights=weights))
+
+    @pytest.mark.parametrize("n_visible, n_hidden", [(3, 3), (6, 6)])
+    def test_block_size_does_not_change_the_bits(self, monkeypatch, n_visible,
+                                                 n_hidden):
+        p, data, weights = seeded_case(n_visible, n_hidden, seed=1)
+        default = finite_diff_loglik_grad(p, data, weights=weights)
+        monkeypatch.setattr(oracle, "FD_BLOCK_BYTES", 1)  # one model a block
+        one_each = finite_diff_loglik_grad(p, data, weights=weights)
+        monkeypatch.setattr(oracle, "FD_BLOCK_BYTES", 2 ** 62)  # one block
+        all_at_once = finite_diff_loglik_grad(p, data, weights=weights)
+        assert_same_grads(one_each, all_at_once)
+        assert_same_grads(default, all_at_once)
+
+    def test_traced_peak_memory_is_bounded(self):
+        # Stacking all 196 perturbed 10x8 models at once needs about 1.2 GB
+        # of tables; blocked, the peak is about one model's tables.
+        p, data, _ = seeded_case(10, 8, rows=6)
+        tracemalloc.start()
+        try:
+            finite_diff_loglik_grad(p, data)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 32 * 2 ** 20, f"traced peak {peak / 2 ** 20:.1f} MiB"
+
+
+MALFORMED_DATA = [
+    (np.zeros((0, 3)), "empty dataset"),
+    ([], "empty dataset"),
+    ([[1.0, 0.0]], "n_visible=3"),
+    ([[1.0, 0.0, 1.0, 0.0]], "n_visible=3"),
+    ([[2.0, 2.0, 2.0]], "0 or 1"),
+    ([[1.0, 0.5, 0.0]], "0 or 1"),
+    ([[1.0, np.nan, 0.0]], "0 or 1"),
+]
+
+
+class TestMalformedData:
+    @pytest.mark.parametrize("fn", [mean_log_likelihood, finite_diff_loglik_grad,
+                                    exact_gradient],
+                             ids=lambda fn: fn.__name__)
+    @pytest.mark.parametrize("data, problem", MALFORMED_DATA,
+                             ids=["no-rows", "empty-list", "too-narrow",
+                                  "too-wide", "twos", "half", "nan"])
+    def test_rejected_naming_the_problem(self, fn, data, problem):
+        p, _, _ = seeded_case(3, 3)
+        with pytest.raises(ValueError, match=problem):
+            fn(p, data)
 
 
 class TestConditionalConsistency:

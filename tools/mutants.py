@@ -1,6 +1,7 @@
 """Mutation check: shows the tier-1 suite fails on each known estimator,
-chain-noise, trainer and classifier fault, and on each way of making an
-oracle identity vacuous.
+chain-noise, trainer and classifier fault, on each way of making an
+oracle identity vacuous, and on faults in the oracle's blocked finite
+difference and its count of visited states.
 
 Usage, from the repository root:
 
@@ -99,6 +100,14 @@ MUTANTS = {
         "oracle.py",
         "brute_f = -_logsumexp(_neg_energy_table(p), axis=1)",
         "brute_f = free_energy(p, V)"),
+    "oracle-fd-last-model-skipped": (
+        "oracle.py",
+        "for s in range(0, len(params), block)])",
+        "for s in range(0, len(params) - 1, block)])"),
+    "oracle-stationarity-counts-last-sweep": (
+        "oracle.py",
+        "np.bincount(state_index(visited).ravel()",
+        "np.bincount(state_index(states).ravel()"),
 }
 
 
