@@ -2,7 +2,7 @@
 chains, free-energy elite chain selection, greedy stacking, and an exact
 enumeration oracle for measuring estimator quality on small models."""
 
-from .core import RngStream, bernoulli_sample, gaussian_sample, log1p_exp, sigmoid
+from .core import RngStream, log1p_exp, sigmoid
 from .dataio import (Dataset, NormStats, load_isolet_csv, load_mnist_idx,
                      load_model, minmax_normalize, save_model)
 from .dbn import (DbnModel, FeedforwardNet, classify_free_energy, fine_tune,
@@ -21,6 +21,6 @@ from .oracle import (exact_gradient, finite_diff_loglik_grad,
 from .samplers import (ChainPool, cd_k, fepcd_step, gibbs_step, make_pool,
                        pcd_step, select_elite)
 from .trainer import (CD, FEPCD, PCD, EpochMetrics, reconstruction_error,
-                      train_rbm, write_metrics_csv)
+                      train_rbm)
 
 __version__ = "0.1.0"

@@ -75,8 +75,15 @@ def _config_echo(args, keys) -> str:
                     if getattr(args, k, None) is not None)
 
 
-def _int_list(text: str) -> list:
-    return [int(part) for part in str(text).split(",") if part != ""]
+def _hidden_sizes(text: str) -> list:
+    """--hidden's comma-separated layer sizes, each an integer >= 1."""
+    try:
+        sizes = [int(part) for part in str(text).split(",") if part != ""]
+    except ValueError:
+        sizes = []
+    if not sizes or min(sizes) < 1:
+        raise ValueError(f"--hidden takes comma-separated sizes >= 1, got {text!r}")
+    return sizes
 
 
 def _str_list(text: str) -> list:
@@ -117,6 +124,9 @@ def _load_raw(kind: str, images, labels, csv_path) -> Dataset:
 def _load_train_test(args):
     """Train (and optional test) datasets, subset then min-max normalized
     with the training statistics applied to the test side."""
+    for option, n in (("--subset", args.subset), ("--test-subset", args.test_subset)):
+        if n is not None and n < 1:
+            raise ValueError(f"{option} must be >= 1, got {n}")
     train = _subset(_load_raw(args.data, args.images, args.labels, args.csv),
                     args.subset, args.seed)
     train = minmax_normalize(train)
@@ -166,7 +176,7 @@ _TRAIN_ECHO = ("data", "subset", "hidden", "estimator", "discriminative", "k",
 def cmd_train_rbm(args) -> int:
     if args.data is None:
         raise ValueError("--data is required")
-    hidden = _int_list(args.hidden)
+    hidden = _hidden_sizes(args.hidden)
     estimators = _estimators(args)
     if len(estimators) == 1:
         estimators = estimators * len(hidden)
@@ -194,8 +204,7 @@ def cmd_train_rbm(args) -> int:
             top, top_metrics = train_discriminative_rbm(
                 Dataset(feats_up, train.labels), hidden[-1], hp,
                 estimators[-1], args.seed + len(hidden) - 1, BINARY)
-            model = DbnModel(stack.layers + [top],
-                             top_label_units=top.label_units)
+            model = DbnModel(stack.layers + [top])
             metric_sets = lower_metrics + [top_metrics]
     else:
         model, metric_sets = pretrain_stack([train.n_features] + hidden, train,
@@ -228,12 +237,19 @@ def cmd_compare_samplers(args) -> int:
     estimators = _estimators(args)
     if len(set(estimators)) != len(estimators):
         raise ValueError("--estimator names an estimator twice")
+    hidden = _hidden_sizes(args.hidden)
+    if len(hidden) != 1:
+        raise ValueError("compare-samplers trains single discriminative RBMs")
     train, test = _load_train_test(args)
     if train.labels is None or test is None or test.labels is None:
         raise ValueError("compare-samplers needs labeled train and test data")
-    hidden = _int_list(args.hidden)
-    if len(hidden) != 1:
-        raise ValueError("compare-samplers trains single discriminative RBMs")
+    # the label block spans the training labels' classes (see
+    # train_discriminative_rbm); a test class above them could never be
+    # predicted
+    train_top, test_top = int(train.labels.max()), int(test.labels.max())
+    if test_top > train_top:
+        raise ValueError(f"test labels include class {test_top}; the training "
+                         f"labels span classes 0..{train_top}")
     hp = _hyperparams(args)
     kind = _visible_kind(args)
     echo = _config_echo(args, _TRAIN_ECHO)
@@ -333,8 +349,6 @@ def build_parser():
     def add_common(p):
         p.add_argument("--config", help="flat key=value file; flags win")
         p.add_argument("--seed", type=int, default=0)
-        p.add_argument("--threads", type=int,
-                       help="ignored; accepted so older command lines still run")
 
     def add_data(p):
         p.add_argument("--data", choices=["mnist", "isolet", "csv"])

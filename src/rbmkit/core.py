@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import numpy as np
 
-__all__ = ["RngStream", "sigmoid", "log1p_exp", "bernoulli_sample", "gaussian_sample"]
+__all__ = ["RngStream", "sigmoid", "log1p_exp"]
 
 
 class RngStream:
@@ -35,17 +35,9 @@ class RngStream:
     def __repr__(self):
         return f"RngStream(seed={self.seed}, stream_id={self.stream_id})"
 
-    def uniform(self) -> float:
-        """One uniform draw from [0, 1)."""
-        return float(self._gen.random())
-
     def uniforms(self, shape) -> np.ndarray:
         """Array of uniform draws from [0, 1), filled in row-major order."""
         return self._gen.random(shape)
-
-    def normal(self) -> float:
-        """One standard normal draw."""
-        return float(self._gen.standard_normal())
 
     def normals(self, shape) -> np.ndarray:
         """Array of standard normal draws."""
@@ -94,25 +86,3 @@ def log1p_exp(x):
     if out.ndim == 0:
         return float(out)
     return out
-
-
-def bernoulli_sample(p, rng: RngStream):
-    """Draw 0/1 with success probability p, consuming one uniform per element.
-
-    Scalar p gives an int; an array gives a float64 0/1 array of the same
-    shape (float so the result drops straight into matrix arithmetic).
-    """
-    p = np.asarray(p, dtype=np.float64)
-    if np.any(p < 0.0) or np.any(p > 1.0):
-        raise ValueError("bernoulli probability outside [0, 1]")
-    if p.ndim == 0:
-        return int(rng.uniform() < p)
-    return (rng.uniforms(p.shape) < p).astype(np.float64)
-
-
-def gaussian_sample(mean, rng: RngStream):
-    """Draw from Normal(mean, 1). Scalar mean gives a float, arrays elementwise."""
-    mean = np.asarray(mean, dtype=np.float64)
-    if mean.ndim == 0:
-        return float(mean) + rng.normal()
-    return mean + rng.normals(mean.shape)

@@ -294,9 +294,15 @@ def load_model(path):
         layers = [_rbm_from_dict(d, f"{path}.layers[{i}]")
                   for i, d in enumerate(layers_doc)]
         try:
-            return DbnModel(layers, int(doc.get("top_label_units", 0)))
+            top_label_units = int(doc.get("top_label_units", 0))
+            model = DbnModel(layers)
         except (TypeError, ValueError, OverflowError) as exc:
             raise ModelFormatError(f"{path}: {exc}") from None
+        if top_label_units != model.top_label_units:
+            raise ModelFormatError(
+                f"{path}: top_label_units {top_label_units} != top layer's "
+                f"label_units {model.top_label_units}")
+        return model
     raise ModelFormatError(f"{path}: unknown kind {kind!r}")
 
 

@@ -26,30 +26,27 @@ __all__ = [
     "one_hot", "propagate_up", "pretrain_stack",
     "train_discriminative_rbm", "classify_free_energy",
     "unroll_to_network", "net_forward", "cross_entropy", "net_gradients",
-    "fine_tune",
+    "fine_tune", "OUTPUT_WEIGHT_SCALE",
 ]
+
+# standard deviation of the output layer unroll_to_network appends
+OUTPUT_WEIGHT_SCALE = 0.01
 
 
 @dataclass
 class DbnModel:
     """Ordered stack of trained RBMs, bottom (data-facing) layer first.
 
-    top_label_units > 0 means the top RBM's visible layer carries that
-    many one-hot label units after the features coming up the stack; it
-    must equal the top layer's label_units, and no lower layer may carry
-    a label block.
+    Only the top layer may carry a label block: its visible layer then
+    ends in top_label_units one-hot label units after the features coming
+    up the stack.
     """
 
     layers: list
-    top_label_units: int = 0
 
     def __post_init__(self):
         if not self.layers:
             raise ValueError("a DBN needs at least one layer")
-        if self.top_label_units != self.layers[-1].label_units:
-            raise ValueError(
-                f"top_label_units {self.top_label_units} != top layer's "
-                f"label_units {self.layers[-1].label_units}")
         if any(layer.label_units for layer in self.layers[:-1]):
             raise ValueError("only the top layer may carry label units")
         for lo, hi in zip(self.layers, self.layers[1:]):
@@ -61,6 +58,11 @@ class DbnModel:
     @property
     def n_layers(self) -> int:
         return len(self.layers)
+
+    @property
+    def top_label_units(self) -> int:
+        """The top layer's label_units; 0 for a purely generative stack."""
+        return self.layers[-1].label_units
 
 
 def one_hot(labels, n_classes: int) -> np.ndarray:
@@ -90,16 +92,17 @@ def propagate_up(dbn: DbnModel, v, upto: int) -> np.ndarray:
     return x
 
 
-def pretrain_stack(sizes, data, hps, estimators, seed: int,
+def pretrain_stack(sizes, data, hp: Hyperparams, estimators, seed: int,
                    visible_kind: str = BINARY):
     """Greedy layer-wise pretraining; returns (DbnModel, per-layer metrics).
 
-    sizes is [input_dim, h1, h2, ...]; hps and estimators give one entry
-    per trained layer (a single Hyperparams or estimator name is broadcast
-    to all layers). visible_kind is the bottom layer's unit kind; the
-    layers above it see probabilities and are binary. Layer L trains on
-    the activation probabilities produced by the layers below it, with run
-    seed seed+L so a one-layer stack is identical to a plain train_rbm run.
+    sizes is [input_dim, h1, h2, ...]; every layer trains with hp.
+    estimators gives one estimator name per trained layer (a single name
+    is broadcast to all layers). visible_kind is the bottom layer's unit
+    kind; the layers above it see probabilities and are binary. Layer L
+    trains on the activation probabilities produced by the layers below
+    it, with run seed seed+L so a one-layer stack is identical to a plain
+    train_rbm run.
     """
     feats = np.atleast_2d(np.asarray(getattr(data, "features", data), dtype=np.float64))
     n_rbms = len(sizes) - 1
@@ -107,12 +110,10 @@ def pretrain_stack(sizes, data, hps, estimators, seed: int,
         raise ValueError("need at least one (visible, hidden) pair")
     if feats.shape[1] != sizes[0]:
         raise ValueError(f"data dimension {feats.shape[1]} != sizes[0] {sizes[0]}")
-    if isinstance(hps, Hyperparams):
-        hps = [hps] * n_rbms
     if isinstance(estimators, str):
         estimators = [estimators] * n_rbms
-    if len(hps) != n_rbms or len(estimators) != n_rbms:
-        raise ValueError("need one hyperparameter set and estimator per layer")
+    if len(estimators) != n_rbms:
+        raise ValueError("need one estimator per layer")
 
     layers = []
     all_metrics = []
@@ -123,8 +124,7 @@ def pretrain_stack(sizes, data, hps, estimators, seed: int,
         init = init_params(sizes[idx], sizes[idx + 1],
                            RngStream(seed + idx, STREAM_INIT),
                            visible_kind if idx == 0 else BINARY)
-        trained, metrics = train_rbm(init, x, hps[idx], estimators[idx],
-                                     seed + idx)
+        trained, metrics = train_rbm(init, x, hp, estimators[idx], seed + idx)
         layers.append(trained)
         all_metrics.append(metrics)
     return DbnModel(layers), all_metrics
@@ -227,8 +227,7 @@ class FeedforwardNet:
                               [np.array(b, dtype=np.float64) for b in self.biases])
 
 
-def unroll_to_network(dbn: DbnModel, n_classes: int, seed: int,
-                      output_scale: float = 0.01) -> FeedforwardNet:
+def unroll_to_network(dbn: DbnModel, n_classes: int, seed: int) -> FeedforwardNet:
     """Copy the stack's weights into a feedforward net and append a fresh
     small-random output layer of n_classes units.
 
@@ -242,7 +241,7 @@ def unroll_to_network(dbn: DbnModel, n_classes: int, seed: int,
         weights.append(layer.w[:d].copy())
         biases.append(layer.b.copy())
     top = weights[-1].shape[1]
-    weights.append(output_scale * rng.normals((top, n_classes)))
+    weights.append(OUTPUT_WEIGHT_SCALE * rng.normals((top, n_classes)))
     biases.append(np.zeros(n_classes))
     return FeedforwardNet(weights, biases)
 

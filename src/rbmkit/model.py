@@ -31,6 +31,9 @@ GAUSSIAN = "gaussian"
 
 _VISIBLE_KINDS = (BINARY, GAUSSIAN)
 
+# standard deviation of init_params's weights
+INIT_WEIGHT_SCALE = 0.01
+
 
 @dataclass
 class RbmParams:
@@ -58,6 +61,9 @@ class RbmParams:
             raise ValueError(
                 f"shape mismatch: w {self.w.shape}, a {self.a.size}, b {self.b.size}"
             )
+        if self.a.size < 1 or self.b.size < 1:
+            raise ValueError(f"an RBM needs at least one visible and one hidden "
+                             f"unit, got {self.a.size} and {self.b.size}")
         if self.visible_kind not in _VISIBLE_KINDS:
             raise ValueError(f"unknown visible_kind {self.visible_kind!r}")
         if not (0 <= self.label_units <= self.a.size):
@@ -145,9 +151,9 @@ class UpdateState:
 
 
 def init_params(n_visible: int, n_hidden: int, rng, visible_kind: str = BINARY,
-                label_units: int = 0, weight_scale: float = 0.01) -> RbmParams:
-    """Fresh parameters: weights Normal(0, weight_scale^2), biases zero."""
-    w = weight_scale * rng.normals((n_visible, n_hidden))
+                label_units: int = 0) -> RbmParams:
+    """Fresh parameters: weights Normal(0, INIT_WEIGHT_SCALE^2), biases zero."""
+    w = INIT_WEIGHT_SCALE * rng.normals((n_visible, n_hidden))
     return RbmParams(w, np.zeros(n_visible), np.zeros(n_hidden),
                      visible_kind, label_units)
 

@@ -36,9 +36,13 @@ MAX_ENUM_UNITS = 20
 # 6 MiB at 10x8, where stacking all 196 models would take 1.2 GB).
 FD_BLOCK_BYTES = 2 ** 20
 
+# finite_diff_loglik_grad's central-difference step on every parameter
+FD_STEP = 1e-5
+
 __all__ = [
     "MAX_ENUM_UNITS",
     "FD_BLOCK_BYTES",
+    "FD_STEP",
     "enumerate_states",
     "partition_function",
     "visible_marginal",
@@ -154,28 +158,17 @@ def _binary_rows(p: RbmParams, data) -> np.ndarray:
     return data
 
 
-def exact_gradient(p: RbmParams, data: np.ndarray, weights=None):
+def exact_gradient(p: RbmParams, data: np.ndarray):
     """Data-clamped and exact model-expectation statistics.
 
-    The positive half averages v x P(h=1|v) over the dataset rows
-    (optionally weighted); the negative half sums v_i h_j, v_i, h_j over
-    the entire joint distribution. Their difference is the exact gradient
-    of the mean data log-likelihood.
+    The positive half averages v x P(h=1|v) over the dataset rows; the
+    negative half sums v_i h_j, v_i, h_j over the entire joint
+    distribution. Their difference is the exact gradient of the mean data
+    log-likelihood.
     """
     _check_enumerable(p)
     data = _binary_rows(p, data)
-    q = hidden_probs(p, data)
-    if weights is None:
-        pos = batch_stats(data, q)
-    else:
-        weights = np.asarray(weights, dtype=np.float64)
-        wn = weights / weights.sum()
-        pos = GradientStats(
-            vh=(data * wn[:, None]).T @ q,
-            v=wn @ data,
-            h=wn @ q,
-            count=data.shape[0],
-        )
+    pos = batch_stats(data, hidden_probs(p, data))
 
     P = joint_table(p)
     V = enumerate_states(p.n_visible)
@@ -189,36 +182,24 @@ def exact_gradient(p: RbmParams, data: np.ndarray, weights=None):
     return pos, neg
 
 
-def _row_mean(log_pv, weights):
-    """Mean over the last axis of log_pv, weighted by weights if given.
-
-    A weighted mean is one dot product per model, a (..., 1, R) @ (R,)
-    matmul, so a stack of models sums in the same order as one model.
-    """
-    if weights is None:
-        return np.mean(log_pv, axis=-1)
-    weights = np.asarray(weights, dtype=np.float64)
-    return (log_pv[..., None, :] @ (weights / weights.sum()))[..., 0]
-
-
-def mean_log_likelihood(p: RbmParams, data: np.ndarray, weights=None) -> float:
+def mean_log_likelihood(p: RbmParams, data: np.ndarray) -> float:
     """Mean of log P(v) over dataset rows, by full enumeration."""
     _check_enumerable(p)
     data = _binary_rows(p, data)
     # log sum_h exp(-E(v, h)) for each data row, then subtract log Z
     log_unnorm = _logsumexp(_neg_energy_table(p, data), axis=1)
     log_pv = log_unnorm - partition_function(p)
-    return float(_row_mean(log_pv, weights))
+    return float(np.mean(log_pv))
 
 
-def _mean_log_likelihoods(w, a, b, data, weights) -> np.ndarray:
+def _mean_log_likelihoods(w, a, b, data) -> np.ndarray:
     """mean_log_likelihood of each of K stacked models (see
     _neg_energy_tables), each bit-identical to the one-model call. Log Z
     comes from the stacked tables, not through partition_function."""
     V = enumerate_states(w.shape[1])
     log_z = _logsumexp(_neg_energy_tables(w, a, b, V).reshape(len(w), -1), axis=1)
     log_unnorm = _logsumexp(_neg_energy_tables(w, a, b, data), axis=2)
-    return _row_mean(log_unnorm - log_z[:, None], weights)
+    return np.mean(log_unnorm - log_z[:, None], axis=1)
 
 
 def free_energy_entropy_form(p: RbmParams, v):
@@ -248,29 +229,26 @@ def free_energy_entropy_form(p: RbmParams, v):
     return float(out) if out.ndim == 0 else out
 
 
-def finite_diff_loglik_grad(p: RbmParams, data: np.ndarray, step: float = 1e-5,
-                            weights=None) -> dict:
+def finite_diff_loglik_grad(p: RbmParams, data: np.ndarray) -> dict:
     """Central-difference gradient of the mean log-likelihood.
 
-    Perturbs every entry of w, a and b by +-step and differences the
+    Perturbs every entry of w, a and b by +-FD_STEP and differences the
     enumerated objective; entirely independent of exact_gradient's
     expectation algebra.
 
     The 2P perturbed models (model 2i moves entry i of the flattened
-    w, a, b by +step, model 2i+1 by -step) are evaluated as stacks, as
-    many per block as FD_BLOCK_BYTES allows.
+    w, a, b by +FD_STEP, model 2i+1 by -FD_STEP) are evaluated as stacks,
+    as many per block as FD_BLOCK_BYTES allows.
     """
     _check_enumerable(p)
-    if not (1e-7 <= step <= 1e-3):
-        raise ValueError("step must lie in [1e-7, 1e-3]")
     data = _binary_rows(p, data)
 
     n_v, n_h = p.n_visible, p.n_hidden
     flat = np.concatenate([p.w.ravel(), p.a, p.b])
     entry = np.arange(flat.size)
     params = np.repeat(flat[None, :], 2 * flat.size, axis=0)
-    params[2 * entry, entry] += step
-    params[2 * entry + 1, entry] -= step
+    params[2 * entry, entry] += FD_STEP
+    params[2 * entry + 1, entry] -= FD_STEP
 
     W = params[:, :n_v * n_h].reshape(-1, n_v, n_h)
     A, B = params[:, n_v * n_h:-n_h], params[:, -n_h:]
@@ -279,11 +257,10 @@ def finite_diff_loglik_grad(p: RbmParams, data: np.ndarray, step: float = 1e-5,
     model_bytes = 3 * 8 * (len(data) + 2 ** n_v) * 2 ** n_h
     block = max(1, FD_BLOCK_BYTES // model_bytes)
     loglik = np.concatenate([
-        _mean_log_likelihoods(W[s:s + block], A[s:s + block], B[s:s + block],
-                              data, weights)
+        _mean_log_likelihoods(W[s:s + block], A[s:s + block], B[s:s + block], data)
         for s in range(0, len(params), block)])
 
-    g = (loglik[0::2] - loglik[1::2]) / (2.0 * step)
+    g = (loglik[0::2] - loglik[1::2]) / (2.0 * FD_STEP)
     return {"w": g[:n_v * n_h].reshape(n_v, n_h), "a": g[n_v * n_h:-n_h],
             "b": g[-n_h:]}
 
@@ -318,13 +295,13 @@ def _random_model(n_visible, n_hidden, rng) -> RbmParams:
 
 
 def run_oracle_checks(n_visible: int = 3, n_hidden: int = 3, trials: int = 25,
-                      seed: int = 0, free_energy_fn=None) -> list:
+                      seed: int = 0) -> list:
     """Identity suite over random models; one result per invariant.
 
     Every identity but the gradient and Gibbs checks is evaluated on all
-    2^n_visible visible states at once. free_energy_fn overrides the
-    closed-form free energy under test (used to verify the suite actually
-    catches a broken implementation); it receives the whole state matrix.
+    2^n_visible visible states at once. Each identity reads the functions
+    under test through this module's bindings, so a fault patched into
+    one of them (as the tests do) shows as that identity's failure.
     """
     if n_visible < 1:
         raise ValueError(f"n_visible (--visible) must be >= 1, got {n_visible}")
@@ -336,8 +313,6 @@ def run_oracle_checks(n_visible: int = 3, n_hidden: int = 3, trials: int = 25,
         raise ValueError("size exceeds the enumeration cap")
     if trials == 0:
         return [CheckResult(name, True, "no trials") for name in TOLERANCES]
-    if free_energy_fn is None:
-        free_energy_fn = free_energy
     V = enumerate_states(n_visible)
     H = enumerate_states(n_hidden)
     worst = dict.fromkeys(TOLERANCES, 0.0)
@@ -353,7 +328,7 @@ def run_oracle_checks(n_visible: int = 3, n_hidden: int = 3, trials: int = 25,
         note("marginal_normalization", abs(marg.sum() - 1.0))
 
         brute_f = -_logsumexp(_neg_energy_table(p), axis=1)
-        note("free_energy_marginalization", np.abs(free_energy_fn(p, V) - brute_f))
+        note("free_energy_marginalization", np.abs(free_energy(p, V) - brute_f))
         note("free_energy_two_forms",
              np.abs(free_energy_entropy_form(p, V) - free_energy(p, V)))
 
@@ -364,7 +339,7 @@ def run_oracle_checks(n_visible: int = 3, n_hidden: int = 3, trials: int = 25,
 
         data = (rng.uniforms((6, n_visible)) < 0.5).astype(float)
         pos, neg = exact_gradient(p, data)
-        fd = finite_diff_loglik_grad(p, data, step=1e-5)
+        fd = finite_diff_loglik_grad(p, data)
         grad_gaps = [(pos.vh - neg.vh) - fd["w"], (pos.v - neg.v) - fd["a"],
                      (pos.h - neg.h) - fd["b"]]
         note("gradient_finite_difference", max(np.max(np.abs(g)) for g in grad_gaps))

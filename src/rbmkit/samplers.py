@@ -67,7 +67,6 @@ class ChainPool:
 
     states: np.ndarray
     streams: list = field(repr=False, default_factory=list)
-    age: int = 0
 
     def __post_init__(self):
         self.states = np.atleast_2d(np.asarray(self.states, dtype=np.float64))
@@ -121,18 +120,17 @@ class ChainPool:
         self._cursor = 0
 
 
-def make_pool(init_states: np.ndarray, n_chains: int, seed: int,
-              stream_base: int = CHAIN_STREAM_BASE) -> ChainPool:
+def make_pool(init_states: np.ndarray, n_chains: int, seed: int) -> ChainPool:
     """Pool of n_chains chains seeded from the given states.
 
     Rows are recycled if fewer than n_chains are supplied. Chain c draws
-    from stream_id stream_base + c for the pool's whole lifetime.
+    from stream_id CHAIN_STREAM_BASE + c for the pool's whole lifetime.
     """
     init_states = np.atleast_2d(np.asarray(init_states, dtype=np.float64))
     if init_states.shape[0] == 0:
         raise ValueError("need at least one initial state")
     rows = np.resize(init_states, (n_chains, init_states.shape[1]))
-    streams = [RngStream(seed, stream_base + c) for c in range(n_chains)]
+    streams = [RngStream(seed, CHAIN_STREAM_BASE + c) for c in range(n_chains)]
     return ChainPool(states=rows.copy(), streams=streams)
 
 
@@ -215,7 +213,6 @@ def pcd_step(p: RbmParams, pool: ChainPool, k: int):
     new_states, new_q, _ = gibbs_chain(p, pool.states, k, pool.noise(p))
     neg = batch_stats(new_states, new_q)
     pool.states = new_states
-    pool.age += 1
     return neg, pool
 
 
@@ -253,5 +250,4 @@ def fepcd_step(p: RbmParams, pool: ChainPool, k: int, elite_fraction: float):
     elite = np.sort(select_elite(p, new_states, elite_fraction, new_input))
     neg = batch_stats(new_states[elite], new_q[elite])
     pool.states = new_states
-    pool.age += 1
     return neg, pool

@@ -47,7 +47,7 @@ __all__ = [
     "STREAM_INIT", "STREAM_SHUFFLE", "STREAM_DATA", "STREAM_EVAL",
     "STREAM_SUBSET", "STREAM_SAMPLE",
     "EpochMetrics", "reconstruction_error", "train_rbm",
-    "metrics_csv_text", "write_metrics_csv", "read_metrics_csv",
+    "metrics_csv_text", "read_metrics_csv",
 ]
 
 
@@ -169,11 +169,6 @@ def metrics_csv_text(metrics, config_line: str | None = None) -> str:
             row.seed,
         ])
     return buf.getvalue()
-
-
-def write_metrics_csv(path, metrics, config_line: str | None = None):
-    with open(path, "w", newline="") as fh:
-        fh.write(metrics_csv_text(metrics, config_line))
 
 
 def read_metrics_csv(path) -> list[EpochMetrics]:

@@ -107,11 +107,9 @@ class TestTrainRbmCommand:
 
     def test_reproducible_and_thread_invariant(self, idx_pair, tmp_path):
         outs = []
-        for name, threads in (("a", "1"), ("b", "1"), ("c", "4")):
+        for name in ("a", "b", "c"):
             out = str(tmp_path / name)
-            assert main(train_args(idx_pair, out,
-                                   ["--estimator", "fepcd", "--threads",
-                                    threads])) == 0
+            assert main(train_args(idx_pair, out, ["--estimator", "fepcd"])) == 0
             outs.append(out)
         models = [open(f"{o}.model.json", "rb").read() for o in outs]
         assert models[0] == models[1] == models[2]
@@ -119,6 +117,21 @@ class TestTrainRbmCommand:
                         for r in read_metrics_csv(f"{o}.metrics.csv")]
                        for o in outs]
         assert metric_rows[0] == metric_rows[1] == metric_rows[2]
+
+    @pytest.mark.parametrize("option, value", [
+        ("--subset", "-5"), ("--test-subset", "0"), ("--hidden", "0"),
+        ("--hidden", "8,-3"), ("--hidden", "8,x")])
+    def test_bad_size_exits_2_naming_the_option(self, idx_pair, tmp_path,
+                                                capsys, option, value):
+        images, labels = idx_pair
+        out = str(tmp_path / "run")
+        code = main(train_args(idx_pair, out, ["--test-images", images,
+                                               "--test-labels", labels,
+                                               option, value]))
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and option in err
+        assert not os.path.exists(f"{out}.model.json")
 
 
 @pytest.fixture
@@ -231,6 +244,29 @@ class TestCompareSamplersCommand:
         assert [ln.split(",")[:2] for ln in lines[2:]] == [
             ["fepcd", "1"], ["fepcd", "2"], ["fepcd", "3"]]
 
+    def test_test_class_outside_training_labels_exits_2(self, idx_pair,
+                                                       tmp_path, capsys):
+        # the training labels span classes 0 and 1; a test row of class 2
+        # has no label unit to be predicted by
+        rng = RngStream(56, 0)
+        test_labels = np.array([0, 1, 2, 1], dtype=np.uint8)
+        test_images = str(tmp_path / "test-images")
+        test_label_path = str(tmp_path / "test-labels")
+        write_idx_fixture(test_images, test_label_path,
+                          (rng.uniforms((4, 4, 4)) * 255).astype(np.uint8),
+                          test_labels)
+        images, labels = idx_pair
+        out = tmp_path / "compare.csv"
+        assert main(["compare-samplers", "--data", "mnist",
+                     "--images", images, "--labels", labels,
+                     "--test-images", test_images,
+                     "--test-labels", test_label_path,
+                     "--hidden", "6", "--epochs", "1", "--batch", "8",
+                     "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "class 2" in err
+        assert not out.exists()
+
     @pytest.mark.parametrize("estimator", ["bogus", "cd,bogus", "pcd,pcd", ","])
     def test_bad_estimator_list_exits_2(self, idx_pair, tmp_path, capsys,
                                         estimator):
@@ -316,10 +352,11 @@ class TestOracleCheckCommand:
         assert "PASS free_energy_marginalization" in out
         assert "FAIL" not in out
 
-    def test_injected_fault_names_failing_invariant(self):
-        from rbmkit import free_energy
-        results = run_oracle_checks(trials=2, seed=4,
-                                    free_energy_fn=lambda p, v: free_energy(p, v) + 1e-3)
+    def test_injected_fault_names_failing_invariant(self, monkeypatch):
+        import rbmkit.oracle
+        monkeypatch.setattr(rbmkit.oracle, "free_energy",
+                            lambda p, v, h_input=None: free_energy(p, v, h_input) + 1e-3)
+        results = run_oracle_checks(trials=2, seed=4)
         by_name = {r.name: bool(r.ok) for r in results}
         assert by_name["free_energy_marginalization"] is False
         assert by_name["marginal_normalization"] is True
@@ -479,13 +516,21 @@ class TestOptionResolution:
         cfg = write_config(tmp_path, "trials=2\nvisible=2\nseed=8\n")
         assert oracle_call(["oracle-check", "--config", cfg]) == (2, 3, 2, 8)
 
+    @pytest.mark.parametrize("command", ["train-rbm", "compare-samplers",
+                                         "sample", "oracle-check"])
+    def test_threads_flag_refused(self, command):
+        with pytest.raises(SystemExit) as info:
+            main([command, "--threads", "4"])
+        assert info.value.code == 2
+
     def test_foreign_keys_ignored(self, resolve, tmp_path):
         cfg = write_config(tmp_path, "data=mnist\nfunc=oops\ncommand=sample\n"
-                                     "n=5\ntrials=3\n")
+                                     "n=5\ntrials=3\nthreads=4\n")
         args = resolve(["train-rbm", "--config", cfg])
         assert args.command == "train-rbm"
         assert not hasattr(args, "n")
         assert not hasattr(args, "trials")
+        assert not hasattr(args, "threads")
 
     def test_unparsable_config_value_exits_2(self, tmp_path):
         cfg = write_config(tmp_path, "trials=abc\n")

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from rbmkit import RngStream, bernoulli_sample, gaussian_sample, log1p_exp, sigmoid
+from rbmkit import RngStream, log1p_exp, sigmoid
 
 F64_EPS = np.finfo(np.float64).eps
 FINITE = st.floats(allow_nan=False, allow_infinity=False)
@@ -130,65 +130,15 @@ class TestRngStream:
 
     def test_draw_sequence_is_stateful(self):
         rng = RngStream(5, 5)
-        first = rng.uniform()
-        second = rng.uniform()
-        assert first != second
+        first = rng.uniforms(3)
+        second = rng.uniforms(3)
+        assert not np.array_equal(first, second)
         fresh = RngStream(5, 5)
-        assert fresh.uniform() == first
-        assert fresh.uniform() == second
+        np.testing.assert_array_equal(fresh.uniforms(3), first)
+        np.testing.assert_array_equal(fresh.uniforms(3), second)
 
     def test_rejects_out_of_range_keys(self):
         with pytest.raises(ValueError):
             RngStream(-1, 0)
         with pytest.raises(ValueError):
             RngStream(0, 2**64)
-
-
-class TestBernoulliSample:
-    def test_p_zero_never_fires(self):
-        rng = RngStream(1, 0)
-        assert all(bernoulli_sample(0.0, rng) == 0 for _ in range(1000))
-
-    def test_p_one_always_fires(self):
-        rng = RngStream(1, 0)
-        assert all(bernoulli_sample(1.0, rng) == 1 for _ in range(1000))
-
-    def test_law_of_large_numbers(self):
-        rng = RngStream(99, 3)
-        draws = bernoulli_sample(np.full(100_000, 0.3), rng)
-        assert 0.29 <= draws.mean() <= 0.31
-
-    def test_out_of_range_probability_rejected(self):
-        rng = RngStream(1, 0)
-        with pytest.raises(ValueError):
-            bernoulli_sample(-0.1, rng)
-        with pytest.raises(ValueError):
-            bernoulli_sample(1.1, rng)
-
-    def test_consumes_exactly_one_uniform(self):
-        a = RngStream(42, 9)
-        bernoulli_sample(0.5, a)
-        b = RngStream(42, 9)
-        b.uniform()
-        assert a.uniform() == b.uniform()
-
-
-class TestGaussianSample:
-    def test_mean_zero(self):
-        rng = RngStream(7, 0)
-        draws = gaussian_sample(np.zeros(100_000), rng)
-        assert -0.02 <= draws.mean() <= 0.02
-
-    def test_mean_five(self):
-        rng = RngStream(7, 1)
-        draws = gaussian_sample(np.full(100_000, 5.0), rng)
-        assert 4.98 <= draws.mean() <= 5.02
-
-    def test_unit_variance(self):
-        rng = RngStream(7, 2)
-        draws = gaussian_sample(np.zeros(100_000), rng)
-        assert 0.97 <= draws.var(ddof=1) <= 1.03
-
-    def test_scalar_form(self):
-        rng = RngStream(7, 3)
-        assert isinstance(gaussian_sample(1.5, rng), float)

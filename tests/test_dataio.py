@@ -207,7 +207,7 @@ class TestModelJson:
     def test_top_label_units_mismatch_is_schema_error(self, ref_model, tmp_path):
         top = RbmParams(np.zeros((4, 2)), np.zeros(4), np.zeros(2), label_units=2)
         path = tmp_path / "dbn.json"
-        save_model(path, DbnModel([ref_model, top], top_label_units=2))
+        save_model(path, DbnModel([ref_model, top]))
         doc = json.loads(path.read_text())
         doc["top_label_units"] = 7
         path.write_text(json.dumps(doc))

@@ -33,15 +33,16 @@ class TestDbnModel:
 
     def test_label_augmented_top_chains(self, ref_model):
         top = RbmParams(np.zeros((5, 2)), np.zeros(5), np.zeros(2), label_units=3)
-        model = DbnModel([ref_model, top], top_label_units=3)
+        model = DbnModel([ref_model, top])
         assert model.n_layers == 2
 
     def test_top_label_units_must_match_top_layer(self, ref_model):
         top = RbmParams(np.zeros((4, 2)), np.zeros(4), np.zeros(2), label_units=2)
-        with pytest.raises(ValueError, match="top_label_units"):
-            DbnModel([ref_model, top], top_label_units=7)
-        with pytest.raises(ValueError, match="top_label_units"):
-            DbnModel([ref_model, top])
+        model = DbnModel([ref_model, top])
+        assert model.top_label_units == 2
+        assert DbnModel([ref_model]).top_label_units == 0
+        with pytest.raises(AttributeError):
+            model.top_label_units = 7
 
     def test_label_block_below_top_rejected(self, ref_model):
         middle = RbmParams(np.zeros((2, 2)), np.zeros(2), np.zeros(2), label_units=1)
@@ -258,7 +259,7 @@ class TestUnroll:
         lower = RbmParams(np.zeros((4, 3)), np.zeros(4), np.zeros(3))
         top = RbmParams(np.arange(10.0).reshape(5, 2), np.zeros(5), np.zeros(2),
                         label_units=2)
-        dbn = DbnModel([lower, top], top_label_units=2)
+        dbn = DbnModel([lower, top])
         net = unroll_to_network(dbn, n_classes=2, seed=2)
         np.testing.assert_array_equal(net.weights[1], top.w[:3])
 

@@ -329,6 +329,13 @@ class TestValidation:
         with pytest.raises(ValueError):
             RbmParams(np.zeros((2, 3)), np.zeros(2), np.zeros(2))
 
+    @pytest.mark.parametrize("n_visible, n_hidden", [(3, 0), (0, 3)])
+    def test_layer_without_units_rejected(self, n_visible, n_hidden):
+        # load_model refuses such a layer, so no constructor may build one
+        with pytest.raises(ValueError, match="at least one visible and one hidden"):
+            RbmParams(np.zeros((n_visible, n_hidden)), np.zeros(n_visible),
+                      np.zeros(n_hidden))
+
     def test_hyperparams_epsilon_zero_allowed(self):
         Hyperparams(epsilon=0.0).validate()
 

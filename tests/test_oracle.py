@@ -103,14 +103,6 @@ class TestVisibleMarginal:
 
 
 class TestExactGradient:
-    def test_stationary_at_data_generating_model(self, ref_model):
-        states = enumerate_states(2)
-        weights = visible_marginal(ref_model)
-        pos, neg = exact_gradient(ref_model, states, weights=weights)
-        np.testing.assert_allclose(pos.vh, neg.vh, atol=1e-12)
-        np.testing.assert_allclose(pos.v, neg.v, atol=1e-12)
-        np.testing.assert_allclose(pos.h, neg.h, atol=1e-12)
-
     def test_ref_model_pinned_negative_stats(self, ref_model):
         _, neg = exact_gradient(ref_model, [[1.0, 1.0]])
         np.testing.assert_allclose(neg.vh, REF_NEG_VH, atol=1e-13)
@@ -138,7 +130,7 @@ class TestExactGradient:
     def test_matches_finite_differences(self, ref_model):
         data = np.array([[1.0, 1.0], [0.0, 1.0]])
         pos, neg = exact_gradient(ref_model, data)
-        fd = finite_diff_loglik_grad(ref_model, data, step=1e-5)
+        fd = finite_diff_loglik_grad(ref_model, data)
         np.testing.assert_allclose(pos.vh - neg.vh, fd["w"], atol=1e-6)
         np.testing.assert_allclose(pos.v - neg.v, fd["a"], atol=1e-6)
         np.testing.assert_allclose(pos.h - neg.h, fd["b"], atol=1e-6)
@@ -176,14 +168,8 @@ class TestFiniteDiff:
         for key in ("w", "a", "b"):
             np.testing.assert_allclose(once[key], twice[key], atol=1e-12)
 
-    def test_step_bounds(self, ref_model):
-        with pytest.raises(ValueError):
-            finite_diff_loglik_grad(ref_model, [[1.0, 1.0]], step=1e-2)
-        with pytest.raises(ValueError):
-            finite_diff_loglik_grad(ref_model, [[1.0, 1.0]], step=1e-9)
 
-
-def loop_finite_diff(p, data, step=1e-5, weights=None):
+def loop_finite_diff(p, data):
     """finite_diff_loglik_grad as one mean_log_likelihood call per entry
     and sign: the plain loop the stacked evaluation must reproduce."""
     q = p.copy()
@@ -194,21 +180,20 @@ def loop_finite_diff(p, data, step=1e-5, weights=None):
         for idx in range(param.size):
             base = param[idx]
             for sign in (+1.0, -1.0):
-                param[idx] = base + sign * step
-                g[idx] += sign * mean_log_likelihood(q, data, weights)
+                param[idx] = base + sign * oracle.FD_STEP
+                g[idx] += sign * mean_log_likelihood(q, data)
             param[idx] = base
-            g[idx] /= 2.0 * step
+            g[idx] /= 2.0 * oracle.FD_STEP
         grads[name] = g.reshape(getattr(p, name).shape)
     return grads
 
 
 def seeded_case(n_visible, n_hidden, seed=0, rows=7):
-    """A random model, binary data rows and positive row weights."""
+    """A random model and binary data rows."""
     rng = RngStream(300 + seed, n_visible * 100 + n_hidden)
     p = RbmParams(rng.normals((n_visible, n_hidden)), rng.normals(n_visible),
                   rng.normals(n_hidden))
-    data = (rng.uniforms((rows, n_visible)) < 0.5).astype(float)
-    return p, data, rng.uniforms(rows) + 0.1
+    return p, (rng.uniforms((rows, n_visible)) < 0.5).astype(float)
 
 
 def assert_same_grads(got, want):
@@ -218,31 +203,33 @@ def assert_same_grads(got, want):
 
 
 class TestStackedFiniteDiff:
-    @pytest.mark.parametrize("weighted", [False, True], ids=["plain", "weighted"])
+    # repeated: row i appears i + 1 times, so the rows weigh unequally
+    @pytest.mark.parametrize("repeated", [False, True], ids=["plain", "repeated"])
     @pytest.mark.parametrize("n_visible, n_hidden",
                              [(1, 1), (3, 3), (4, 5), (6, 2), (8, 6)])
-    def test_equals_the_per_entry_loop(self, n_visible, n_hidden, weighted):
-        p, data, weights = seeded_case(n_visible, n_hidden)
-        weights = weights if weighted else None
-        assert_same_grads(finite_diff_loglik_grad(p, data, weights=weights),
-                          loop_finite_diff(p, data, weights=weights))
+    def test_equals_the_per_entry_loop(self, n_visible, n_hidden, repeated):
+        p, data = seeded_case(n_visible, n_hidden)
+        if repeated:
+            data = np.repeat(data, np.arange(1, len(data) + 1), axis=0)
+        assert_same_grads(finite_diff_loglik_grad(p, data),
+                          loop_finite_diff(p, data))
 
     @pytest.mark.parametrize("n_visible, n_hidden", [(3, 3), (6, 6)])
     def test_block_size_does_not_change_the_bits(self, monkeypatch, n_visible,
                                                  n_hidden):
-        p, data, weights = seeded_case(n_visible, n_hidden, seed=1)
-        default = finite_diff_loglik_grad(p, data, weights=weights)
+        p, data = seeded_case(n_visible, n_hidden, seed=1)
+        default = finite_diff_loglik_grad(p, data)
         monkeypatch.setattr(oracle, "FD_BLOCK_BYTES", 1)  # one model a block
-        one_each = finite_diff_loglik_grad(p, data, weights=weights)
+        one_each = finite_diff_loglik_grad(p, data)
         monkeypatch.setattr(oracle, "FD_BLOCK_BYTES", 2 ** 62)  # one block
-        all_at_once = finite_diff_loglik_grad(p, data, weights=weights)
+        all_at_once = finite_diff_loglik_grad(p, data)
         assert_same_grads(one_each, all_at_once)
         assert_same_grads(default, all_at_once)
 
     def test_traced_peak_memory_is_bounded(self):
         # Stacking all 196 perturbed 10x8 models at once needs about 1.2 GB
         # of tables; blocked, the peak is about one model's tables.
-        p, data, _ = seeded_case(10, 8, rows=6)
+        p, data = seeded_case(10, 8, rows=6)
         tracemalloc.start()
         try:
             finite_diff_loglik_grad(p, data)
@@ -271,7 +258,7 @@ class TestMalformedData:
                              ids=["no-rows", "empty-list", "too-narrow",
                                   "too-wide", "twos", "half", "nan"])
     def test_rejected_naming_the_problem(self, fn, data, problem):
-        p, _, _ = seeded_case(3, 3)
+        p, _ = seeded_case(3, 3)
         with pytest.raises(ValueError, match=problem):
             fn(p, data)
 
@@ -323,8 +310,8 @@ class TestMeanLogLikelihood:
 
 
 def _shift_positive_vh(exact):
-    def faulty(p, data, weights=None):
-        pos, neg = exact(p, data, weights)
+    def faulty(p, data):
+        pos, neg = exact(p, data)
         pos.vh = pos.vh + 1e-4
         return pos, neg
     return faulty

@@ -6,7 +6,7 @@ from rbmkit import (Hyperparams, RbmParams, RngStream, TrainingDivergedError,
 from rbmkit import trainer
 from rbmkit.oracle import mean_log_likelihood
 from rbmkit.trainer import (FEPCD, PCD, STREAM_INIT, metrics_csv_text,
-                            read_metrics_csv, write_metrics_csv)
+                            read_metrics_csv)
 
 TWO_PATTERN_DATA = np.array([[1.0, 1.0]] * 4 + [[0.0, 0.0]] * 2)
 
@@ -145,7 +145,7 @@ class TestMetricsCsv:
         hp = Hyperparams(epsilon=0.1, batch_size=2, epochs=3)
         _, metrics = train_rbm(init, TWO_PATTERN_DATA, hp, "cd", seed=8)
         path = tmp_path / "metrics.csv"
-        write_metrics_csv(path, metrics, config_line="estimator=cd seed=8")
+        path.write_text(metrics_csv_text(metrics, config_line="estimator=cd seed=8"))
         text = path.read_text().splitlines()
         assert text[0] == "# config: estimator=cd seed=8"
         assert text[1] == "epoch,recon_error,mean_free_energy,seconds,estimator,seed"
