@@ -233,14 +233,22 @@ def _rbm_to_dict(p: RbmParams) -> dict:
     }
 
 
+def _count_in(doc: dict, key: str, what: str, default=None) -> int:
+    """doc[key] (default if absent), which must be a JSON integer: a
+    float, string or boolean raises rather than being truncated."""
+    value = doc.get(key, default)
+    if type(value) is not int:  # bool is an int subclass
+        raise ModelFormatError(f"{what}: {key} must be an integer, got {value!r}")
+    return value
+
+
 def _rbm_from_dict(doc: dict, what: str = "model") -> RbmParams:
-    try:
-        kind = doc["visible_kind"]
-        n_visible = int(doc["n_visible"])
-        n_hidden = int(doc["n_hidden"])
-        label_units = int(doc.get("label_units", 0))
-    except (KeyError, TypeError, ValueError, OverflowError) as exc:
-        raise ModelFormatError(f"{what}: bad header field ({exc})") from None
+    if not isinstance(doc, dict):
+        raise ModelFormatError(f"{what}: a layer must be an object")
+    kind = doc.get("visible_kind")
+    n_visible = _count_in(doc, "n_visible", what)
+    n_hidden = _count_in(doc, "n_hidden", what)
+    label_units = _count_in(doc, "label_units", what, 0)
     if kind not in (BINARY, GAUSSIAN):
         raise ModelFormatError(f"{what}: unknown visible_kind {kind!r}")
     if n_visible < 1 or n_hidden < 1:
@@ -276,7 +284,9 @@ def load_model(path):
     try:
         with open(path, encoding="utf-8") as fh:
             doc = json.load(fh)
-    except (UnicodeDecodeError, json.JSONDecodeError, RecursionError) as exc:
+    # ValueError covers bad UTF-8, bad syntax and integers past Python's
+    # digit limit
+    except (ValueError, RecursionError) as exc:
         raise ModelFormatError(f"{path}: invalid JSON ({exc})") from None
     if not isinstance(doc, dict):
         raise ModelFormatError(f"{path}: top level must be an object")
@@ -293,10 +303,10 @@ def load_model(path):
             raise ModelFormatError(f"{path}: dbn needs a nonempty layers list")
         layers = [_rbm_from_dict(d, f"{path}.layers[{i}]")
                   for i, d in enumerate(layers_doc)]
+        top_label_units = _count_in(doc, "top_label_units", path, 0)
         try:
-            top_label_units = int(doc.get("top_label_units", 0))
             model = DbnModel(layers)
-        except (TypeError, ValueError, OverflowError) as exc:
+        except ValueError as exc:
             raise ModelFormatError(f"{path}: {exc}") from None
         if top_label_units != model.top_label_units:
             raise ModelFormatError(

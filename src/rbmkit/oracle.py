@@ -12,6 +12,11 @@ oracle-check command.
 All sums run in log space (log-sum-exp); numpy's pairwise summation keeps
 results summation-order-robust well below the 1e-10 tolerances used by
 the identity checks.
+
+An enumeration holds one 2^(n_visible + n_hidden) table at a time: the
+bias terms are added into the product's buffer, and the log-sum-exp
+shifts and exponentiates that same buffer. So on a 12x8 model (8 MiB a
+table) each public function peaks near one table.
 """
 
 from __future__ import annotations
@@ -25,15 +30,18 @@ from .samplers import gibbs_chain, make_pool
 
 MAX_ENUM_UNITS = 20
 
-# Bytes of energy tables and their temporaries that finite_diff_loglik_grad
-# lets one block of stacked perturbed models hold. Small models gain from
-# sharing numpy calls: against one model a block, 3x3 (30 models, one
-# block) went from 3.2 to 0.2 ms and 6x6 (9 models a block) from 13 to
-# 5 ms. Blocks that outgrow a core's L2 cache lose (2 MiB per core on the
-# 2-vCPU Xeon measured, one BLAS thread): at an 8 MiB budget 8x6 and 8x8
-# ran 1.5-2x slower than one model at a time. From 8x8 up each model is
-# its own block, so the traced peak stays near one model's tables (about
-# 6 MiB at 10x8, where stacking all 196 models would take 1.2 GB).
+# Bytes of energy tables that finite_diff_loglik_grad lets one block of
+# stacked perturbed models hold; a model holds one table at a time, so
+# this bounds the block's working set. Small models gain from sharing
+# numpy calls: against one model a block, 3x3 (30 models, one block) went
+# from 3.2 to 0.2 ms and 6x6 from 13 to 5 ms. Blocks that outgrow a
+# core's L2 cache lose (2 MiB per core on the 2-vCPU Xeon measured, one
+# BLAS thread): at an 8 MiB budget 8x6 and 8x8 ran 1.5-2x slower than one
+# model at a time. Re-measured with one table per model over budgets of
+# 256 KiB to 4 MiB, 1 MiB was within noise of the best at every size from
+# 3x3 to 10x8, and 256 KiB ran 6x6 1.3x and 8x6 2x slower. From 8x8 up each
+# model is its own block, so the traced peak stays near one model's table
+# (about 2 MiB at 10x8, where stacking all 196 models would take 400 MB).
 FD_BLOCK_BYTES = 2 ** 20
 
 # finite_diff_loglik_grad's central-difference step on every parameter
@@ -59,10 +67,16 @@ __all__ = [
 
 
 def _logsumexp(x, axis=None):
-    x = np.asarray(x, dtype=np.float64)
+    """log sum exp(x) over axis (every entry by default).
+
+    Consumes x: the max-shifted exponentials are computed in x's own
+    buffer, so x must be a fresh float64 table that nothing else reads.
+    """
     m = np.max(x, axis=axis, keepdims=True)
+    x -= m
+    np.exp(x, out=x)
     out = m.squeeze(axis) if axis is not None else m.reshape(())
-    return out + np.log(np.sum(np.exp(x - m), axis=axis))
+    return out + np.log(np.sum(x, axis=axis))
 
 
 def _check_enumerable(p: RbmParams):
@@ -104,12 +118,13 @@ def _neg_energy_tables(w, a, b, rows) -> np.ndarray:
     matmul runs one BLAS call per model, so each slice is bit-identical to
     the single-model table. The bias terms are matrix-vector products for
     the same reason; one matrix product across the models would sum them
-    in another order.
+    in another order. They are added into the product's own buffer.
     """
     H = enumerate_states(w.shape[-1])
-    va = rows @ a[:, :, None]
-    hb = (H @ b[:, :, None]).transpose(0, 2, 1)
-    return rows @ w @ H.T + va + hb
+    table = rows @ w @ H.T
+    table += rows @ a[:, :, None]
+    table += (H @ b[:, :, None]).transpose(0, 2, 1)
+    return table
 
 
 def _neg_energy_table(p: RbmParams, rows=None) -> np.ndarray:
@@ -140,8 +155,11 @@ def visible_marginal(p: RbmParams) -> np.ndarray:
 def joint_table(p: RbmParams) -> np.ndarray:
     """P(v, h) over the full joint grid, visible rows x hidden columns."""
     _check_enumerable(p)
-    neg_e = _neg_energy_table(p)
-    return np.exp(neg_e - _logsumexp(neg_e))
+    # _logsumexp consumes its table, so build a second one to normalize
+    log_z = _logsumexp(_neg_energy_table(p))
+    joint = _neg_energy_table(p)
+    joint -= log_z
+    return np.exp(joint, out=joint)
 
 
 def _binary_rows(p: RbmParams, data) -> np.ndarray:
@@ -253,8 +271,8 @@ def finite_diff_loglik_grad(p: RbmParams, data: np.ndarray) -> dict:
     W = params[:, :n_v * n_h].reshape(-1, n_v, n_h)
     A, B = params[:, n_v * n_h:-n_h], params[:, -n_h:]
 
-    # per model: a float64 table, its max-shifted copy and that copy's exp
-    model_bytes = 3 * 8 * (len(data) + 2 ** n_v) * 2 ** n_h
+    # per model: one float64 table, shifted and exponentiated in place
+    model_bytes = 8 * (len(data) + 2 ** n_v) * 2 ** n_h
     block = max(1, FD_BLOCK_BYTES // model_bytes)
     loglik = np.concatenate([
         _mean_log_likelihoods(W[s:s + block], A[s:s + block], B[s:s + block], data)

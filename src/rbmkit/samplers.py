@@ -6,9 +6,12 @@ gibbs_chain, which takes each sweep's random draws from its caller. CD-k
 draws them from one shared stream. The persistent estimators keep a pool
 of fantasy particles, one Gibbs chain per row, each owning a private
 RngStream: chain c's draws come only from its own stream and land only in
-its own row, so a chain's trajectory does not depend on how many chains
-share its pool. Statistics are then reduced over the assembled matrices
-in fixed index order.
+its own row, so the draws a chain sees do not depend on how many chains
+share its pool. Its arithmetic may: a one-row and a many-row matrix
+product can round differently, so a chain's probabilities run alone and
+in a pool can differ in the last bits (up to about 1e-15 at 794x64),
+and a draw landing on such a gap could flip a state. Statistics are
+reduced over the assembled matrices in fixed index order.
 
 A binary pool draws each chain's uniforms a block of sweeps at a time
 (NOISE_BLOCK_BYTES) and hands out one sweep's slice per call, so its

@@ -232,6 +232,18 @@ class TestModelJson:
         with pytest.raises(ModelFormatError):
             load_model(path)
 
+    # JSON numbers that int() would truncate, strings and booleans
+    @pytest.mark.parametrize("kind, field, value", [
+        ("rbm", "n_visible", 2.9), ("rbm", "n_hidden", "2"), ("rbm", "n_hidden", 2.0),
+        ("rbm", "label_units", True), ("dbn", "top_label_units", 0.5)])
+    def test_non_integer_count_names_the_field(self, tmp_path, kind, field, value):
+        doc = json.loads(RBM_JSON if kind == "rbm" else DBN_JSON)
+        doc[field] = value
+        path = tmp_path / "model.json"
+        path.write_text(json.dumps(doc))
+        with pytest.raises(ModelFormatError, match=f"{field} must be an integer"):
+            load_model(path)
+
     def test_unknown_kind_rejected(self, tmp_path):
         path = tmp_path / "model.json"
         path.write_text(json.dumps({"format_version": 1, "kind": "vae"}))
@@ -333,6 +345,24 @@ def model_json(draw):
     return draw(mutated(json.dumps(doc, indent=1).encode()))
 
 
+COUNT_FIELDS = ("n_visible", "n_hidden", "label_units")
+
+
+def header_counts(doc: dict) -> list:
+    """Every count in a model document as written; absent label counts
+    read as 0."""
+    layers = doc["layers"] if doc["kind"] == "dbn" else [doc]
+    counts = [layer.get(name, 0) for layer in layers for name in COUNT_FIELDS]
+    return counts + ([doc.get("top_label_units", 0)] if doc["kind"] == "dbn" else [])
+
+
+def model_counts(model) -> list:
+    """header_counts of the file save_model would write for model."""
+    layers = model.layers if isinstance(model, DbnModel) else [model]
+    counts = [getattr(layer, name) for layer in layers for name in COUNT_FIELDS]
+    return counts + ([model.top_label_units] if isinstance(model, DbnModel) else [])
+
+
 ISOLET_ROWS = "\n".join(isolet_row(np.linspace(-1.0, 1.0, 617) * sign, label)
                         for sign, label in ((1, 1), (-1, 26))) + "\n"
 
@@ -392,6 +422,19 @@ class TestLoadersAreTotal:
     @example(b"\xff" + RBM_JSON.encode())
     @example(RBM_JSON.replace('"n_visible": 2', '"n_visible": 1e400').encode())
     @example(RBM_JSON.replace('"0.5"', "9" * 400).encode())
+    # past Python's integer digit limit json raises a bare ValueError
+    @example(RBM_JSON.replace('"n_visible": 2', '"n_visible": ' + "9" * 5000).encode())
+    # counts that int() would silently truncate or coerce
+    @example(RBM_JSON.replace('"n_visible": 2', '"n_visible": 2.9').encode())
+    @example(RBM_JSON.replace('"n_hidden": 2', '"n_hidden": "2"').encode())
+    @example(RBM_JSON.replace('"label_units": 0', '"label_units": true').encode())
+    @example(DBN_JSON.replace('"label_units": 0', '"label_units": false', 1).encode())
+    @example(DBN_JSON.replace('"top_label_units": 0', '"top_label_units": 0.5').encode())
     def test_mutated_model_json(self, raw):
         model = load_bytes(load_model, raw)
         assert model is None or isinstance(model, (RbmParams, DbnModel))
+        if model is not None:
+            # every count loaded is the JSON integer the file holds
+            counts = header_counts(json.loads(raw.decode("utf-8")))
+            assert [type(c) for c in counts] == [int] * len(counts)
+            assert counts == model_counts(model)

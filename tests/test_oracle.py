@@ -227,8 +227,8 @@ class TestStackedFiniteDiff:
         assert_same_grads(default, all_at_once)
 
     def test_traced_peak_memory_is_bounded(self):
-        # Stacking all 196 perturbed 10x8 models at once needs about 1.2 GB
-        # of tables; blocked, the peak is about one model's tables.
+        # Stacking all 196 perturbed 10x8 models at once needs about 400 MB
+        # of tables; blocked, the peak is about one model's table.
         p, data = seeded_case(10, 8, rows=6)
         tracemalloc.start()
         try:
@@ -295,6 +295,25 @@ class TestJointTable:
             for t, h in enumerate(itertools.product([0.0, 1.0], repeat=2)):
                 expected = math.exp(-energy(ref_model, list(v), list(h))) / z
                 assert table[s, t] == pytest.approx(expected, abs=1e-12)
+
+
+class TestOneTableAtATime:
+    # A 12x8 joint table is 2^20 float64 entries (8 MiB). Holding a shifted
+    # copy or its exp beside it would put the peak at 16-24 MiB.
+    @pytest.mark.parametrize("name", ["partition_function", "visible_marginal",
+                                      "mean_log_likelihood", "joint_table",
+                                      "exact_gradient"])
+    def test_traced_peak_is_about_one_table(self, name):
+        p, data = seeded_case(12, 8, rows=6)
+        fn = getattr(oracle, name)
+        args = (p, data) if name in ("mean_log_likelihood", "exact_gradient") else (p,)
+        tracemalloc.start()
+        try:
+            fn(*args)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 10 * 2 ** 20, f"traced peak {peak / 2 ** 20:.1f} MiB"
 
 
 class TestMeanLogLikelihood:

@@ -282,6 +282,21 @@ class TestNoiseBlock:
             want = RngStream(28, CHAIN_STREAM_BASE + c).uniforms(drawn.shape[1])
             np.testing.assert_array_equal(drawn[c], want)
 
+    def test_draws_do_not_depend_on_pool_size(self):
+        # At 794 units a pool of one draws 9 sweeps a refill and a pool of
+        # 24 one sweep; chain c must see the same uniforms either way. Its
+        # probabilities need not match bit for bit: a one-row product and
+        # a 24-row product round differently.
+        p = RbmParams(np.zeros((794, 64)), np.zeros(794), np.zeros(64))
+        draw = make_pool(np.zeros((24, 794)), 24, 31).noise(p)
+        pooled = [np.concatenate(draw(), axis=1) for _ in range(20)]
+        for c in range(24):
+            alone = ChainPool(np.zeros((1, 794)),
+                              [RngStream(31, CHAIN_STREAM_BASE + c)]).noise(p)
+            for sweep in pooled:
+                np.testing.assert_array_equal(np.concatenate(alone(), axis=1)[0],
+                                              sweep[c])
+
     def test_gaussian_draws_are_per_sweep_uniforms_then_normals(self):
         p = RbmParams(np.zeros((4, 3)), np.zeros(4), np.zeros(3),
                       visible_kind="gaussian")

@@ -1,7 +1,8 @@
 """Mutation check: shows the tier-1 suite fails on each known estimator,
 chain-noise, trainer and classifier fault, on each way of making an
-oracle identity vacuous, and on faults in the oracle's blocked finite
-difference and its count of visited states.
+oracle identity vacuous, on faults in the oracle's blocked finite
+difference and its count of visited states, and on an enumeration that
+holds a second copy of its table.
 
 Usage, from the repository root:
 
@@ -108,6 +109,10 @@ MUTANTS = {
         "oracle.py",
         "np.bincount(state_index(visited).ravel()",
         "np.bincount(state_index(states).ravel()"),
+    "oracle-logsumexp-out-of-place": (
+        "oracle.py",
+        "    x -= m\n",
+        "    x = x - m\n"),
 }
 
 
