@@ -118,6 +118,11 @@ class Hyperparams:
     elite_fraction: float = 0.5
 
     def validate(self):
+        for name, option in (("epsilon", "--lr"), ("momentum", "--momentum"),
+                             ("weight_decay", "--decay")):
+            value = getattr(self, name)
+            if not np.isfinite(value):
+                raise ValueError(f"{name} ({option}) must be finite, got {value}")
         if self.epsilon < 0:
             raise ValueError("learning rate must be >= 0")
         if self.momentum < 0 or self.weight_decay < 0:

@@ -312,6 +312,46 @@ def _random_model(n_visible, n_hidden, rng) -> RbmParams:
                      rng.normals((n_visible,)), rng.normals((n_hidden,)))
 
 
+def _stationarity_tvs(models, pools, margs, sweeps: int) -> list:
+    """Total-variation distance between the visible states each model's
+    pool visits over `sweeps` one-sweep Gibbs steps and that model's
+    marginal, one per model.
+
+    The models, all of one size, run as one chain on their disjoint union:
+    an RBM with their weights on the diagonal blocks and their biases
+    concatenated. Its conditionals factorize over the blocks, so one sweep
+    of the union is one sweep of every model, and its noise() concatenates
+    each pool's own per-sweep draws, so every chain sees exactly the draws
+    it would see run alone. One gibbs_chain call a sweep serves them all.
+    """
+    n_v, n_h = models[0].n_visible, models[0].n_hidden
+    w = np.zeros((len(models) * n_v, len(models) * n_h))
+    for t, p in enumerate(models):
+        w[t * n_v:(t + 1) * n_v, t * n_h:(t + 1) * n_h] = p.w
+    union = RbmParams(w, np.concatenate([p.a for p in models]),
+                      np.concatenate([p.b for p in models]))
+    draws = [pool.noise(p) for p, pool in zip(models, pools)]
+
+    def noise():
+        u_h, e_v = zip(*(draw() for draw in draws))
+        return np.concatenate(u_h, axis=1), np.concatenate(e_v, axis=1)
+
+    states = np.concatenate([pool.states for pool in pools], axis=1)
+    ph = None
+    visited = np.empty((sweeps,) + states.shape, dtype=bool)
+    for sweep in range(sweeps):
+        states, ph, _ = gibbs_chain(union, states, 1, noise, ph)
+        visited[sweep] = states
+    # state ids, shaped (sweeps, chains, models)
+    ids = state_index(visited.reshape(sweeps, len(states), len(models), n_v))
+    tvs = []
+    for t, marg in enumerate(margs):
+        counts = np.bincount(ids[..., t].ravel(), minlength=marg.size)
+        tv = 0.5 * np.abs(counts / counts.sum() - marg).sum()
+        tvs.append(tv)
+    return tvs
+
+
 def run_oracle_checks(n_visible: int = 3, n_hidden: int = 3, trials: int = 25,
                       seed: int = 0) -> list:
     """Identity suite over random models; one result per invariant.
@@ -328,12 +368,16 @@ def run_oracle_checks(n_visible: int = 3, n_hidden: int = 3, trials: int = 25,
     if trials < 0:
         raise ValueError(f"trials (--trials) must be >= 0, got {trials}")
     if n_visible + n_hidden > MAX_ENUM_UNITS:
-        raise ValueError("size exceeds the enumeration cap")
+        raise ValueError(
+            f"n_visible + n_hidden (--visible + --hidden) = {n_visible + n_hidden} "
+            f"exceeds the enumeration cap MAX_ENUM_UNITS = {MAX_ENUM_UNITS}")
     if trials == 0:
         return [CheckResult(name, True, "no trials") for name in TOLERANCES]
     V = enumerate_states(n_visible)
     H = enumerate_states(n_hidden)
     worst = dict.fromkeys(TOLERANCES, 0.0)
+    # (model, chain pool, visible marginal) of the first three trials
+    stationarity = []
 
     def note(name, gaps):
         worst[name] = max(worst[name], float(np.max(gaps)))
@@ -365,15 +409,8 @@ def run_oracle_checks(n_visible: int = 3, n_hidden: int = 3, trials: int = 25,
         if trial < 3:
             chains = make_pool((rng.uniforms((16, n_visible)) < 0.5).astype(float),
                                16, seed + trial)
-            noise = chains.noise(p)
-            states, ph = chains.states, None
-            visited = np.empty((400,) + states.shape)
-            for sweep in range(400):
-                states, ph, _ = gibbs_chain(p, states, 1, noise, ph)
-                visited[sweep] = states
-            counts = np.bincount(state_index(visited).ravel(), minlength=V.shape[0])
-            tv = 0.5 * np.abs(counts / counts.sum() - marg).sum()
-            note("gibbs_stationarity", tv)
+            stationarity.append((p, chains, marg))
 
+    note("gibbs_stationarity", _stationarity_tvs(*zip(*stationarity), 400))
     return [CheckResult(name, worst[name] <= tol, f"worst {worst[name]:.3e} vs {tol:.0e}")
             for name, tol in TOLERANCES.items()]

@@ -120,7 +120,7 @@ class TestTrainRbmCommand:
 
     @pytest.mark.parametrize("option, value", [
         ("--subset", "-5"), ("--test-subset", "0"), ("--hidden", "0"),
-        ("--hidden", "8,-3"), ("--hidden", "8,x")])
+        ("--hidden", "8,-3"), ("--hidden", "8,x"), ("--lr", "nan")])
     def test_bad_size_exits_2_naming_the_option(self, idx_pair, tmp_path,
                                                 capsys, option, value):
         images, labels = idx_pair
@@ -366,7 +366,8 @@ class TestOracleCheckCommand:
         assert "warning" in capsys.readouterr().err
 
     @pytest.mark.parametrize("option,value", [("--trials", "-1"), ("--visible", "0"),
-                                              ("--hidden", "-2")])
+                                              ("--hidden", "-2"), ("--visible", "18"),
+                                              ("--hidden", "18")])
     def test_bad_size_exits_2_naming_the_option(self, option, value, capsys):
         assert main(["oracle-check", option, value]) == 2
         captured = capsys.readouterr()

@@ -323,6 +323,14 @@ class TestBackprop:
             fine_tune(net, data, Hyperparams(epsilon=1e200, weight_decay=1.0,
                                              epochs=3, batch_size=2), seed=34)
 
+    def test_non_finite_hyperparameter_is_malformed_not_divergence(self):
+        net = unroll_to_network(TestUnroll().build_stack(), 2, seed=4)
+        data = Dataset((RngStream(34, 6).uniforms((6, 4)) < 0.5).astype(float),
+                       np.array([0, 1, 0, 1, 0, 1]))
+        with pytest.raises(ValueError, match="^weight_decay"):
+            fine_tune(net, data, Hyperparams(weight_decay=float("inf"), epochs=1,
+                                             batch_size=2), seed=34)
+
     def test_missing_labels_rejected(self):
         net = unroll_to_network(TestUnroll().build_stack(), 2, seed=5)
         with pytest.raises(ValueError):

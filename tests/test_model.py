@@ -339,6 +339,12 @@ class TestValidation:
     def test_hyperparams_epsilon_zero_allowed(self):
         Hyperparams(epsilon=0.0).validate()
 
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("name", ["epsilon", "momentum", "weight_decay"])
+    def test_hyperparams_non_finite_rejected_naming_the_field(self, name, value):
+        with pytest.raises(ValueError, match=f"^{name} .*finite"):
+            Hyperparams(**{name: value}).validate()
+
     def test_hyperparams_bad_fraction(self):
         with pytest.raises(ValueError):
             Hyperparams(elite_fraction=0.0).validate()

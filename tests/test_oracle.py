@@ -12,6 +12,7 @@ from rbmkit.oracle import (enumerate_states, exact_gradient,
                            finite_diff_loglik_grad, joint_table,
                            mean_log_likelihood, partition_function,
                            run_oracle_checks, state_index, visible_marginal)
+from rbmkit.samplers import gibbs_chain, make_pool
 
 # Golden values for the pinned 2x2 reference model, frozen from the first
 # enumeration run and double-checked below against a plain python loop.
@@ -373,3 +374,61 @@ class TestRunOracleChecks:
         monkeypatch.setattr(oracle, binding, fault(getattr(oracle, binding)))
         verdicts = {r.name: r.ok for r in run_oracle_checks(trials=3, seed=4)}
         assert not verdicts[identity]
+
+
+def loop_stationarity(n_visible, n_hidden, trials, seed):
+    """(visited states, TV) of each of run_oracle_checks' first three
+    trials, each model run alone: its pool built from the trial stream's
+    draws in the suite's order, then 400 one-sweep gibbs_chain calls."""
+    out = []
+    for trial in range(min(trials, 3)):
+        rng = RngStream(seed, 1000 + trial)
+        p = RbmParams(rng.normals((n_visible, n_hidden)), rng.normals((n_visible,)),
+                      rng.normals((n_hidden,)))
+        rng.uniforms((6, n_visible))  # the gradient check's data rows
+        chains = make_pool((rng.uniforms((16, n_visible)) < 0.5).astype(float),
+                           16, seed + trial)
+        noise = chains.noise(p)
+        states, ph = chains.states, None
+        visited = np.empty((400,) + states.shape)
+        for sweep in range(400):
+            states, ph, _ = gibbs_chain(p, states, 1, noise, ph)
+            visited[sweep] = states
+        counts = np.bincount(state_index(visited).ravel(), minlength=2 ** n_visible)
+        out.append((visited, 0.5 * np.abs(counts / counts.sum()
+                                          - visible_marginal(p)).sum()))
+    return out
+
+
+class TestStationarityUnion:
+    @pytest.mark.parametrize("n_visible, n_hidden, trials, seed",
+                             [(3, 3, 25, 0), (6, 2, 3, 8), (4, 5, 4, 3),
+                              (3, 3, 1, 5), (2, 4, 2, 6)])
+    def test_each_trial_visits_and_scores_as_run_alone(
+            self, monkeypatch, n_visible, n_hidden, trials, seed):
+        swept, tvs = [], []
+        chain, score = oracle.gibbs_chain, oracle._stationarity_tvs
+
+        def recording_chain(p, v, k, noise, ph=None):
+            out = chain(p, v, k, noise, ph)
+            swept.append(out[0])
+            return out
+
+        def recording_score(*args):
+            tvs.extend(score(*args))
+            return tvs
+
+        monkeypatch.setattr(oracle, "gibbs_chain", recording_chain)
+        monkeypatch.setattr(oracle, "_stationarity_tvs", recording_score)
+        results = run_oracle_checks(n_visible, n_hidden, trials, seed)
+        alone = loop_stationarity(n_visible, n_hidden, trials, seed)
+
+        visited = np.stack(swept)
+        assert visited.shape == (400, 16, len(alone) * n_visible)
+        assert len(tvs) == len(alone)
+        for t, (states, tv) in enumerate(alone):
+            block = visited[:, :, t * n_visible:(t + 1) * n_visible]
+            assert np.array_equal(block, states), f"trial {t} visits other states"
+            assert tvs[t] == tv, f"trial {t}: TV {tvs[t]!r} != {tv!r}"
+        detail = {r.name: r.detail for r in results}["gibbs_stationarity"]
+        assert detail.startswith(f"worst {max(tv for _, tv in alone):.3e} ")

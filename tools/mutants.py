@@ -1,7 +1,8 @@
 """Mutation check: shows the tier-1 suite fails on each known estimator,
 chain-noise, trainer and classifier fault, on each way of making an
 oracle identity vacuous, on faults in the oracle's blocked finite
-difference and its count of visited states, and on an enumeration that
+difference, its count of visited states and its one chain over the
+union of the stationarity trials' models, and on an enumeration that
 holds a second copy of its table.
 
 Usage, from the repository root:
@@ -107,8 +108,12 @@ MUTANTS = {
         "for s in range(0, len(params) - 1, block)])"),
     "oracle-stationarity-counts-last-sweep": (
         "oracle.py",
-        "np.bincount(state_index(visited).ravel()",
-        "np.bincount(state_index(states).ravel()"),
+        "np.bincount(ids[..., t].ravel()",
+        "np.bincount(ids[-1, ..., t].ravel()"),
+    "oracle-union-scores-every-block-against-first-marginal": (
+        "oracle.py",
+        "tv = 0.5 * np.abs(counts / counts.sum() - marg).sum()",
+        "tv = 0.5 * np.abs(counts / counts.sum() - margs[0]).sum()"),
     "oracle-logsumexp-out-of-place": (
         "oracle.py",
         "    x -= m\n",
