@@ -5,9 +5,9 @@ enumeration oracle for measuring estimator quality on small models."""
 from .core import RngStream, log1p_exp, sigmoid
 from .dataio import (Dataset, NormStats, load_isolet_csv, load_mnist_idx,
                      load_model, minmax_normalize, save_model)
-from .dbn import (DbnModel, FeedforwardNet, classify_free_energy, fine_tune,
-                  one_hot, pretrain_stack, propagate_up,
-                  train_discriminative_rbm, unroll_to_network)
+from .dbn import (DbnModel, FeedforwardNet, classify_free_energy,
+                  classify_net, fine_tune, one_hot, pretrain_stack,
+                  propagate_up, train_discriminative_rbm, unroll_to_network)
 from .errors import (CsvFormatError, DataFormatError, IdxCountMismatchError,
                      IdxMagicError, IdxTruncatedError, ModelFormatError,
                      TrainingDivergedError)

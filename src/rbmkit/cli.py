@@ -14,22 +14,21 @@ import sys
 
 import numpy as np
 
-from . import dbn as dbn_mod
 from .core import RngStream, sigmoid
 from .dataio import (Dataset, atomic_write_text, load_isolet_csv,
                      load_mnist_idx, load_model, minmax_normalize, save_model,
                      write_pgm)
-from .dbn import (DbnModel, classify_free_energy, pretrain_stack,
+from .dbn import (classify_free_energy, pretrain_stack,
                   train_discriminative_rbm)
 from .errors import DataFormatError, TrainingDivergedError
 from .model import (BINARY, GAUSSIAN, Hyperparams, RbmParams, free_energy,
                     hidden_input, visible_probs)
-from .oracle import CheckResult, run_oracle_checks
+from .oracle import run_oracle_checks
 from .samplers import gibbs_chain, make_pool
 from .trainer import (ESTIMATORS, STREAM_SAMPLE, STREAM_SUBSET,
                       metrics_csv_text)
 
-__all__ = ["main", "run_oracle_checks", "CheckResult"]
+__all__ = ["main", "run_oracle_checks"]
 
 
 # ---------------------------------------------------------------- config
@@ -86,10 +85,6 @@ def _hidden_sizes(text: str) -> list:
     return sizes
 
 
-def _str_list(text: str) -> list:
-    return [part.strip() for part in str(text).split(",") if part.strip()]
-
-
 # ---------------------------------------------------------------- datasets
 
 def _subset(ds: Dataset, n, seed: int) -> Dataset:
@@ -121,15 +116,23 @@ def _load_raw(kind: str, images, labels, csv_path) -> Dataset:
     raise DataFormatError(f"unknown data kind {kind!r}")
 
 
-def _load_train_test(args):
-    """Train (and optional test) datasets, subset then min-max normalized
-    with the training statistics applied to the test side."""
-    for option, n in (("--subset", args.subset), ("--test-subset", args.test_subset)):
-        if n is not None and n < 1:
-            raise ValueError(f"{option} must be >= 1, got {n}")
+def _load_train(args) -> Dataset:
+    """The training dataset, subset then min-max normalized."""
+    if args.data is None:
+        raise ValueError("--data is required")
+    if args.subset is not None and args.subset < 1:
+        raise ValueError(f"--subset must be >= 1, got {args.subset}")
     train = _subset(_load_raw(args.data, args.images, args.labels, args.csv),
                     args.subset, args.seed)
-    train = minmax_normalize(train)
+    return minmax_normalize(train)
+
+
+def _load_train_test(args):
+    """compare-samplers' train and (optional) test datasets; the test side
+    is normalized with the training statistics."""
+    if args.test_subset is not None and args.test_subset < 1:
+        raise ValueError(f"--test-subset must be >= 1, got {args.test_subset}")
+    train = _load_train(args)
     test = None
     if args.test_images or args.test_csv:
         test = _subset(_load_raw(args.data, args.test_images, args.test_labels,
@@ -153,7 +156,8 @@ def _hyperparams(args) -> Hyperparams:
 
 def _estimators(args) -> list:
     """--estimator's comma-separated names, each one of ESTIMATORS."""
-    estimators = _str_list(args.estimator)
+    estimators = [part.strip() for part in str(args.estimator).split(",")
+                  if part.strip()]
     if not estimators:
         raise ValueError("--estimator names no estimator")
     for est in estimators:
@@ -174,52 +178,27 @@ _TRAIN_ECHO = ("data", "subset", "hidden", "estimator", "discriminative", "k",
 
 
 def cmd_train_rbm(args) -> int:
-    if args.data is None:
-        raise ValueError("--data is required")
     hidden = _hidden_sizes(args.hidden)
     estimators = _estimators(args)
-    if len(estimators) == 1:
-        estimators = estimators * len(hidden)
-    if len(estimators) != len(hidden):
+    if len(estimators) not in (1, len(hidden)):
         raise ValueError("need one estimator or one per hidden layer")
     hp = _hyperparams(args)
     echo = _config_echo(args, _TRAIN_ECHO)
 
-    train, _ = _load_train_test(args)
-    kind = _visible_kind(args)
-
-    if args.discriminative:
-        if train.labels is None:
-            raise ValueError("--discriminative needs labeled data")
-        if len(hidden) == 1:
-            model, metrics = train_discriminative_rbm(
-                train, hidden[0], hp, estimators[0], args.seed, kind)
-            metric_sets = [metrics]
-        else:
-            sizes = [train.n_features] + hidden[:-1]
-            stack, lower_metrics = pretrain_stack(
-                sizes, train, hp, estimators[:-1], args.seed, kind)
-            feats_up = dbn_mod.propagate_up(stack, train.features,
-                                            stack.n_layers - 1)
-            top, top_metrics = train_discriminative_rbm(
-                Dataset(feats_up, train.labels), hidden[-1], hp,
-                estimators[-1], args.seed + len(hidden) - 1, BINARY)
-            model = DbnModel(stack.layers + [top])
-            metric_sets = lower_metrics + [top_metrics]
-    else:
-        model, metric_sets = pretrain_stack([train.n_features] + hidden, train,
-                                            hp, estimators, args.seed, kind)
-        if len(hidden) == 1:
-            model = model.layers[0]
+    train = _load_train(args)
+    if args.discriminative and train.labels is None:
+        raise ValueError("--discriminative needs labeled data")
+    model, metric_sets = pretrain_stack(
+        [train.n_features] + hidden, train, hp, estimators, args.seed,
+        _visible_kind(args), args.discriminative)
+    if len(hidden) == 1:
+        model = model.layers[0]
 
     save_model(f"{args.out}.model.json", model)
-    if len(metric_sets) == 1:
-        atomic_write_text(f"{args.out}.metrics.csv",
-                          metrics_csv_text(metric_sets[0], echo))
-    else:
-        for i, metrics in enumerate(metric_sets):
-            atomic_write_text(f"{args.out}.layer{i}.metrics.csv",
-                              metrics_csv_text(metrics, echo))
+    names = ([".metrics.csv"] if len(metric_sets) == 1 else
+             [f".layer{i}.metrics.csv" for i in range(len(metric_sets))])
+    for name, metrics in zip(names, metric_sets):
+        atomic_write_text(args.out + name, metrics_csv_text(metrics, echo))
     print(f"wrote {args.out}.model.json")
     return 0
 
@@ -232,8 +211,6 @@ def _test_error(p: RbmParams, test: Dataset) -> float:
 
 
 def cmd_compare_samplers(args) -> int:
-    if args.data is None:
-        raise ValueError("--data is required")
     estimators = _estimators(args)
     if len(set(estimators)) != len(estimators):
         raise ValueError("--estimator names an estimator twice")
@@ -356,6 +333,8 @@ def build_parser():
         p.add_argument("--labels")
         p.add_argument("--csv")
         p.add_argument("--subset", type=int)
+
+    def add_test_data(p):
         p.add_argument("--test-images", dest="test_images")
         p.add_argument("--test-labels", dest="test_labels")
         p.add_argument("--test-csv", dest="test_csv")
@@ -387,6 +366,7 @@ def build_parser():
                            help="train one discriminative RBM per estimator")
     add_common(p_cmp)
     add_data(p_cmp)
+    add_test_data(p_cmp)
     add_training(p_cmp, "compare.csv")
     p_cmp.set_defaults(func=cmd_compare_samplers, discriminative=True,
                        estimator=",".join(ESTIMATORS))

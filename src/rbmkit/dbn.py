@@ -26,7 +26,7 @@ __all__ = [
     "one_hot", "propagate_up", "pretrain_stack",
     "train_discriminative_rbm", "classify_free_energy",
     "unroll_to_network", "net_forward", "cross_entropy", "net_gradients",
-    "fine_tune", "OUTPUT_WEIGHT_SCALE",
+    "fine_tune", "classify_net", "OUTPUT_WEIGHT_SCALE",
 ]
 
 # standard deviation of the output layer unroll_to_network appends
@@ -74,35 +74,58 @@ def one_hot(labels, n_classes: int) -> np.ndarray:
     return out
 
 
-def _feature_hidden_probs(p: RbmParams, x: np.ndarray) -> np.ndarray:
-    """Hidden probabilities driven by the feature block only; a label
-    block, if present, is treated as clamped to zero."""
-    d = p.n_visible - p.label_units
-    return sigmoid(x @ p.w[:d] + p.b)
-
-
 def propagate_up(dbn: DbnModel, v, upto: int) -> np.ndarray:
     """Deterministic upward pass of activation probabilities through
-    layers 0..upto inclusive."""
+    layers 0..upto inclusive, driven by feature units only: a label block
+    is treated as clamped to zero."""
     if not (0 <= upto < dbn.n_layers):
         raise IndexError(f"layer index {upto} out of range")
     x = np.asarray(v, dtype=np.float64)
     for layer in dbn.layers[:upto + 1]:
-        x = _feature_hidden_probs(layer, x)
+        x = sigmoid(x @ layer.w[:layer.n_visible - layer.label_units] + layer.b)
     return x
 
 
+def _label_block(labels) -> np.ndarray:
+    """One-hot rows for integer labels; the block spans classes
+    0..max(labels), at least two of them."""
+    if labels is None:
+        raise ValueError("discriminative training requires labels")
+    labels = np.asarray(labels, dtype=np.int64)
+    if labels.size == 0:
+        raise ValueError("empty dataset")
+    n_classes = int(labels.max()) + 1
+    if n_classes < 2:
+        raise ValueError("need at least two classes")
+    return one_hot(labels, n_classes)
+
+
+def _train_layer(x, n_hidden: int, hp: Hyperparams, estimator: str, seed: int,
+                 visible_kind: str, label_block=None, epoch_callback=None):
+    """One RBM over the rows x, initialized and trained under run seed
+    seed; a label_block is appended to x as the visible layer's label
+    units."""
+    label_units = 0 if label_block is None else label_block.shape[1]
+    if label_units:
+        x = np.hstack([x, label_block])
+    init = init_params(x.shape[1], n_hidden, RngStream(seed, STREAM_INIT),
+                       visible_kind, label_units=label_units)
+    return train_rbm(init, x, hp, estimator, seed, epoch_callback)
+
+
 def pretrain_stack(sizes, data, hp: Hyperparams, estimators, seed: int,
-                   visible_kind: str = BINARY):
+                   visible_kind: str = BINARY, discriminative: bool = False):
     """Greedy layer-wise pretraining; returns (DbnModel, per-layer metrics).
 
     sizes is [input_dim, h1, h2, ...]; every layer trains with hp.
-    estimators gives one estimator name per trained layer (a single name
-    is broadcast to all layers). visible_kind is the bottom layer's unit
-    kind; the layers above it see probabilities and are binary. Layer L
-    trains on the activation probabilities produced by the layers below
-    it, with run seed seed+L so a one-layer stack is identical to a plain
-    train_rbm run.
+    estimators gives one estimator name per trained layer (a single name,
+    alone or in a list, is broadcast to all layers). visible_kind is the
+    bottom layer's unit kind; the layers above it see probabilities and
+    are binary. Layer L trains on the activation probabilities produced
+    by the layers below it, with run seed seed+L, so a one-layer stack is
+    identical to a plain train_rbm run. When discriminative, data must
+    carry labels, and the top layer is the label-augmented RBM that
+    train_discriminative_rbm trains on the rows coming up the stack.
     """
     feats = np.atleast_2d(np.asarray(getattr(data, "features", data), dtype=np.float64))
     n_rbms = len(sizes) - 1
@@ -111,9 +134,13 @@ def pretrain_stack(sizes, data, hp: Hyperparams, estimators, seed: int,
     if feats.shape[1] != sizes[0]:
         raise ValueError(f"data dimension {feats.shape[1]} != sizes[0] {sizes[0]}")
     if isinstance(estimators, str):
-        estimators = [estimators] * n_rbms
+        estimators = [estimators]
+    if len(estimators) == 1:
+        estimators = list(estimators) * n_rbms
     if len(estimators) != n_rbms:
-        raise ValueError("need one estimator per layer")
+        raise ValueError("need one estimator or one per layer")
+    labels = getattr(data, "labels", None)
+    top_block = _label_block(labels) if discriminative else None
 
     layers = []
     all_metrics = []
@@ -121,10 +148,10 @@ def pretrain_stack(sizes, data, hp: Hyperparams, estimators, seed: int,
     for idx in range(n_rbms):
         if idx:
             x = hidden_probs(layers[-1], x)
-        init = init_params(sizes[idx], sizes[idx + 1],
-                           RngStream(seed + idx, STREAM_INIT),
-                           visible_kind if idx == 0 else BINARY)
-        trained, metrics = train_rbm(init, x, hp, estimators[idx], seed + idx)
+        trained, metrics = _train_layer(
+            x, sizes[idx + 1], hp, estimators[idx], seed + idx,
+            visible_kind if idx == 0 else BINARY,
+            top_block if idx == n_rbms - 1 else None)
         layers.append(trained)
         all_metrics.append(metrics)
     return DbnModel(layers), all_metrics
@@ -138,21 +165,10 @@ def train_discriminative_rbm(data, n_hidden: int, hp: Hyperparams,
     Returns (RbmParams with label_units set, metrics). data must carry
     integer labels.
     """
-    labels = getattr(data, "labels", None)
-    if labels is None:
-        raise ValueError("discriminative training requires labels")
+    block = _label_block(getattr(data, "labels", None))
     feats = np.atleast_2d(np.asarray(data.features, dtype=np.float64))
-    labels = np.asarray(labels, dtype=np.int64)
-    if labels.size == 0:
-        raise ValueError("empty dataset")
-    n_classes = int(labels.max()) + 1
-    if n_classes < 2:
-        raise ValueError("need at least two classes")
-    x = np.hstack([feats, one_hot(labels, n_classes)])
-    init = init_params(feats.shape[1] + n_classes, n_hidden,
-                       RngStream(seed, STREAM_INIT), visible_kind,
-                       label_units=n_classes)
-    return train_rbm(init, x, hp, estimator, seed, epoch_callback)
+    return _train_layer(feats, n_hidden, hp, estimator, seed, visible_kind,
+                        block, epoch_callback)
 
 
 def _label_free_energies(p: RbmParams, v: np.ndarray) -> np.ndarray:

@@ -221,7 +221,7 @@ def free_energy(p: RbmParams, v, h_input=None):
     """
     v = _check_visible(p, v)
     if h_input is None:
-        h_input = v @ p.w + p.b
+        h_input = hidden_input(p, v)
     hidden_term = np.sum(log1p_exp(h_input), axis=-1)
     if p.visible_kind == BINARY:
         visible_term = -(v @ p.a)

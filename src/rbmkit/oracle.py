@@ -23,7 +23,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .core import RngStream
+from .core import RngStream, sigmoid
 from .model import (BINARY, GradientStats, RbmParams, batch_stats, free_energy,
                     hidden_probs)
 from .samplers import gibbs_chain, make_pool
@@ -234,7 +234,7 @@ def free_energy_entropy_form(p: RbmParams, v):
         raise ValueError("entropy form applies to binary visible units")
     v = np.asarray(v, dtype=np.float64)
     inputs = v @ p.w + p.b
-    q = hidden_probs(p, v)
+    q = sigmoid(inputs)
 
     def xlogx(x):
         out = np.zeros_like(x)

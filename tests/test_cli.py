@@ -5,10 +5,13 @@ import sys
 import numpy as np
 import pytest
 
-from rbmkit import (RbmParams, RngStream, free_energy, hidden_probs,
-                    load_model, visible_probs)
+from rbmkit import (BINARY, Dataset, Hyperparams, RbmParams, RngStream,
+                    free_energy, hidden_probs, load_mnist_idx, load_model,
+                    minmax_normalize, visible_probs)
 from rbmkit.cli import main, run_oracle_checks
 from rbmkit.dataio import save_model
+from rbmkit.dbn import (DbnModel, pretrain_stack, propagate_up,
+                        train_discriminative_rbm)
 from rbmkit.samplers import (CHAIN_STREAM_BASE, gibbs_chain, make_pool,
                              select_elite)
 from rbmkit.trainer import STREAM_SAMPLE, read_metrics_csv
@@ -90,6 +93,39 @@ class TestTrainRbmCommand:
         assert os.path.exists(f"{out}.layer0.metrics.csv")
         assert os.path.exists(f"{out}.layer1.metrics.csv")
 
+    @pytest.mark.parametrize("hidden, estimator", [("6,4", "cd"),
+                                                   ("7,5,4", "cd,pcd,fepcd")])
+    def test_discriminative_stack_equals_explicit_composition(
+            self, idx_pair, tmp_path, hidden, estimator):
+        # generative layers below, then a label-augmented binary top layer
+        # trained on their activation probabilities with run seed seed+L
+        out = str(tmp_path / "dbn")
+        assert main(train_args(idx_pair, out, ["--hidden", hidden,
+                                               "--discriminative",
+                                               "--estimator", estimator])) == 0
+        sizes = [int(n) for n in hidden.split(",")]
+        ests = estimator.split(",")
+        ests = ests * len(sizes) if len(ests) == 1 else ests
+        train = minmax_normalize(load_mnist_idx(*idx_pair))
+        hp, seed = Hyperparams(epsilon=0.05, batch_size=8, epochs=3), 7
+        stack, metric_sets = pretrain_stack([train.n_features] + sizes[:-1],
+                                            train, hp, ests[:-1], seed)
+        up = propagate_up(stack, train.features, stack.n_layers - 1)
+        top, top_metrics = train_discriminative_rbm(
+            Dataset(up, train.labels), sizes[-1], hp, ests[-1],
+            seed + len(sizes) - 1, BINARY)
+        expected = str(tmp_path / "expected.model.json")
+        save_model(expected, DbnModel(stack.layers + [top]))
+        with open(f"{out}.model.json", "rb") as got, open(expected, "rb") as want:
+            assert got.read() == want.read()
+
+        def unclocked(rows):
+            return [(r.epoch, r.recon_error, r.mean_free_energy, r.estimator,
+                     r.seed) for r in rows]
+        for i, metrics in enumerate(metric_sets + [top_metrics]):
+            assert unclocked(read_metrics_csv(f"{out}.layer{i}.metrics.csv")) \
+                == unclocked(metrics), f"layer {i}"
+
     def test_config_file_with_flag_override(self, idx_pair, tmp_path):
         images, labels = idx_pair
         cfg = tmp_path / "run.cfg"
@@ -119,15 +155,12 @@ class TestTrainRbmCommand:
         assert metric_rows[0] == metric_rows[1] == metric_rows[2]
 
     @pytest.mark.parametrize("option, value", [
-        ("--subset", "-5"), ("--test-subset", "0"), ("--hidden", "0"),
+        ("--subset", "-5"), ("--hidden", "0"),
         ("--hidden", "8,-3"), ("--hidden", "8,x"), ("--lr", "nan")])
     def test_bad_size_exits_2_naming_the_option(self, idx_pair, tmp_path,
                                                 capsys, option, value):
-        images, labels = idx_pair
         out = str(tmp_path / "run")
-        code = main(train_args(idx_pair, out, ["--test-images", images,
-                                               "--test-labels", labels,
-                                               option, value]))
+        code = main(train_args(idx_pair, out, [option, value]))
         assert code == 2
         err = capsys.readouterr().err
         assert err.startswith("error:") and option in err
@@ -226,13 +259,14 @@ class TestCompareSamplersCommand:
                       for est, clocks in by_est.items()}
         print(f"mean epoch seconds: {mean_epoch}")
 
-    def compare(self, idx_pair, out, estimator):
+    def compare(self, idx_pair, out, estimator, extra=()):
         images, labels = idx_pair
         return main(["compare-samplers", "--data", "mnist",
                      "--images", images, "--labels", labels,
                      "--test-images", images, "--test-labels", labels,
                      "--hidden", "6", "--epochs", "3", "--batch", "8",
-                     "--seed", "1", "--estimator", estimator, "--out", out])
+                     "--seed", "1", "--estimator", estimator, "--out", out,
+                     *extra])
 
     def test_estimator_selects_the_rows(self, idx_pair, tmp_path):
         out = str(tmp_path / "compare.csv")
@@ -265,6 +299,15 @@ class TestCompareSamplersCommand:
                      "--out", str(out)]) == 2
         err = capsys.readouterr().err
         assert err.startswith("error:") and "class 2" in err
+        assert not out.exists()
+
+    def test_bad_test_subset_exits_2_naming_the_option(self, idx_pair,
+                                                       tmp_path, capsys):
+        out = tmp_path / "compare.csv"
+        assert self.compare(idx_pair, str(out), "cd",
+                            ["--test-subset", "0"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "--test-subset" in err
         assert not out.exists()
 
     @pytest.mark.parametrize("estimator", ["bogus", "cd,bogus", "pcd,pcd", ","])
@@ -404,7 +447,7 @@ def resolve(monkeypatch):
     def stop(args):
         raise _Resolved(args)
 
-    monkeypatch.setattr(cli, "_load_train_test", stop)
+    monkeypatch.setattr(cli, "_load_train", stop)
 
     def run(argv):
         with pytest.raises(_Resolved) as info:
@@ -429,10 +472,12 @@ def oracle_call(monkeypatch):
 
 # Built-in defaults as the README's CLI section documents them.
 TRAIN_DEFAULTS = dict(
-    images=None, labels=None, csv=None, subset=None, test_images=None,
-    test_labels=None, test_csv=None, test_subset=None, hidden="32",
+    images=None, labels=None, csv=None, subset=None, hidden="32",
     estimator="cd", k=1, chains=None, elite_fraction=0.5, epochs=10,
     batch=20, lr=0.05, momentum=0.0, decay=0.0, seed=0)
+# compare-samplers alone reads a test set
+TEST_DEFAULTS = dict(test_images=None, test_labels=None, test_csv=None,
+                     test_subset=None)
 
 
 def write_config(tmp_path, text):
@@ -446,12 +491,14 @@ class TestOptionResolution:
         args = resolve(["train-rbm", "--data", "mnist"])
         for key, value in TRAIN_DEFAULTS.items():
             assert getattr(args, key) == value, key
+        assert not any(hasattr(args, key) for key in TEST_DEFAULTS)
         assert args.discriminative is False
         assert args.out == "run"
 
     def test_compare_samplers_defaults(self, resolve):
         args = resolve(["compare-samplers", "--data", "mnist"])
-        for key, value in dict(TRAIN_DEFAULTS, estimator="cd,pcd,fepcd").items():
+        for key, value in dict(TRAIN_DEFAULTS, **TEST_DEFAULTS,
+                               estimator="cd,pcd,fepcd").items():
             assert getattr(args, key) == value, key
         assert args.discriminative is True
         assert args.out == "compare.csv"
@@ -474,11 +521,14 @@ class TestOptionResolution:
         cfg = write_config(tmp_path, "data=mnist\nsubset=20\nchains=4\n"
                                      "test-subset=7\nelite_fraction=0.25\n")
         args = resolve(["train-rbm", "--config", cfg])
-        assert (args.subset, args.chains, args.test_subset) == (20, 4, 7)
-        assert all(type(v) is int
-                   for v in (args.subset, args.chains, args.test_subset))
+        assert (args.subset, args.chains) == (20, 4)
+        assert all(type(v) is int for v in (args.subset, args.chains))
         assert args.elite_fraction == 0.25
         assert type(args.elite_fraction) is float
+        # test-subset names no train-rbm option; compare-samplers reads it
+        assert not hasattr(args, "test_subset")
+        test_subset = resolve(["compare-samplers", "--config", cfg]).test_subset
+        assert test_subset == 7 and type(test_subset) is int
 
     @pytest.mark.parametrize("text, expected", [
         ("false", False), ("true", True), ("1", True), ("YES", True),
@@ -522,6 +572,13 @@ class TestOptionResolution:
     def test_threads_flag_refused(self, command):
         with pytest.raises(SystemExit) as info:
             main([command, "--threads", "4"])
+        assert info.value.code == 2
+
+    @pytest.mark.parametrize("option", ["--test-images", "--test-labels",
+                                        "--test-csv", "--test-subset"])
+    def test_train_rbm_refuses_test_inputs(self, option):
+        with pytest.raises(SystemExit) as info:
+            main(["train-rbm", "--data", "mnist", option, "1"])
         assert info.value.code == 2
 
     def test_foreign_keys_ignored(self, resolve, tmp_path):

@@ -129,6 +129,50 @@ class TestPretrainStack:
         for la, lb in zip(a.layers, b.layers):
             assert np.array_equal(la.w, lb.w)
 
+    def test_one_estimator_in_a_list_is_broadcast(self):
+        data = (RngStream(13, 6).uniforms((8, 3)) < 0.5).astype(float)
+        hp = Hyperparams(epsilon=0.3, batch_size=4, epochs=2)
+        a, _ = pretrain_stack([3, 3, 2], data, hp, ["pcd"], seed=13)
+        b, _ = pretrain_stack([3, 3, 2], data, hp, "pcd", seed=13)
+        for la, lb in zip(a.layers, b.layers):
+            assert np.array_equal(la.w, lb.w)
+        with pytest.raises(ValueError, match="one estimator"):
+            pretrain_stack([3, 3, 2], data, hp, ["cd", "pcd", "cd"], seed=13)
+
+    @pytest.mark.parametrize("kind", [BINARY, GAUSSIAN])
+    def test_one_layer_discriminative_stack_is_train_discriminative_rbm(self, kind):
+        data = Dataset(TOY_FEATURES, TOY_LABELS)
+        hp = Hyperparams(epsilon=0.1, batch_size=4, epochs=3)
+        stack, metrics = pretrain_stack([4, 3], data, hp, ["pcd"], seed=5,
+                                        visible_kind=kind, discriminative=True)
+        direct, direct_metrics = train_discriminative_rbm(data, 3, hp, "pcd",
+                                                          5, kind)
+        top = stack.layers[0]
+        assert (top.label_units, top.visible_kind) == (2, kind)
+        for name in ("w", "a", "b"):
+            assert np.array_equal(getattr(top, name), getattr(direct, name))
+        assert [(m.recon_error, m.seed) for m in metrics[0]] == \
+               [(m.recon_error, m.seed) for m in direct_metrics]
+
+    def test_discriminative_stack_labels_only_the_top_layer(self):
+        data = Dataset(TOY_FEATURES, TOY_LABELS)
+        hp = Hyperparams(epsilon=0.1, batch_size=4, epochs=1)
+        stack, _ = pretrain_stack([4, 3, 2], data, hp, "cd", seed=5,
+                                  visible_kind=GAUSSIAN, discriminative=True)
+        assert [(layer.visible_kind, layer.label_units)
+                for layer in stack.layers] == [(GAUSSIAN, 0), (BINARY, 2)]
+        assert stack.top_label_units == 2
+
+    @pytest.mark.parametrize("labels, message", [
+        (None, "requires labels"), (np.zeros(8, int), "two classes")])
+    def test_discriminative_stack_checks_labels_before_training(
+            self, monkeypatch, labels, message):
+        import rbmkit.dbn
+        monkeypatch.setattr(rbmkit.dbn, "train_rbm", None)  # any call fails
+        with pytest.raises(ValueError, match=message):
+            pretrain_stack([4, 3, 2], Dataset(TOY_FEATURES, labels),
+                           Hyperparams(), "cd", seed=0, discriminative=True)
+
 
 class TestDiscriminativeRbm:
     def test_separable_toy_reaches_high_accuracy(self):

@@ -1,9 +1,10 @@
 """Mutation check: shows the tier-1 suite fails on each known estimator,
-chain-noise, trainer and classifier fault, on each way of making an
-oracle identity vacuous, on faults in the oracle's blocked finite
-difference, its count of visited states and its one chain over the
-union of the stationarity trials' models, and on an enumeration that
-holds a second copy of its table.
+chain-noise, trainer and classifier fault, on a discriminative stack's
+labelled top layer trained with the bottom layer's unit kind or seed, on
+each way of making an oracle identity vacuous, on faults in the oracle's
+blocked finite difference, its count of visited states and its one chain
+over the union of the stationarity trials' models, and on an enumeration
+that holds a second copy of its table.
 
 Usage, from the repository root:
 
@@ -78,6 +79,15 @@ MUTANTS = {
         "dbn.py",
         "visible_term = feature_term + 0.5 * np.sum((eye[c] - p.a[d:]) ** 2)",
         "visible_term = feature_term - 0.5 * np.sum((eye[c] - p.a[d:]) ** 2)"),
+    "labelled-top-layer-bottom-visible-kind": (
+        "dbn.py",
+        "visible_kind if idx == 0 else BINARY,",
+        "visible_kind if idx == 0 or top_block is not None and idx == n_rbms - 1 "
+        "else BINARY,"),
+    "labelled-top-layer-seed-without-idx": (
+        "dbn.py",
+        "seed + idx,",
+        "seed + (0 if top_block is not None and idx == n_rbms - 1 else idx),"),
     "oracle-tv-forced-zero": (
         "oracle.py",
         "tv = 0.5 * np.abs(counts / counts.sum() - marg).sum()",
