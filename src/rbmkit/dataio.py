@@ -175,7 +175,8 @@ def minmax_normalize(ds: Dataset, stats: NormStats | None = None) -> Dataset:
         stats = NormStats(ds.features.min(axis=0), ds.features.max(axis=0))
     span = stats.col_max - stats.col_min
     safe = np.where(span > 0, span, 1.0)
-    scaled = (ds.features - stats.col_min) / safe
+    scaled = ds.features - stats.col_min
+    scaled /= safe
     scaled[:, span == 0] = 0.0
     if not fresh:
         np.clip(scaled, 0.0, 1.0, out=scaled)
@@ -212,6 +213,8 @@ def _floats_in(values, shape, what: str) -> np.ndarray:
     expected = math.prod(shape)
     if not isinstance(values, list) or len(values) != expected:
         raise ModelFormatError(f"{what}: expected {expected} values")
+    if any(type(x) is bool for x in values):  # float(True) would read 1.0
+        raise ModelFormatError(f"{what}: booleans are not numbers")
     try:
         arr = np.array([float(x) for x in values]).reshape(shape)
     except (TypeError, ValueError, OverflowError):

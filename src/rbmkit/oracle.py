@@ -13,10 +13,13 @@ All sums run in log space (log-sum-exp); numpy's pairwise summation keeps
 results summation-order-robust well below the 1e-10 tolerances used by
 the identity checks.
 
-An enumeration holds one 2^(n_visible + n_hidden) table at a time: the
-bias terms are added into the product's buffer, and the log-sum-exp
-shifts and exponentiates that same buffer. So on a 12x8 model (8 MiB a
-table) each public function peaks near one table.
+An enumeration builds its 2^(n_visible + n_hidden) table a block of
+visible rows at a time, each block at most ENUM_BLOCK_BYTES of one
+model's table, and reduces each block before it builds the next: the bias
+terms are added into the product's buffer, and the log-sum-exp shifts and
+exponentiates that same buffer. So on a 12x8 model (8 MiB a table) every
+public function but joint_table, whose output is the table, peaks near
+one 1 MiB block.
 """
 
 from __future__ import annotations
@@ -30,18 +33,31 @@ from .samplers import gibbs_chain, make_pool
 
 MAX_ENUM_UNITS = 20
 
+# Bytes of one model's energy table that an enumeration holds at a time:
+# tables are built and reduced a block of visible rows at a time, as many
+# rows as this budget holds (at least one, so a row of more than 2^17
+# hidden states is a block of its own). At 1 MiB a block fits a core's L2
+# cache (2 MiB on the 2-vCPU Xeon measured). Against the whole table,
+# partition_function at 12x8, 10x10, 14x6 and 8x12 took 0.82-1.04x the
+# time (alternating runs, median of 40 each) and its traced peak at 12x8
+# fell from 8.6 to 1.1 MiB. The log-sum-exp of a single block's value is
+# that value exactly, so a table that fits one block gives the bits it
+# gave before blocking.
+ENUM_BLOCK_BYTES = 2 ** 20
+
 # Bytes of energy tables that finite_diff_loglik_grad lets one block of
-# stacked perturbed models hold; a model holds one table at a time, so
-# this bounds the block's working set. Small models gain from sharing
-# numpy calls: against one model a block, 3x3 (30 models, one block) went
+# stacked perturbed models hold; a model holds one row block of a table at
+# a time (see ENUM_BLOCK_BYTES), so this bounds the block's working set.
+# Small models gain from sharing numpy calls: against one model a block, 3x3 (30 models, one block) went
 # from 3.2 to 0.2 ms and 6x6 from 13 to 5 ms. Blocks that outgrow a
 # core's L2 cache lose (2 MiB per core on the 2-vCPU Xeon measured, one
 # BLAS thread): at an 8 MiB budget 8x6 and 8x8 ran 1.5-2x slower than one
 # model at a time. Re-measured with one table per model over budgets of
 # 256 KiB to 4 MiB, 1 MiB was within noise of the best at every size from
-# 3x3 to 10x8, and 256 KiB ran 6x6 1.3x and 8x6 2x slower. From 8x8 up each
-# model is its own block, so the traced peak stays near one model's table
-# (about 2 MiB at 10x8, where stacking all 196 models would take 400 MB).
+# 3x3 to 10x8, and 256 KiB ran 6x6 1.3x and 8x6 2x slower. From 10x8 up
+# one model's row block fills the budget, so each model is its own block
+# and the traced peak stays near one row block (1.3 MiB at 10x8, where
+# stacking all 196 models would take 400 MB).
 FD_BLOCK_BYTES = 2 ** 20
 
 # finite_diff_loglik_grad's central-difference step on every parameter
@@ -49,6 +65,7 @@ FD_STEP = 1e-5
 
 __all__ = [
     "MAX_ENUM_UNITS",
+    "ENUM_BLOCK_BYTES",
     "FD_BLOCK_BYTES",
     "FD_STEP",
     "enumerate_states",
@@ -96,7 +113,12 @@ def enumerate_states(n_units: int) -> np.ndarray:
     """
     if n_units > MAX_ENUM_UNITS:
         raise ValueError(f"refusing to enumerate 2^{n_units} states")
-    ids = np.arange(2 ** n_units, dtype=np.int64)
+    return _states(0, 2 ** n_units, n_units)
+
+
+def _states(start: int, stop: int, n_units: int) -> np.ndarray:
+    """Rows start to stop - 1 of enumerate_states(n_units)."""
+    ids = np.arange(start, stop, dtype=np.int64)
     shifts = np.arange(n_units - 1, -1, -1)
     return ((ids[:, None] >> shifts) & 1).astype(np.float64)
 
@@ -110,34 +132,75 @@ def state_index(v):
     return int(ids) if ids.ndim == 0 else ids
 
 
-def _neg_energy_tables(w, a, b, rows) -> np.ndarray:
+def _neg_energy_tables(w, a, b, rows, H) -> np.ndarray:
     """-E(v, h) of K stacked models, w (K, n_v, n_h), a (K, n_v) and
-    b (K, n_h), for each of the rows against every hidden state: an array
-    of shape (K, len(rows), 2^n_h).
+    b (K, n_h), for each of the rows against every hidden state, H being
+    enumerate_states(n_h): an array of shape (K, len(rows), 2^n_h).
 
     matmul runs one BLAS call per model, so each slice is bit-identical to
     the single-model table. The bias terms are matrix-vector products for
     the same reason; one matrix product across the models would sum them
     in another order. They are added into the product's own buffer.
     """
-    H = enumerate_states(w.shape[-1])
     table = rows @ w @ H.T
     table += rows @ a[:, :, None]
     table += (H @ b[:, :, None]).transpose(0, 2, 1)
     return table
 
 
-def _neg_energy_table(p: RbmParams, rows=None) -> np.ndarray:
-    """-E(v, h) for each visible row (by default every visible state, the
-    full joint grid) against every hidden state."""
-    V = enumerate_states(p.n_visible) if rows is None else rows
-    return _neg_energy_tables(p.w[None], p.a[None], p.b[None], V)[0]
+def _stack(p: RbmParams):
+    """(w, a, b) of p as a stack of one model."""
+    return p.w[None], p.a[None], p.b[None]
+
+
+def _block_rows(n_hidden: int) -> int:
+    """Visible rows in one block of a table: as many as ENUM_BLOCK_BYTES
+    of float64 entries hold, 2^n_hidden a row, and at least one."""
+    return max(1, ENUM_BLOCK_BYTES // (8 * 2 ** n_hidden))
+
+
+def _by_block(w, a, b, reduce, rows=None) -> list:
+    """reduce(block_rows, table) of each block of the rows in order, where
+    table is the block's -E table (see _neg_energy_tables) and each holds
+    _block_rows(n_hidden) of the rows (by default every visible state,
+    built a block at a time). reduce may consume its table, and only one
+    block's table is alive at a time."""
+    n_v, n_h = w.shape[1:]
+    n_rows = 2 ** n_v if rows is None else len(rows)
+    step = _block_rows(n_h)
+    H = enumerate_states(n_h)
+    out = []
+    for start in range(0, n_rows, step):
+        stop = min(start + step, n_rows)
+        block = _states(start, stop, n_v) if rows is None else rows[start:stop]
+        out.append(reduce(block, _neg_energy_tables(w, a, b, block, H)))
+    return out
+
+
+def _log_partitions(w, a, b) -> np.ndarray:
+    """log Z of each of K stacked models: the log-sum-exp of each block's
+    log-sum-exp, shape (K,). A lone block's value is log Z as it stands;
+    the log-sum-exp would return it unchanged, but its five numpy calls
+    would add about 40% to a 3x3 partition_function and 5% to
+    oracle-check at its defaults."""
+    k = len(w)
+    per_block = _by_block(w, a, b, lambda _, t: _logsumexp(t.reshape(k, -1), axis=1))
+    if len(per_block) == 1:
+        return per_block[0]
+    return _logsumexp(np.stack(per_block, axis=1), axis=1)
+
+
+def _log_unnormalized(w, a, b, rows=None) -> np.ndarray:
+    """log sum_h exp(-E(v, h)) of K stacked models for each of the rows (by
+    default every visible state), shape (K, rows)."""
+    return np.concatenate(_by_block(w, a, b, lambda _, t: _logsumexp(t, axis=2), rows),
+                          axis=1)
 
 
 def partition_function(p: RbmParams) -> float:
     """log Z = log sum over all joint states of exp(-E(v, h))."""
     _check_enumerable(p)
-    return float(_logsumexp(_neg_energy_table(p)))
+    return float(_log_partitions(*_stack(p))[0])
 
 
 def visible_marginal(p: RbmParams) -> np.ndarray:
@@ -148,16 +211,18 @@ def visible_marginal(p: RbmParams) -> np.ndarray:
     1 only if log Z is right.
     """
     _check_enumerable(p)
-    log_pv = _logsumexp(_neg_energy_table(p), axis=1)
+    log_pv = _log_unnormalized(*_stack(p))[0]
     return np.exp(log_pv - partition_function(p))
 
 
 def joint_table(p: RbmParams) -> np.ndarray:
-    """P(v, h) over the full joint grid, visible rows x hidden columns."""
+    """P(v, h) over the full joint grid, visible rows x hidden columns.
+
+    The one enumeration that holds a whole table, as it is the output."""
     _check_enumerable(p)
-    # _logsumexp consumes its table, so build a second one to normalize
-    log_z = _logsumexp(_neg_energy_table(p))
-    joint = _neg_energy_table(p)
+    log_z = partition_function(p)
+    joint = _neg_energy_tables(*_stack(p), enumerate_states(p.n_visible),
+                               enumerate_states(p.n_hidden))[0]
     joint -= log_z
     return np.exp(joint, out=joint)
 
@@ -183,20 +248,26 @@ def exact_gradient(p: RbmParams, data: np.ndarray):
     negative half sums v_i h_j, v_i, h_j over the entire joint
     distribution. Their difference is the exact gradient of the mean data
     log-likelihood.
+
+    The negative sums run a block of visible rows at a time, each block's
+    P(v, h) normalized in its table's buffer, so the joint table is never
+    held whole.
     """
     _check_enumerable(p)
     data = _binary_rows(p, data)
     pos = batch_stats(data, hidden_probs(p, data))
 
-    P = joint_table(p)
-    V = enumerate_states(p.n_visible)
+    log_z = partition_function(p)
     H = enumerate_states(p.n_hidden)
-    neg = GradientStats(
-        vh=V.T @ P @ H,
-        v=P.sum(axis=1) @ V,
-        h=P.sum(axis=0) @ H,
-        count=P.size,
-    )
+
+    def block_sums(V, table):
+        P = table[0]
+        P -= log_z
+        np.exp(P, out=P)
+        return V.T @ P @ H, P.sum(axis=1) @ V, P.sum(axis=0) @ H
+
+    vh, v, h = (sum(parts) for parts in zip(*_by_block(*_stack(p), block_sums)))
+    neg = GradientStats(vh=vh, v=v, h=h, count=2 ** (p.n_visible + p.n_hidden))
     return pos, neg
 
 
@@ -204,20 +275,17 @@ def mean_log_likelihood(p: RbmParams, data: np.ndarray) -> float:
     """Mean of log P(v) over dataset rows, by full enumeration."""
     _check_enumerable(p)
     data = _binary_rows(p, data)
-    # log sum_h exp(-E(v, h)) for each data row, then subtract log Z
-    log_unnorm = _logsumexp(_neg_energy_table(p, data), axis=1)
-    log_pv = log_unnorm - partition_function(p)
+    log_pv = _log_unnormalized(*_stack(p), data)[0] - partition_function(p)
     return float(np.mean(log_pv))
 
 
 def _mean_log_likelihoods(w, a, b, data) -> np.ndarray:
     """mean_log_likelihood of each of K stacked models (see
-    _neg_energy_tables), each bit-identical to the one-model call. Log Z
-    comes from the stacked tables, not through partition_function."""
-    V = enumerate_states(w.shape[1])
-    log_z = _logsumexp(_neg_energy_tables(w, a, b, V).reshape(len(w), -1), axis=1)
-    log_unnorm = _logsumexp(_neg_energy_tables(w, a, b, data), axis=2)
-    return np.mean(log_unnorm - log_z[:, None], axis=1)
+    _neg_energy_tables), each bit-identical to the one-model call, as both
+    split the rows into the same blocks. Log Z comes from the stacked
+    tables, not through partition_function."""
+    log_unnorm = _log_unnormalized(w, a, b, data)
+    return np.mean(log_unnorm - _log_partitions(w, a, b)[:, None], axis=1)
 
 
 def free_energy_entropy_form(p: RbmParams, v):
@@ -271,8 +339,8 @@ def finite_diff_loglik_grad(p: RbmParams, data: np.ndarray) -> dict:
     W = params[:, :n_v * n_h].reshape(-1, n_v, n_h)
     A, B = params[:, n_v * n_h:-n_h], params[:, -n_h:]
 
-    # per model: one float64 table, shifted and exponentiated in place
-    model_bytes = 8 * (len(data) + 2 ** n_v) * 2 ** n_h
+    # per model: one row block of a float64 table, reduced in place
+    model_bytes = 8 * min(_block_rows(n_h), max(len(data), 2 ** n_v)) * 2 ** n_h
     block = max(1, FD_BLOCK_BYTES // model_bytes)
     loglik = np.concatenate([
         _mean_log_likelihoods(W[s:s + block], A[s:s + block], B[s:s + block], data)
@@ -323,6 +391,8 @@ def _stationarity_tvs(models, pools, margs, sweeps: int) -> list:
     of the union is one sweep of every model, and its noise() concatenates
     each pool's own per-sweep draws, so every chain sees exactly the draws
     it would see run alone. One gibbs_chain call a sweep serves them all.
+    A lone model takes its pool's draws as they come, with nothing to
+    concatenate.
     """
     n_v, n_h = models[0].n_visible, models[0].n_hidden
     w = np.zeros((len(models) * n_v, len(models) * n_h))
@@ -332,9 +402,11 @@ def _stationarity_tvs(models, pools, margs, sweeps: int) -> list:
                       np.concatenate([p.b for p in models]))
     draws = [pool.noise(p) for p, pool in zip(models, pools)]
 
-    def noise():
+    def union_noise():
         u_h, e_v = zip(*(draw() for draw in draws))
         return np.concatenate(u_h, axis=1), np.concatenate(e_v, axis=1)
+
+    noise = draws[0] if len(draws) == 1 else union_noise
 
     states = np.concatenate([pool.states for pool in pools], axis=1)
     ph = None
@@ -389,7 +461,7 @@ def run_oracle_checks(n_visible: int = 3, n_hidden: int = 3, trials: int = 25,
         marg = visible_marginal(p)
         note("marginal_normalization", abs(marg.sum() - 1.0))
 
-        brute_f = -_logsumexp(_neg_energy_table(p), axis=1)
+        brute_f = -_log_unnormalized(*_stack(p))[0]
         note("free_energy_marginalization", np.abs(free_energy(p, V) - brute_f))
         note("free_energy_two_forms",
              np.abs(free_energy_entropy_form(p, V) - free_energy(p, V)))

@@ -149,6 +149,26 @@ class TestMinmaxNormalize:
                                 train.normalization)
         np.testing.assert_array_equal(test.features, [[1.0], [0.0]])
 
+    @pytest.mark.parametrize("reuse", [False, True], ids=["fresh", "reused-stats"])
+    def test_bits_of_the_plain_formula_and_input_untouched(self, reuse):
+        from rbmkit import NormStats
+        rng = np.random.default_rng(3)
+        features = rng.uniform(-5, 300, size=(50, 6))
+        features[:, 2] = 4.0  # a constant column
+        before = features.copy()
+        stats = NormStats(features.min(axis=0) + 1.0, features.max(axis=0) - 2.0) \
+            if reuse else None
+        ds = Dataset(features)
+        got = minmax_normalize(ds, stats)
+        s = stats or got.normalization
+        span = s.col_max - s.col_min
+        want = (before - s.col_min) / np.where(span > 0, span, 1.0)
+        want[:, span == 0] = 0.0
+        if reuse:
+            want = np.clip(want, 0.0, 1.0)
+        assert np.array_equal(got.features, want)
+        assert np.array_equal(ds.features, before)
+
     def test_idempotent_with_reused_stats(self):
         from rbmkit import NormStats
         rng = np.random.default_rng(0)
@@ -243,6 +263,19 @@ class TestModelJson:
         path.write_text(json.dumps(doc))
         with pytest.raises(ModelFormatError, match=f"{field} must be an integer"):
             load_model(path)
+
+    @pytest.mark.parametrize("kind, field, index", [
+        ("rbm", "weights", 0), ("rbm", "weights", 3), ("rbm", "visible_bias", 1),
+        ("rbm", "hidden_bias", 0), ("dbn", "weights", 2)])
+    def test_boolean_parameter_names_the_field(self, tmp_path, kind, field, index):
+        doc = json.loads(RBM_JSON if kind == "rbm" else DBN_JSON)
+        layer = doc if kind == "rbm" else doc["layers"][1]
+        for value in (True, False):
+            layer[field][index] = value
+            path = tmp_path / "model.json"
+            path.write_text(json.dumps(doc))
+            with pytest.raises(ModelFormatError, match=f"{field}: booleans"):
+                load_model(path)
 
     def test_unknown_kind_rejected(self, tmp_path):
         path = tmp_path / "model.json"

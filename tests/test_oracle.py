@@ -298,23 +298,113 @@ class TestJointTable:
                 assert table[s, t] == pytest.approx(expected, abs=1e-12)
 
 
+def traced_peak(fn, *args) -> int:
+    tracemalloc.start()
+    try:
+        fn(*args)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def oracle_args(name, p, data):
+    return (p, data) if name in ("mean_log_likelihood", "exact_gradient") else (p,)
+
+
 class TestOneTableAtATime:
-    # A 12x8 joint table is 2^20 float64 entries (8 MiB). Holding a shifted
-    # copy or its exp beside it would put the peak at 16-24 MiB.
+    # A 12x8 joint table is 2^20 float64 entries (8 MiB), built and reduced
+    # a 1 MiB block of visible rows at a time.
+    @pytest.mark.parametrize("name, n_visible, n_hidden, rows", [
+        ("partition_function", 12, 8, 6), ("visible_marginal", 12, 8, 6),
+        ("mean_log_likelihood", 12, 8, 6), ("exact_gradient", 12, 8, 6),
+        ("mean_log_likelihood", 8, 12, 400)])
+    def test_traced_peak_is_about_one_block(self, name, n_visible, n_hidden, rows):
+        # 8x12 with 400 rows: the data rows' table alone is 13 MiB
+        p, data = seeded_case(n_visible, n_hidden, rows=rows)
+        peak = traced_peak(getattr(oracle, name), *oracle_args(name, p, data))
+        assert peak <= 2.5 * 2 ** 20, f"traced peak {peak / 2 ** 20:.2f} MiB"
+
+    # With the whole table one block, holding a shifted copy or its exp
+    # beside it would put the peak at 16-24 MiB. joint_table, whose output
+    # is the table, peaks near one table at any block size.
     @pytest.mark.parametrize("name", ["partition_function", "visible_marginal",
                                       "mean_log_likelihood", "joint_table",
                                       "exact_gradient"])
-    def test_traced_peak_is_about_one_table(self, name):
+    def test_traced_peak_is_about_one_table(self, monkeypatch, name):
         p, data = seeded_case(12, 8, rows=6)
-        fn = getattr(oracle, name)
-        args = (p, data) if name in ("mean_log_likelihood", "exact_gradient") else (p,)
-        tracemalloc.start()
-        try:
-            fn(*args)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
+        monkeypatch.setattr(oracle, "ENUM_BLOCK_BYTES", 2 ** 23)
+        peak = traced_peak(getattr(oracle, name), *oracle_args(name, p, data))
         assert peak <= 10 * 2 ** 20, f"traced peak {peak / 2 ** 20:.1f} MiB"
+
+
+def flat_logsumexp(x, axis=None):
+    m = np.max(x, axis=axis, keepdims=True)
+    out = m.squeeze(axis) if axis is not None else m.reshape(())
+    return out + np.log(np.sum(np.exp(x - m), axis=axis))
+
+
+def flat_oracle(p, data):
+    """(log Z, P(v), mean log-likelihood, negative vh, v and h sums), each
+    reduced over the whole table at once: the enumeration before it was
+    blocked."""
+    V, H = enumerate_states(p.n_visible), enumerate_states(p.n_hidden)
+    table = oracle._neg_energy_tables(p.w[None], p.a[None], p.b[None], V, H)[0]
+    log_z = flat_logsumexp(table)
+    marg = np.exp(flat_logsumexp(table, axis=1) - log_z)
+    data_table = oracle._neg_energy_tables(p.w[None], p.a[None], p.b[None], data, H)[0]
+    mll = np.mean(flat_logsumexp(data_table, axis=1) - log_z)
+    P = np.exp(table - log_z)
+    return (log_z, marg, mll, V.T @ P @ H, P.sum(axis=1) @ V, P.sum(axis=0) @ H)
+
+
+def blocked_oracle(p, data):
+    """flat_oracle's values as the module computes them."""
+    _, neg = exact_gradient(p, data)
+    return (partition_function(p), visible_marginal(p), mean_log_likelihood(p, data),
+            neg.vh, neg.v, neg.h)
+
+
+ORACLE_VALUES = ["log_z", "marginal", "mean_loglik", "neg_vh", "neg_v", "neg_h"]
+ENUM_SIZES = [(3, 3), (4, 5), (6, 2), (8, 6)]
+
+
+class TestBlockedEnumeration:
+    @pytest.mark.parametrize("n_visible, n_hidden", ENUM_SIZES)
+    def test_one_block_gives_the_flat_bits(self, n_visible, n_hidden):
+        p, data = seeded_case(n_visible, n_hidden)
+        assert oracle._block_rows(n_hidden) >= 2 ** n_visible
+        for name, got, want in zip(ORACLE_VALUES, blocked_oracle(p, data),
+                                   flat_oracle(p, data)):
+            assert np.array_equal(got, want), name
+
+    # rows of table a block holds; 3 leaves a short last block
+    @pytest.mark.parametrize("rows", [1, 3])
+    @pytest.mark.parametrize("n_visible, n_hidden", ENUM_SIZES)
+    def test_several_blocks_agree_with_the_flat_sums(self, monkeypatch, n_visible,
+                                                     n_hidden, rows):
+        p, data = seeded_case(n_visible, n_hidden)
+        monkeypatch.setattr(oracle, "ENUM_BLOCK_BYTES", rows * 8 * 2 ** n_hidden)
+        assert oracle._block_rows(n_hidden) == rows
+        for name, got, want in zip(ORACLE_VALUES, blocked_oracle(p, data),
+                                   flat_oracle(p, data)):
+            np.testing.assert_allclose(got, want, rtol=1e-13, atol=0, err_msg=name)
+
+    @pytest.mark.parametrize("rows", [1, 3])
+    @pytest.mark.parametrize("n_visible, n_hidden", ENUM_SIZES)
+    def test_several_blocks_keep_the_stack_equal_to_the_loop(
+            self, monkeypatch, n_visible, n_hidden, rows):
+        p, data = seeded_case(n_visible, n_hidden)
+        monkeypatch.setattr(oracle, "ENUM_BLOCK_BYTES", rows * 8 * 2 ** n_hidden)
+        assert_same_grads(finite_diff_loglik_grad(p, data), loop_finite_diff(p, data))
+
+    @pytest.mark.parametrize("n_visible, n_hidden, rows", [(12, 8, 6), (8, 12, 400)])
+    def test_default_blocks_agree_with_the_flat_sums(self, n_visible, n_hidden, rows):
+        # 8 blocks of visible rows at 12x8; at 8x12, 8 of them and 13 of data
+        p, data = seeded_case(n_visible, n_hidden, rows=rows)
+        assert oracle._block_rows(n_hidden) < 2 ** n_visible
+        for name, got, want in zip(ORACLE_VALUES, blocked_oracle(p, data),
+                                   flat_oracle(p, data)):
+            np.testing.assert_allclose(got, want, rtol=1e-13, atol=0, err_msg=name)
 
 
 class TestMeanLogLikelihood:

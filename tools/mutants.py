@@ -3,8 +3,9 @@ chain-noise, trainer and classifier fault, on a discriminative stack's
 labelled top layer trained with the bottom layer's unit kind or seed, on
 each way of making an oracle identity vacuous, on faults in the oracle's
 blocked finite difference, its count of visited states and its one chain
-over the union of the stationarity trials' models, and on an enumeration
-that holds a second copy of its table.
+over the union of the stationarity trials' models, on an enumeration
+that holds a second copy of its table, and on a blocked enumeration that
+drops its last block of rows from log Z or from the negative statistics.
 
 Usage, from the repository root:
 
@@ -110,7 +111,7 @@ MUTANTS = {
         "cond = hidden_probs(p, V)"),
     "oracle-brute-free-energy-from-closed-form": (
         "oracle.py",
-        "brute_f = -_logsumexp(_neg_energy_table(p), axis=1)",
+        "brute_f = -_log_unnormalized(*_stack(p))[0]",
         "brute_f = free_energy(p, V)"),
     "oracle-fd-last-model-skipped": (
         "oracle.py",
@@ -128,6 +129,14 @@ MUTANTS = {
         "oracle.py",
         "    x -= m\n",
         "    x = x - m\n"),
+    "oracle-log-z-drops-last-block": (
+        "oracle.py",
+        "_logsumexp(np.stack(per_block, axis=1), axis=1)",
+        "_logsumexp(np.stack(per_block[:-1], axis=1), axis=1)"),
+    "oracle-negative-sums-drop-last-block": (
+        "oracle.py",
+        "(sum(parts) for parts in",
+        "(sum(parts[:-1] or parts) for parts in"),
 }
 
 
