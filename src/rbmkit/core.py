@@ -35,9 +35,14 @@ class RngStream:
     def __repr__(self):
         return f"RngStream(seed={self.seed}, stream_id={self.stream_id})"
 
-    def uniforms(self, shape) -> np.ndarray:
-        """Array of uniform draws from [0, 1), filled in row-major order."""
-        return self._gen.random(shape)
+    def uniforms(self, shape, out=None) -> np.ndarray:
+        """Array of uniform draws from [0, 1), filled in row-major order.
+
+        With out (a C-contiguous float64 array of that shape) the draws are
+        written into it and it is returned; they are the same doubles a
+        fresh array would get.
+        """
+        return self._gen.random(shape, out=out)
 
     def normals(self, shape) -> np.ndarray:
         """Array of standard normal draws."""
@@ -46,6 +51,17 @@ class RngStream:
     def permutation(self, n: int) -> np.ndarray:
         """Random permutation of range(n)."""
         return self._gen.permutation(n)
+
+
+def _fresh(ufunc, x):
+    """(x as float64, ufunc(x) in a new float64 buffer), the buffer 0-d
+    for a scalar. A float64 ndarray of at least one dimension goes
+    straight to ufunc, which allocates the same buffer, without
+    np.asarray and np.empty_like."""
+    if type(x) is np.ndarray and x.dtype == np.float64 and x.ndim:
+        return x, ufunc(x)
+    x = np.asarray(x, dtype=np.float64)
+    return x, ufunc(x, out=np.empty_like(x))
 
 
 def sigmoid(x):
@@ -58,8 +74,7 @@ def sigmoid(x):
     saturates to 1, NaN propagates, and the result is within a few ulp of
     the exact logistic. A scalar input returns a float, an array an array.
     """
-    x = np.asarray(x, dtype=np.float64)
-    out = np.negative(x, out=np.empty_like(x))
+    _, out = _fresh(np.negative, x)
     with np.errstate(over="ignore"):
         np.exp(out, out=out)
     out += 1.0
@@ -77,8 +92,7 @@ def log1p_exp(x):
     0, and NaN propagates. A scalar input returns a float, an array an
     array; the input is never written.
     """
-    x = np.asarray(x, dtype=np.float64)
-    out = np.abs(x, out=np.empty_like(x))
+    x, out = _fresh(np.abs, x)
     np.negative(out, out=out)
     np.exp(out, out=out)
     np.log1p(out, out=out)

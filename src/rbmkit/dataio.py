@@ -213,10 +213,14 @@ def _floats_in(values, shape, what: str) -> np.ndarray:
     expected = math.prod(shape)
     if not isinstance(values, list) or len(values) != expected:
         raise ModelFormatError(f"{what}: expected {expected} values")
-    if any(type(x) is bool for x in values):  # float(True) would read 1.0
+    kinds = set(map(type, values))
+    if bool in kinds:  # float(True) would read 1.0
         raise ModelFormatError(f"{what}: booleans are not numbers")
+    if not kinds <= {int, float, str}:  # np.array reads None as nan, [x] as a row
+        raise ModelFormatError(f"{what}: unparsable float")
     try:
-        arr = np.array([float(x) for x in values]).reshape(shape)
+        # one call, parsing each str with float()'s grammar
+        arr = np.array(values, dtype=np.float64).reshape(shape)
     except (TypeError, ValueError, OverflowError):
         raise ModelFormatError(f"{what}: unparsable float") from None
     if not np.all(np.isfinite(arr)):

@@ -222,11 +222,11 @@ def free_energy(p: RbmParams, v, h_input=None):
     v = _check_visible(p, v)
     if h_input is None:
         h_input = hidden_input(p, v)
-    hidden_term = np.sum(log1p_exp(h_input), axis=-1)
+    hidden_term = log1p_exp(h_input).sum(axis=-1)
     if p.visible_kind == BINARY:
         visible_term = -(v @ p.a)
     else:
-        visible_term = 0.5 * np.sum((v - p.a) ** 2, axis=-1)
+        visible_term = 0.5 * ((v - p.a) ** 2).sum(axis=-1)
     out = visible_term - hidden_term
     if out.ndim == 0:
         return float(out)
@@ -240,9 +240,15 @@ def batch_stats(v_batch: np.ndarray, h_batch: np.ndarray) -> GradientStats:
     if v_batch.shape[0] != h_batch.shape[0]:
         raise ValueError("visible and hidden batches disagree on row count")
     m = v_batch.shape[0]
+    # each sum divided in place by m: the bits of np.mean, whose reduction
+    # is this same sum followed by a true division by the count
     vh = v_batch.T @ h_batch
     vh /= m
-    return GradientStats(vh=vh, v=v_batch.mean(axis=0), h=h_batch.mean(axis=0), count=m)
+    v = v_batch.sum(axis=0)
+    v /= m
+    h = h_batch.sum(axis=0)
+    h /= m
+    return GradientStats(vh=vh, v=v, h=h, count=m)
 
 
 def momentum_step(vel: np.ndarray, grad: np.ndarray, hp: Hyperparams,

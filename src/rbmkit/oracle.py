@@ -117,10 +117,15 @@ def enumerate_states(n_units: int) -> np.ndarray:
 
 
 def _states(start: int, stop: int, n_units: int) -> np.ndarray:
-    """Rows start to stop - 1 of enumerate_states(n_units)."""
-    ids = np.arange(start, stop, dtype=np.int64)
-    shifts = np.arange(n_units - 1, -1, -1)
-    return ((ids[:, None] >> shifts) & 1).astype(np.float64)
+    """Rows start to stop - 1 of enumerate_states(n_units), n_units <= 32.
+
+    The bits come from each id's four big-endian bytes, one uint8 each,
+    so the only temporaries beside the float64 result are 4 + 32 bytes
+    a row.
+    """
+    ids = np.arange(start, stop, dtype=">u4")
+    bits = np.unpackbits(ids.view(np.uint8).reshape(-1, 4), axis=1)
+    return bits[:, 32 - n_units:].astype(np.float64)
 
 
 def state_index(v):

@@ -14,10 +14,12 @@ and a draw landing on such a gap could flip a state. Statistics are
 reduced over the assembled matrices in fixed index order.
 
 A binary pool draws each chain's uniforms a block of sweeps at a time
-(NOISE_BLOCK_BYTES) and hands out one sweep's slice per call, so its
-streams may run up to one block ahead of what the pool has used. One
-Philox generator gives the same doubles whatever widths they are drawn
-in, so every chain sees the same sequence as with one call per sweep.
+(NOISE_BLOCK_BYTES, and at least NOISE_MIN_SWEEPS sweeps), each chain's
+straight into its row of the block, and hands out one sweep's slice per
+call, so its streams may run up to one block ahead of what the pool has
+used. One Philox generator gives the same doubles whatever widths they
+are drawn in, so every chain sees the same sequence as with one call per
+sweep.
 Gaussian pools draw per sweep: normals consume a variable number of raw
 outputs, so they cannot be drawn ahead without changing the draws.
 """
@@ -37,17 +39,24 @@ CHAIN_STREAM_BASE = 100
 # Uniforms a binary pool draws per refill. The cost of a draw on a small
 # model is the Python-level generator call per chain, not generating the
 # numbers: a 3x3 pool of 16 chains needs 768 bytes a sweep, so one block
-# serves 85 sweeps, and a 12x8 pool of 20 chains 20 sweeps. Every 794-wide
-# pool needs at least 137 KB a sweep (20 chains x 858 uniforms), so it
-# still draws one sweep per call; there Philox generation itself takes
-# about 9 us of each 858-uniform call and drawing ahead would gain nothing.
-# At 64 KiB that one call serves tens of sweeps on small pools, and the
-# block stays small next to a core's L2 cache.
+# serves 85 sweeps, and a 12x8 pool of 20 chains 20 sweeps. At 64 KiB that
+# one call serves tens of sweeps on small pools, and the block stays small
+# next to a core's L2 cache.
 NOISE_BLOCK_BYTES = 64 * 1024
+# Fewest sweeps a refill draws. A 794-wide pool of 20 or more chains needs
+# more than NOISE_BLOCK_BYTES for one sweep (137 KB at 20 x 858 uniforms);
+# drawing one sweep per call there cost about 11 us per chain and sweep
+# against 9 us when drawn several sweeps at once (2 vCPUs, numpy 2.4.6).
+# With 4, noise per 794-wide sweep fell 326 -> 245 us at 24 chains and
+# 864 -> 644 us at 72, and `rbmkit sample` ran about 10% more chain-steps
+# a second than with 1 (2 and 8 gained less); the largest block, 72
+# chains x 4 x 858 uniforms, is 2 MB. Small pools already draw more.
+NOISE_MIN_SWEEPS = 4
 
 __all__ = [
     "CHAIN_STREAM_BASE",
     "NOISE_BLOCK_BYTES",
+    "NOISE_MIN_SWEEPS",
     "ChainPool",
     "make_pool",
     "gibbs_chain",
@@ -65,7 +74,7 @@ class ChainPool:
 
     A binary pool keeps the uniforms it has drawn but not yet used, one
     row per chain, and the next draw continues from them; so streams may
-    run up to one block (NOISE_BLOCK_BYTES) ahead of the pool.
+    run up to one block ahead of the pool.
     """
 
     states: np.ndarray
@@ -89,14 +98,16 @@ class ChainPool:
         """Per-sweep draws for gibbs_chain in which row c comes only from
         chain c's stream: uniforms(n_hidden + n_visible) per chain for
         binary visibles, sliced from the pool's block and refilled a block
-        of sweeps at a time; uniforms(n_hidden) then normals(n_visible) per
-        chain and sweep for Gaussian ones, which a pool still holding
-        unused uniforms refuses with ValueError rather than skip them."""
+        of at least NOISE_MIN_SWEEPS sweeps at a time; uniforms(n_hidden)
+        then normals(n_visible) per chain and sweep for Gaussian ones,
+        which a pool still holding unused uniforms refuses with ValueError
+        rather than skip them."""
         n_h, n_v = p.n_hidden, p.n_visible
         if p.visible_kind == BINARY:
             width = n_h + n_v
             # 8 bytes per float64 uniform
-            sweeps = max(1, NOISE_BLOCK_BYTES // (8 * self.n_chains * width))
+            sweeps = max(NOISE_MIN_SWEEPS,
+                         NOISE_BLOCK_BYTES // (8 * self.n_chains * width))
 
             def draw():
                 start = self._cursor
@@ -116,10 +127,14 @@ class ChainPool:
         return draw
 
     def _refill(self, n: int):
-        """Draw n more uniforms per chain after the unused ones."""
-        fresh = np.stack([s.uniforms(n) for s in self.streams])
-        rest = self._block[:, self._cursor:]
-        self._block = np.concatenate([rest, fresh], axis=1) if rest.shape[1] else fresh
+        """Draw n more uniforms per chain after the unused ones, each
+        chain's straight into its row of one new block."""
+        rest = self._block.shape[1] - self._cursor
+        block = np.empty((self.n_chains, rest + n))
+        block[:, :rest] = self._block[:, self._cursor:]
+        for row, stream in zip(block, self.streams):
+            stream.uniforms(n, out=row[rest:])
+        self._block = block
         self._cursor = 0
 
 

@@ -83,8 +83,10 @@ def reconstruction_error(p: RbmParams, batch: np.ndarray, rng: RngStream,
         h_input = hidden_input(p, batch)
     q = sigmoid(h_input)
     h = (rng.uniforms(q.shape) < q).astype(np.float64)
-    recon = visible_probs(p, h)
-    return float(np.mean((batch - recon) ** 2))
+    gap = batch - visible_probs(p, h)
+    np.square(gap, out=gap)
+    # np.mean's bits: the same sum, truly divided by the count
+    return float(gap.sum() / gap.size)
 
 
 def train_rbm(init: RbmParams, data, hp: Hyperparams, estimator: str, seed: int,
@@ -140,7 +142,7 @@ def train_rbm(init: RbmParams, data, hp: Hyperparams, estimator: str, seed: int,
                     f"batch offset {start} ({estimator}, seed {seed})") from exc
             x = hidden_input(p, batch)
             recon_sum += reconstruction_error(p, batch, eval_rng, x) * batch.shape[0]
-            fe_sum += float(np.sum(free_energy(p, batch, x)))
+            fe_sum += float(free_energy(p, batch, x).sum())
         metrics.append(EpochMetrics(epoch, recon_sum / m, fe_sum / m,
                                     time.perf_counter() - t0, estimator, seed))
         if epoch_callback is not None:

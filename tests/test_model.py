@@ -4,10 +4,10 @@ import math
 import numpy as np
 import pytest
 
-from rbmkit import (GAUSSIAN, GradientStats, Hyperparams, RbmParams,
+from rbmkit import (BINARY, GAUSSIAN, GradientStats, Hyperparams, RbmParams,
                     RngStream, UpdateState, apply_update, batch_stats, energy,
-                    free_energy, hidden_input, hidden_probs, momentum_step,
-                    visible_probs)
+                    free_energy, hidden_input, hidden_probs, log1p_exp,
+                    momentum_step, visible_probs)
 from rbmkit.oracle import free_energy_entropy_form
 
 
@@ -113,6 +113,19 @@ class TestFreeEnergy:
                                                       abs=1e-10)
             assert free_energy(p, v, hidden_input(p, v)) == free_energy(p, v)
 
+    @pytest.mark.parametrize("kind", [BINARY, GAUSSIAN])
+    def test_batch_is_np_sum_form_bit_for_bit(self, kind):
+        rng = RngStream(15, 0)
+        p = RbmParams(rng.normals((30, 20)), rng.normals(30), rng.normals(20),
+                      visible_kind=kind)
+        v = rng.uniforms((11, 30))
+        hidden = np.sum(log1p_exp(hidden_input(p, v)), axis=-1)
+        if kind == GAUSSIAN:
+            visible = 0.5 * np.sum((v - p.a) ** 2, axis=-1)
+        else:
+            visible = -(v @ p.a)
+        np.testing.assert_array_equal(free_energy(p, v), visible - hidden)
+
     def test_entropy_form_agrees(self):
         rng = RngStream(13, 0)
         for trial in range(50):
@@ -168,6 +181,16 @@ class TestBatchStats:
         np.testing.assert_allclose(stats.vh, vh, atol=1e-12)
         np.testing.assert_allclose(stats.v, v.mean(axis=0), atol=1e-12)
         np.testing.assert_allclose(stats.h, h.mean(axis=0), atol=1e-12)
+
+    def test_means_are_np_mean_bit_for_bit(self):
+        # row counts below, at and past numpy's 8-wide unrolled sum
+        rng = RngStream(22, 0)
+        for m, n_v, n_h in ((1, 3, 2), (7, 5, 4), (20, 794, 64), (33, 9, 17)):
+            v = rng.uniforms((m, n_v))
+            h = rng.uniforms((m, n_h))
+            stats = batch_stats(v, h)
+            np.testing.assert_array_equal(stats.v, np.mean(v, axis=0))
+            np.testing.assert_array_equal(stats.h, np.mean(h, axis=0))
 
     def test_row_count_mismatch(self):
         with pytest.raises(ValueError):

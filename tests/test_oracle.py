@@ -45,6 +45,12 @@ class TestEnumerateStates:
         want = list(itertools.product([0.0, 1.0], repeat=3))
         np.testing.assert_array_equal(got, want)
 
+    def test_matches_bit_shifts_of_the_row_index(self):
+        for n in range(1, 17):
+            ids = np.arange(2 ** n)[:, None]
+            want = (ids >> np.arange(n - 1, -1, -1)) & 1
+            np.testing.assert_array_equal(enumerate_states(n), want)
+
     def test_state_index_inverts_enumeration(self):
         states = enumerate_states(4)
         np.testing.assert_array_equal(state_index(states), np.arange(16))
@@ -323,6 +329,14 @@ class TestOneTableAtATime:
         p, data = seeded_case(n_visible, n_hidden, rows=rows)
         peak = traced_peak(getattr(oracle, name), *oracle_args(name, p, data))
         assert peak <= 2.5 * 2 ** 20, f"traced peak {peak / 2 ** 20:.2f} MiB"
+
+    # With many hidden units the hidden-state grid, not the table block,
+    # sets the peak: at 2x18 it is 36 MiB itself, and building its bits
+    # through int64 temporaries of its size traced 74 MiB.
+    def test_traced_peak_of_a_wide_hidden_grid(self):
+        p, _ = seeded_case(2, 18)
+        peak = traced_peak(oracle.partition_function, p)
+        assert peak <= 48 * 2 ** 20, f"traced peak {peak / 2 ** 20:.1f} MiB"
 
     # With the whole table one block, holding a shifted copy or its exp
     # beside it would put the peak at 16-24 MiB. joint_table, whose output

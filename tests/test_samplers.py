@@ -4,9 +4,10 @@ import pytest
 from rbmkit import (RbmParams, RngStream, batch_stats, free_energy,
                     hidden_input, hidden_probs)
 from rbmkit.oracle import enumerate_states, exact_gradient, visible_marginal
-from rbmkit.samplers import (CHAIN_STREAM_BASE, NOISE_BLOCK_BYTES, ChainPool,
-                             cd_k, fepcd_step, gibbs_chain, gibbs_step,
-                             make_pool, pcd_step, select_elite)
+from rbmkit.samplers import (CHAIN_STREAM_BASE, NOISE_BLOCK_BYTES,
+                             NOISE_MIN_SWEEPS, ChainPool, cd_k, fepcd_step,
+                             gibbs_chain, gibbs_step, make_pool, pcd_step,
+                             select_elite)
 
 
 def state_ids(states):
@@ -282,11 +283,53 @@ class TestNoiseBlock:
             want = RngStream(28, CHAIN_STREAM_BASE + c).uniforms(drawn.shape[1])
             np.testing.assert_array_equal(drawn[c], want)
 
+    def test_wide_pool_draws_several_sweeps_per_stream_call(self):
+        # 24 chains at 794x64 fill a 64 KiB block with less than one sweep,
+        # so each refill draws NOISE_MIN_SWEEPS; every sweep must still be
+        # the chain's next 858 uniforms, as a lone stream draws them
+        p = RbmParams(np.zeros((794, 64)), np.zeros(794), np.zeros(64))
+        assert NOISE_BLOCK_BYTES // (8 * 24 * 858) < NOISE_MIN_SWEEPS
+        calls = []
+
+        class CountingStream(RngStream):
+            def uniforms(self, shape, out=None):
+                calls.append((self.stream_id, shape))
+                return super().uniforms(shape, out)
+
+        streams = [CountingStream(32, CHAIN_STREAM_BASE + c) for c in range(24)]
+        draw = ChainPool(np.zeros((24, 794)), streams).noise(p)
+        sweeps = 3 * NOISE_MIN_SWEEPS + 1
+        pooled = [np.concatenate(draw(), axis=1) for _ in range(sweeps)]
+        refills = -(-sweeps // NOISE_MIN_SWEEPS)
+        assert sorted(calls) == sorted(
+            (CHAIN_STREAM_BASE + c, NOISE_MIN_SWEEPS * 858)
+            for c in range(24) for _ in range(refills))
+        for c in range(24):
+            lone = RngStream(32, CHAIN_STREAM_BASE + c)
+            for sweep in pooled:
+                np.testing.assert_array_equal(sweep[c], lone.uniforms(858))
+
+    def test_leftover_crosses_a_wide_refill(self):
+        # a 3x3 block's leftover goes in front of a 794-wide refill, and
+        # that refill's leftover in front of the next 3x3 block
+        small = RbmParams(np.zeros((3, 3)), np.zeros(3), np.zeros(3))
+        wide = RbmParams(np.zeros((794, 64)), np.zeros(794), np.zeros(64))
+        pool = make_pool(np.zeros((24, 3)), 24, 33)
+        drawn = []
+        for model, sweeps in ((small, 3), (wide, 2), (small, 60), (wide, 5),
+                              (small, 1), (wide, NOISE_MIN_SWEEPS + 1)):
+            draw = pool.noise(model)
+            drawn += [np.concatenate(draw(), axis=1) for _ in range(sweeps)]
+        drawn = np.concatenate(drawn, axis=1)
+        for c in range(24):
+            want = RngStream(33, CHAIN_STREAM_BASE + c).uniforms(drawn.shape[1])
+            np.testing.assert_array_equal(drawn[c], want)
+
     def test_draws_do_not_depend_on_pool_size(self):
         # At 794 units a pool of one draws 9 sweeps a refill and a pool of
-        # 24 one sweep; chain c must see the same uniforms either way. Its
-        # probabilities need not match bit for bit: a one-row product and
-        # a 24-row product round differently.
+        # 24 NOISE_MIN_SWEEPS; chain c must see the same uniforms either
+        # way. Its probabilities need not match bit for bit: a one-row
+        # product and a 24-row product round differently.
         p = RbmParams(np.zeros((794, 64)), np.zeros(794), np.zeros(64))
         draw = make_pool(np.zeros((24, 794)), 24, 31).noise(p)
         pooled = [np.concatenate(draw(), axis=1) for _ in range(20)]

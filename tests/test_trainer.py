@@ -2,7 +2,8 @@ import numpy as np
 import pytest
 
 from rbmkit import (Hyperparams, RbmParams, RngStream, TrainingDivergedError,
-                    init_params, reconstruction_error, train_rbm)
+                    hidden_probs, init_params, reconstruction_error, train_rbm,
+                    visible_probs)
 from rbmkit import trainer
 from rbmkit.oracle import mean_log_likelihood
 from rbmkit.trainer import (FEPCD, PCD, STREAM_INIT, metrics_csv_text,
@@ -31,6 +32,15 @@ class TestReconstructionError:
     def test_empty_batch_rejected(self, ref_model):
         with pytest.raises(ValueError):
             reconstruction_error(ref_model, np.zeros((0, 2)), RngStream(0, 3))
+
+    def test_is_np_mean_form_bit_for_bit(self):
+        rng = RngStream(16, 0)
+        p = RbmParams(rng.normals((30, 20)), rng.normals(30), rng.normals(20))
+        for m in (1, 7, 20, 33):
+            batch = rng.uniforms((m, 30))
+            h = (RngStream(16, m).uniforms((m, 20)) < hidden_probs(p, batch))
+            want = float(np.mean((batch - visible_probs(p, h.astype(float))) ** 2))
+            assert reconstruction_error(p, batch, RngStream(16, m)) == want
 
 
 class TestTrainRbm:

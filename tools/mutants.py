@@ -66,8 +66,15 @@ MUTANTS = {
         "self._cursor = start"),
     "noise-refill-drops-leftover": (
         "samplers.py",
-        "self._block = np.concatenate([rest, fresh], axis=1) if rest.shape[1] else fresh",
-        "self._block = fresh"),
+        "rest = self._block.shape[1] - self._cursor\n"
+        "        block = np.empty((self.n_chains, rest + n))\n"
+        "        block[:, :rest] = self._block[:, self._cursor:]\n",
+        "rest = 0\n"
+        "        block = np.empty((self.n_chains, rest + n))\n"),
+    "noise-fill-from-neighbour-stream": (
+        "samplers.py",
+        "zip(block, self.streams)",
+        "zip(block, self.streams[1:] + self.streams[:1])"),
     "momentum-ignored": (
         "model.py",
         "vel *= hp.momentum",
