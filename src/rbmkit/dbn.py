@@ -80,10 +80,19 @@ def propagate_up(dbn: DbnModel, v, upto: int) -> np.ndarray:
     is treated as clamped to zero."""
     if not (0 <= upto < dbn.n_layers):
         raise IndexError(f"layer index {upto} out of range")
-    x = np.asarray(v, dtype=np.float64)
-    for layer in dbn.layers[:upto + 1]:
-        x = sigmoid(x @ layer.w[:layer.n_visible - layer.label_units] + layer.b)
-    return x
+    pairs = [(layer.w[:layer.n_visible - layer.label_units], layer.b)
+             for layer in dbn.layers[:upto + 1]]
+    return _upward(np.asarray(v, dtype=np.float64), pairs)[-1]
+
+
+def _upward(x: np.ndarray, pairs) -> list:
+    """x and its logistic activation sigmoid(x @ w + b) through each
+    (w, b) pair in turn: the one upward pass of a stack (propagate_up)
+    and of its unrolled net (_forward_logits)."""
+    acts = [x]
+    for w, b in pairs:
+        acts.append(sigmoid(acts[-1] @ w + b))
+    return acts
 
 
 def _label_block(labels) -> np.ndarray:
@@ -265,9 +274,8 @@ def unroll_to_network(dbn: DbnModel, n_classes: int, seed: int) -> FeedforwardNe
 def _forward_logits(net: FeedforwardNet, x: np.ndarray):
     """Input and logistic-layer activations, plus the output layer's
     unnormalized class scores."""
-    acts = [np.atleast_2d(np.asarray(x, dtype=np.float64))]
-    for w, b in zip(net.weights[:-1], net.biases[:-1]):
-        acts.append(sigmoid(acts[-1] @ w + b))
+    acts = _upward(np.atleast_2d(np.asarray(x, dtype=np.float64)),
+                   zip(net.weights[:-1], net.biases[:-1]))
     return acts, acts[-1] @ net.weights[-1] + net.biases[-1]
 
 

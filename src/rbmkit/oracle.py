@@ -7,7 +7,13 @@ visible units and at most MAX_ENUM_UNITS units in total; larger requests
 fail loudly rather than silently approximating.
 
 run_oracle_checks bundles these into the identity suite behind the
-oracle-check command.
+oracle-check command. Each trial calls the functions under test
+(visible_marginal, free_energy, free_energy_entropy_form, hidden_probs,
+exact_gradient) through this module's bindings, one model at a time. The
+witnesses they are checked against (brute -F, the joint table behind the
+conditionals, the finite-difference gradient) are built afterwards for a
+group of trials at once, as stacked models, as many trials a group as
+FD_BLOCK_BYTES of tables holds.
 
 All sums run in log space (log-sum-exp); numpy's pairwise summation keeps
 results summation-order-robust well below the 1e-10 tolerances used by
@@ -20,6 +26,11 @@ terms are added into the product's buffer, and the log-sum-exp shifts and
 exponentiates that same buffer. So on a 12x8 model (8 MiB a table) every
 public function but joint_table, whose output is the table, peaks near
 one 1 MiB block.
+
+The state grids an enumeration reads are built once per unit count and
+kept, read-only, when the whole grid is at most ENUM_BLOCK_BYTES (13
+units or fewer at 1 MiB); larger grids are built afresh on each call.
+enumerate_states always returns a fresh writable copy.
 """
 
 from __future__ import annotations
@@ -116,6 +127,23 @@ def enumerate_states(n_units: int) -> np.ndarray:
     return _states(0, 2 ** n_units, n_units)
 
 
+# n_units -> read-only enumerate_states(n_units), for grids of at most
+# ENUM_BLOCK_BYTES; a default 3x3 oracle-check built 452 grids before them
+_GRIDS = {}
+
+
+def _grid(n_units: int) -> np.ndarray:
+    """enumerate_states(n_units), read-only; kept for later calls when it
+    is at most ENUM_BLOCK_BYTES."""
+    grid = _GRIDS.get(n_units)
+    if grid is None:
+        grid = _states(0, 2 ** n_units, n_units)
+        grid.flags.writeable = False
+        if grid.nbytes <= ENUM_BLOCK_BYTES:
+            _GRIDS[n_units] = grid
+    return grid
+
+
 def _states(start: int, stop: int, n_units: int) -> np.ndarray:
     """Rows start to stop - 1 of enumerate_states(n_units), n_units <= 32.
 
@@ -140,7 +168,8 @@ def state_index(v):
 def _neg_energy_tables(w, a, b, rows, H) -> np.ndarray:
     """-E(v, h) of K stacked models, w (K, n_v, n_h), a (K, n_v) and
     b (K, n_h), for each of the rows against every hidden state, H being
-    enumerate_states(n_h): an array of shape (K, len(rows), 2^n_h).
+    enumerate_states(n_h): an array of shape (K, R, 2^n_h). rows is
+    (R, n_v), shared by the models, or (K, R, n_v), each model's own.
 
     matmul runs one BLAS call per model, so each slice is bit-identical to
     the single-model table. The bias terms are matrix-vector products for
@@ -168,16 +197,19 @@ def _by_block(w, a, b, reduce, rows=None) -> list:
     """reduce(block_rows, table) of each block of the rows in order, where
     table is the block's -E table (see _neg_energy_tables) and each holds
     _block_rows(n_hidden) of the rows (by default every visible state,
-    built a block at a time). reduce may consume its table, and only one
-    block's table is alive at a time."""
+    built a block at a time). rows may be shared, (R, n_v), or one set a
+    model, (K, R, n_v). reduce may consume its table, and only one block's
+    table is alive at a time."""
     n_v, n_h = w.shape[1:]
-    n_rows = 2 ** n_v if rows is None else len(rows)
     step = _block_rows(n_h)
-    H = enumerate_states(n_h)
+    if rows is None and 2 ** n_v <= step:
+        rows = _grid(n_v)
+    n_rows = 2 ** n_v if rows is None else rows.shape[-2]
+    H = _grid(n_h)
     out = []
     for start in range(0, n_rows, step):
         stop = min(start + step, n_rows)
-        block = _states(start, stop, n_v) if rows is None else rows[start:stop]
+        block = _states(start, stop, n_v) if rows is None else rows[..., start:stop, :]
         out.append(reduce(block, _neg_energy_tables(w, a, b, block, H)))
     return out
 
@@ -220,16 +252,23 @@ def visible_marginal(p: RbmParams) -> np.ndarray:
     return np.exp(log_pv - partition_function(p))
 
 
+def _joint_tables(w, a, b) -> np.ndarray:
+    """P(v, h) of K stacked models over the full joint grid, shape
+    (K, 2^n_v, 2^n_h), each normalized by its model's log Z. The tables
+    are built whole, in one call, after log Z has freed its blocks."""
+    log_z = _log_partitions(w, a, b)
+    n_v, n_h = w.shape[1:]
+    joint = _neg_energy_tables(w, a, b, _grid(n_v), _grid(n_h))
+    joint -= log_z[:, None, None]
+    return np.exp(joint, out=joint)
+
+
 def joint_table(p: RbmParams) -> np.ndarray:
     """P(v, h) over the full joint grid, visible rows x hidden columns.
 
     The one enumeration that holds a whole table, as it is the output."""
     _check_enumerable(p)
-    log_z = partition_function(p)
-    joint = _neg_energy_tables(*_stack(p), enumerate_states(p.n_visible),
-                               enumerate_states(p.n_hidden))[0]
-    joint -= log_z
-    return np.exp(joint, out=joint)
+    return _joint_tables(*_stack(p))[0]
 
 
 def _binary_rows(p: RbmParams, data) -> np.ndarray:
@@ -263,7 +302,7 @@ def exact_gradient(p: RbmParams, data: np.ndarray):
     pos = batch_stats(data, hidden_probs(p, data))
 
     log_z = partition_function(p)
-    H = enumerate_states(p.n_hidden)
+    H = _grid(p.n_hidden)
 
     def block_sums(V, table):
         P = table[0]
@@ -286,9 +325,10 @@ def mean_log_likelihood(p: RbmParams, data: np.ndarray) -> float:
 
 def _mean_log_likelihoods(w, a, b, data) -> np.ndarray:
     """mean_log_likelihood of each of K stacked models (see
-    _neg_energy_tables), each bit-identical to the one-model call, as both
-    split the rows into the same blocks. Log Z comes from the stacked
-    tables, not through partition_function."""
+    _neg_energy_tables) on data, shared (R, n_v) or one set a model
+    (K, R, n_v), each bit-identical to the one-model call, as both split
+    the rows into the same blocks. Log Z comes from the stacked tables,
+    not through partition_function."""
     log_unnorm = _log_unnormalized(w, a, b, data)
     return np.mean(log_unnorm - _log_partitions(w, a, b)[:, None], axis=1)
 
@@ -320,38 +360,56 @@ def free_energy_entropy_form(p: RbmParams, v):
     return float(out) if out.ndim == 0 else out
 
 
+def _model_bytes(n_visible: int, n_hidden: int, n_rows: int) -> int:
+    """Bytes of tables one model holds at a time while its mean
+    log-likelihood on n_rows data rows is enumerated: one row block of a
+    float64 table, reduced in place."""
+    return 8 * min(_block_rows(n_hidden), max(n_rows, 2 ** n_visible)) * 2 ** n_hidden
+
+
+def _finite_diff_grads(w, a, b, data) -> np.ndarray:
+    """Central-difference gradient of the mean log-likelihood of each of
+    K stacked models on its own rows, data (K, R, n_v): shape (K, P), the
+    P entries of each model's flattened w, a, b.
+
+    Model k's 2P perturbed models (model 2i moves entry i by +FD_STEP,
+    model 2i+1 by -FD_STEP) are evaluated as stacks, each reading model
+    k's rows, as many models per block as FD_BLOCK_BYTES allows.
+    """
+    k, n_v, n_h = w.shape
+    flat = np.concatenate([w.reshape(k, -1), a, b], axis=1)
+    n = flat.shape[1]
+    entry = np.arange(n)
+    params = np.repeat(flat[:, None, :], 2 * n, axis=1)
+    params[:, 2 * entry, entry] += FD_STEP
+    params[:, 2 * entry + 1, entry] -= FD_STEP
+    params = params.reshape(-1, n)
+    owner = np.repeat(np.arange(k), 2 * n)
+
+    W = params[:, :n_v * n_h].reshape(-1, n_v, n_h)
+    A, B = params[:, n_v * n_h:-n_h], params[:, -n_h:]
+
+    block = max(1, FD_BLOCK_BYTES // _model_bytes(n_v, n_h, data.shape[1]))
+    loglik = np.concatenate([
+        _mean_log_likelihoods(W[s:s + block], A[s:s + block], B[s:s + block],
+                              data[owner[s:s + block]])
+        for s in range(0, len(params), block)])
+
+    return ((loglik[0::2] - loglik[1::2]) / (2.0 * FD_STEP)).reshape(k, n)
+
+
 def finite_diff_loglik_grad(p: RbmParams, data: np.ndarray) -> dict:
     """Central-difference gradient of the mean log-likelihood.
 
     Perturbs every entry of w, a and b by +-FD_STEP and differences the
     enumerated objective; entirely independent of exact_gradient's
-    expectation algebra.
-
-    The 2P perturbed models (model 2i moves entry i of the flattened
-    w, a, b by +FD_STEP, model 2i+1 by -FD_STEP) are evaluated as stacks,
-    as many per block as FD_BLOCK_BYTES allows.
+    expectation algebra. The 2P perturbed models are evaluated as
+    stacks, as many per block as FD_BLOCK_BYTES allows.
     """
     _check_enumerable(p)
     data = _binary_rows(p, data)
-
     n_v, n_h = p.n_visible, p.n_hidden
-    flat = np.concatenate([p.w.ravel(), p.a, p.b])
-    entry = np.arange(flat.size)
-    params = np.repeat(flat[None, :], 2 * flat.size, axis=0)
-    params[2 * entry, entry] += FD_STEP
-    params[2 * entry + 1, entry] -= FD_STEP
-
-    W = params[:, :n_v * n_h].reshape(-1, n_v, n_h)
-    A, B = params[:, n_v * n_h:-n_h], params[:, -n_h:]
-
-    # per model: one row block of a float64 table, reduced in place
-    model_bytes = 8 * min(_block_rows(n_h), max(len(data), 2 ** n_v)) * 2 ** n_h
-    block = max(1, FD_BLOCK_BYTES // model_bytes)
-    loglik = np.concatenate([
-        _mean_log_likelihoods(W[s:s + block], A[s:s + block], B[s:s + block], data)
-        for s in range(0, len(params), block)])
-
-    g = (loglik[0::2] - loglik[1::2]) / (2.0 * FD_STEP)
+    g = _finite_diff_grads(*_stack(p), data[None])[0]
     return {"w": g[:n_v * n_h].reshape(n_v, n_h), "a": g[n_v * n_h:-n_h],
             "b": g[-n_h:]}
 
@@ -434,9 +492,13 @@ def run_oracle_checks(n_visible: int = 3, n_hidden: int = 3, trials: int = 25,
     """Identity suite over random models; one result per invariant.
 
     Every identity but the gradient and Gibbs checks is evaluated on all
-    2^n_visible visible states at once. Each identity reads the functions
+    2^n_visible visible states at once. Each trial calls the functions
     under test through this module's bindings, so a fault patched into
-    one of them (as the tests do) shows as that identity's failure.
+    one of them (as the tests do) shows as that identity's failure. The
+    witnesses they are compared with (brute -F, the joint tables, the
+    finite-difference gradients) are built for a group of trials at a
+    time as stacked models, each slice bit-identical to building it for
+    the trial alone.
     """
     if n_visible < 1:
         raise ValueError(f"n_visible (--visible) must be >= 1, got {n_visible}")
@@ -450,8 +512,8 @@ def run_oracle_checks(n_visible: int = 3, n_hidden: int = 3, trials: int = 25,
             f"exceeds the enumeration cap MAX_ENUM_UNITS = {MAX_ENUM_UNITS}")
     if trials == 0:
         return [CheckResult(name, True, "no trials") for name in TOLERANCES]
-    V = enumerate_states(n_visible)
-    H = enumerate_states(n_hidden)
+    V = _grid(n_visible)
+    H = _grid(n_hidden)
     worst = dict.fromkeys(TOLERANCES, 0.0)
     # (model, chain pool, visible marginal) of the first three trials
     stationarity = []
@@ -459,34 +521,52 @@ def run_oracle_checks(n_visible: int = 3, n_hidden: int = 3, trials: int = 25,
     def note(name, gaps):
         worst[name] = max(worst[name], float(np.max(gaps)))
 
-    for trial in range(trials):
-        rng = RngStream(seed, 1000 + trial)
-        p = _random_model(n_visible, n_hidden, rng)
+    # Trials a group: as many as FD_BLOCK_BYTES holds of tables, each
+    # counted as finite_diff_loglik_grad counts one of its models. A joint
+    # table is built whole, so where one row block is not the whole table
+    # (4x14, say) a group is one trial holding one joint_table's worth.
+    group = max(1, FD_BLOCK_BYTES // _model_bytes(n_visible, n_hidden, 6))
+    for first in range(0, trials, group):
+        # the functions under test, one trial at a time
+        models, rows, closed_f, probs, grads = [], [], [], [], []
+        for trial in range(first, min(first + group, trials)):
+            rng = RngStream(seed, 1000 + trial)
+            p = _random_model(n_visible, n_hidden, rng)
 
-        marg = visible_marginal(p)
-        note("marginal_normalization", abs(marg.sum() - 1.0))
+            marg = visible_marginal(p)
+            note("marginal_normalization", abs(marg.sum() - 1.0))
 
-        brute_f = -_log_unnormalized(*_stack(p))[0]
-        note("free_energy_marginalization", np.abs(free_energy(p, V) - brute_f))
-        note("free_energy_two_forms",
-             np.abs(free_energy_entropy_form(p, V) - free_energy(p, V)))
+            f = free_energy(p, V)
+            note("free_energy_two_forms", np.abs(free_energy_entropy_form(p, V) - f))
+
+            data = (rng.uniforms((6, n_visible)) < 0.5).astype(float)
+            pos, neg = exact_gradient(p, data)
+            models.append(p)
+            rows.append(data)
+            closed_f.append(f)
+            probs.append(hidden_probs(p, V))
+            grads.append(np.concatenate([(pos.vh - neg.vh).ravel(), pos.v - neg.v,
+                                         pos.h - neg.h]))
+
+            if trial < 3:
+                chains = make_pool((rng.uniforms((16, n_visible)) < 0.5).astype(float),
+                                   16, seed + trial)
+                stationarity.append((p, chains, marg))
+
+        # their witnesses, the group's models stacked
+        w = np.stack([p.w for p in models])
+        a = np.stack([p.a for p in models])
+        b = np.stack([p.b for p in models])
+        brute_f = -_log_unnormalized(w, a, b)
+        note("free_energy_marginalization", np.abs(np.stack(closed_f) - brute_f))
 
         # P(h_j = 1 | v) by direct enumeration of each joint row
-        joint = joint_table(p)
-        cond = (joint @ H) / joint.sum(axis=1, keepdims=True)
-        note("conditional_consistency", np.abs(cond - hidden_probs(p, V)))
+        joint = _joint_tables(w, a, b)
+        cond = (joint @ H) / joint.sum(axis=2, keepdims=True)
+        note("conditional_consistency", np.abs(cond - np.stack(probs)))
 
-        data = (rng.uniforms((6, n_visible)) < 0.5).astype(float)
-        pos, neg = exact_gradient(p, data)
-        fd = finite_diff_loglik_grad(p, data)
-        grad_gaps = [(pos.vh - neg.vh) - fd["w"], (pos.v - neg.v) - fd["a"],
-                     (pos.h - neg.h) - fd["b"]]
-        note("gradient_finite_difference", max(np.max(np.abs(g)) for g in grad_gaps))
-
-        if trial < 3:
-            chains = make_pool((rng.uniforms((16, n_visible)) < 0.5).astype(float),
-                               16, seed + trial)
-            stationarity.append((p, chains, marg))
+        fd = _finite_diff_grads(w, a, b, np.stack(rows))
+        note("gradient_finite_difference", np.abs(np.stack(grads) - fd))
 
     note("gibbs_stationarity", _stationarity_tvs(*zip(*stationarity), 400))
     return [CheckResult(name, worst[name] <= tol, f"worst {worst[name]:.3e} vs {tol:.0e}")

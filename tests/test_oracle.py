@@ -536,3 +536,122 @@ class TestStationarityUnion:
             assert tvs[t] == tv, f"trial {t}: TV {tvs[t]!r} != {tv!r}"
         detail = {r.name: r.detail for r in results}["gibbs_stationarity"]
         assert detail.startswith(f"worst {max(tv for _, tv in alone):.3e} ")
+
+
+def loop_suite(n_visible, n_hidden, trials, seed):
+    """run_oracle_checks' results with every witness built for one trial
+    at a time, from the one-model functions, as the suite was before it
+    stacked them."""
+    V, H = enumerate_states(n_visible), enumerate_states(n_hidden)
+    worst = dict.fromkeys(oracle.TOLERANCES, 0.0)
+
+    def note(name, gaps):
+        worst[name] = max(worst[name], float(np.max(gaps)))
+
+    for trial in range(trials):
+        rng = RngStream(seed, 1000 + trial)
+        p = RbmParams(rng.normals((n_visible, n_hidden)), rng.normals((n_visible,)),
+                      rng.normals((n_hidden,)))
+        marg = visible_marginal(p)
+        note("marginal_normalization", abs(marg.sum() - 1.0))
+        brute_f = -oracle._log_unnormalized(p.w[None], p.a[None], p.b[None])[0]
+        note("free_energy_marginalization", np.abs(free_energy(p, V) - brute_f))
+        note("free_energy_two_forms",
+             np.abs(oracle.free_energy_entropy_form(p, V) - free_energy(p, V)))
+        joint = joint_table(p)
+        cond = (joint @ H) / joint.sum(axis=1, keepdims=True)
+        note("conditional_consistency", np.abs(cond - hidden_probs(p, V)))
+        data = (rng.uniforms((6, n_visible)) < 0.5).astype(float)
+        pos, neg = exact_gradient(p, data)
+        fd = finite_diff_loglik_grad(p, data)
+        note("gradient_finite_difference",
+             max(np.max(np.abs(g)) for g in [(pos.vh - neg.vh) - fd["w"],
+                                             (pos.v - neg.v) - fd["a"],
+                                             (pos.h - neg.h) - fd["b"]]))
+    note("gibbs_stationarity",
+         [tv for _, tv in loop_stationarity(n_visible, n_hidden, trials, seed)])
+    return [repr(oracle.CheckResult(name, worst[name] <= tol,
+                                    f"worst {worst[name]:.3e} vs {tol:.0e}"))
+            for name, tol in oracle.TOLERANCES.items()]
+
+
+def stacked_suite(monkeypatch, n_visible, n_hidden, trials, seed):
+    """(run_oracle_checks' result lines, the number of trials in each
+    group whose joint tables it built)."""
+    groups = []
+    joint_tables = oracle._joint_tables
+
+    def recording_joint_tables(w, a, b):
+        groups.append(len(w))
+        return joint_tables(w, a, b)
+
+    monkeypatch.setattr(oracle, "_joint_tables", recording_joint_tables)
+    results = run_oracle_checks(n_visible, n_hidden, trials, seed)
+    return [repr(r) for r in results], groups
+
+
+class TestStackedWitnesses:
+    # 3x3: all 25 trials one group. 6x10: a 512 KiB table, so two trials
+    # a group and a last group of one.
+    @pytest.mark.parametrize("n_visible, n_hidden, trials, seed, groups", [
+        (3, 3, 25, 0, [25]), (4, 5, 4, 3, [4]), (6, 10, 5, 3, [2, 2, 1])])
+    def test_stacked_suite_equals_the_per_trial_suite(
+            self, monkeypatch, n_visible, n_hidden, trials, seed, groups):
+        got, got_groups = stacked_suite(monkeypatch, n_visible, n_hidden, trials, seed)
+        assert got_groups == groups
+        assert got == loop_suite(n_visible, n_hidden, trials, seed)
+
+    # 2**62 stacks every trial's perturbed models in one block, so only
+    # small models: at 6x10 that block would be about 380 MiB.
+    @pytest.mark.parametrize("budget", [1, 2 ** 62], ids=["one-each", "one-block"])
+    @pytest.mark.parametrize("n_visible, n_hidden, trials, seed",
+                             [(3, 3, 25, 0), (4, 5, 4, 3)])
+    def test_group_size_does_not_change_the_results(
+            self, monkeypatch, n_visible, n_hidden, trials, seed, budget):
+        want = loop_suite(n_visible, n_hidden, trials, seed)
+        monkeypatch.setattr(oracle, "FD_BLOCK_BYTES", budget)
+        got, groups = stacked_suite(monkeypatch, n_visible, n_hidden, trials, seed)
+        assert groups == ([1] * trials if budget == 1 else [trials])
+        assert got == want
+
+    def test_traced_peak_is_about_one_group(self):
+        # 8x8: a 512 KiB table, two trials a group. All 25 trials in one
+        # group traced about 18 MiB; one trial at a time about 3 MiB.
+        peak = traced_peak(run_oracle_checks, 8, 8, 25)
+        assert peak <= 4 * 2 ** 20, f"traced peak {peak / 2 ** 20:.2f} MiB"
+
+
+class TestGridCache:
+    def test_enumerate_states_returns_a_fresh_writable_array(self):
+        first, second = enumerate_states(3), enumerate_states(3)
+        assert first.flags.writeable
+        assert not np.shares_memory(first, second)
+        assert not np.shares_memory(first, oracle._grid(3))
+
+    def test_writing_a_returned_grid_changes_no_later_result(self):
+        p, _ = seeded_case(3, 3)
+        log_z = partition_function(p)
+        results = [repr(r) for r in run_oracle_checks(3, 3, 4, 1)]
+        enumerate_states(3)[:] = 7.0
+        assert partition_function(p) == log_z
+        assert [repr(r) for r in run_oracle_checks(3, 3, 4, 1)] == results
+
+    def test_cached_grids_are_read_only(self):
+        run_oracle_checks(3, 4, 2, 0)
+        assert {3, 4} <= set(oracle._GRIDS)
+        for n, grid in oracle._GRIDS.items():
+            assert not grid.flags.writeable
+            np.testing.assert_array_equal(grid, enumerate_states(n))
+            with pytest.raises(ValueError):
+                grid[0, 0] = 1.0
+
+    def test_only_grids_within_one_block_are_kept(self, monkeypatch):
+        # 2^14 states x 14 units of float64 is 1.75 MiB, 2^13 x 13 0.8 MiB
+        monkeypatch.setattr(oracle, "_GRIDS", {})
+        p, _ = seeded_case(2, 14)
+        partition_function(p)
+        assert set(oracle._GRIDS) == {2}
+        assert oracle._grid(14).nbytes > oracle.ENUM_BLOCK_BYTES
+        assert oracle._grid(14) is not oracle._grid(14)
+        assert oracle._grid(13) is oracle._grid(13)
+        assert set(oracle._GRIDS) == {2, 13}

@@ -3,7 +3,9 @@ chain-noise, trainer and classifier fault, on a discriminative stack's
 labelled top layer trained with the bottom layer's unit kind or seed, on
 each way of making an oracle identity vacuous, on faults in the oracle's
 blocked finite difference, its count of visited states and its one chain
-over the union of the stationarity trials' models, on an enumeration
+over the union of the stationarity trials' models, on a stacked witness
+(finite difference, joint table or brute -F) that reads the first
+trial's rows or model for every trial in its group, on an enumeration
 that holds a second copy of its table, and on a blocked enumeration that
 drops its last block of rows from log Z or from the negative statistics.
 
@@ -106,20 +108,32 @@ MUTANTS = {
         'note("marginal_normalization", 0.0)'),
     "oracle-gradient-gap-zero": (
         "oracle.py",
-        "max(np.max(np.abs(g)) for g in grad_gaps)",
+        "np.abs(np.stack(grads) - fd)",
         "0.0"),
     "oracle-entropy-form-is-closed-form": (
         "oracle.py",
-        "np.abs(free_energy_entropy_form(p, V) - free_energy(p, V))",
-        "np.abs(free_energy(p, V) - free_energy(p, V))"),
+        "np.abs(free_energy_entropy_form(p, V) - f)",
+        "np.abs(f - f)"),
     "oracle-conditional-from-hidden-probs": (
         "oracle.py",
-        "cond = (joint @ H) / joint.sum(axis=1, keepdims=True)",
-        "cond = hidden_probs(p, V)"),
+        "cond = (joint @ H) / joint.sum(axis=2, keepdims=True)",
+        "cond = np.stack(probs)"),
     "oracle-brute-free-energy-from-closed-form": (
         "oracle.py",
-        "brute_f = -_log_unnormalized(*_stack(p))[0]",
-        "brute_f = free_energy(p, V)"),
+        "brute_f = -_log_unnormalized(w, a, b)",
+        "brute_f = np.stack(closed_f)"),
+    "oracle-fd-every-trial-reads-first-trial-rows": (
+        "oracle.py",
+        "data[owner[s:s + block]]",
+        "data[0 * owner[s:s + block]]"),
+    "oracle-conditional-every-trial-from-first-joint-table": (
+        "oracle.py",
+        "cond = (joint @ H) / joint.sum(axis=2, keepdims=True)",
+        "cond = (joint[0] @ H) / joint[0].sum(axis=1, keepdims=True)"),
+    "oracle-brute-free-energy-every-trial-from-first": (
+        "oracle.py",
+        "brute_f = -_log_unnormalized(w, a, b)",
+        "brute_f = -_log_unnormalized(w, a, b)[:1]"),
     "oracle-fd-last-model-skipped": (
         "oracle.py",
         "for s in range(0, len(params), block)])",
