@@ -354,9 +354,9 @@ def fine_tune(net: FeedforwardNet, data, hp: Hyperparams, seed: int):
                 for layer, (w, b) in enumerate(zip(net.weights, net.biases)):
                     w += momentum_step(vel_w[layer], gw[layer], hp, w)
                     b += momentum_step(vel_b[layer], gb[layer], hp)
-            if not all(np.all(np.isfinite(w)) for w in net.weights):
+            if not all(np.isfinite(x).all() for x in (*net.weights, *net.biases)):
                 raise TrainingDivergedError(
-                    f"non-finite network weights at epoch {epoch}, "
+                    f"non-finite network parameters at epoch {epoch}, "
                     f"batch offset {start}")
         losses.append(cross_entropy(net, feats, labels))
     return net, losses

@@ -367,6 +367,15 @@ class TestBackprop:
             fine_tune(net, data, Hyperparams(epsilon=1e200, weight_decay=1.0,
                                              epochs=3, batch_size=2), seed=34)
 
+    def test_divergence_in_biases_alone_detected(self):
+        # zero inputs leave the weight gradient zero; the output biases
+        # overflow to [inf, -inf] in the second epoch
+        net = FeedforwardNet([np.zeros((3, 2))], [np.zeros(2)])
+        data = Dataset(np.zeros((4, 3)), np.array([0, 0, 0, 1]))
+        with pytest.raises(TrainingDivergedError, match="epoch 2"):
+            fine_tune(net, data, Hyperparams(epsilon=1e300, momentum=1e300,
+                                             epochs=2), seed=0)
+
     def test_non_finite_hyperparameter_is_malformed_not_divergence(self):
         net = unroll_to_network(TestUnroll().build_stack(), 2, seed=4)
         data = Dataset((RngStream(34, 6).uniforms((6, 4)) < 0.5).astype(float),

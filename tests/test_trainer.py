@@ -1,13 +1,14 @@
 import numpy as np
 import pytest
 
-from rbmkit import (Hyperparams, RbmParams, RngStream, TrainingDivergedError,
+from rbmkit import (GAUSSIAN, Hyperparams, RbmParams, RngStream,
+                    TrainingDivergedError, free_energy, hidden_input,
                     hidden_probs, init_params, reconstruction_error, train_rbm,
                     visible_probs)
 from rbmkit import trainer
 from rbmkit.oracle import mean_log_likelihood
-from rbmkit.trainer import (FEPCD, PCD, STREAM_INIT, metrics_csv_text,
-                            read_metrics_csv)
+from rbmkit.trainer import (ESTIMATORS, FEPCD, PCD, STREAM_EVAL, STREAM_INIT,
+                            STREAM_SHUFFLE, metrics_csv_text, read_metrics_csv)
 
 TWO_PATTERN_DATA = np.array([[1.0, 1.0]] * 4 + [[0.0, 0.0]] * 2)
 
@@ -147,6 +148,91 @@ class TestTrainRbm:
         train_rbm(ref_model, TWO_PATTERN_DATA, hp, "cd", seed=0,
                   epoch_callback=lambda e, p, m: seen.append((e, m.epoch)))
         assert seen == [(1, 1), (2, 2), (3, 3)]
+
+
+def per_batch_metrics(updates, feats, hp, seed):
+    """(recon_error, mean_free_energy) of each epoch, taken one minibatch
+    at a time right after its update: updates holds the params each
+    apply_update returned, in order."""
+    shuffle_rng, eval_rng = RngStream(seed, STREAM_SHUFFLE), RngStream(seed, STREAM_EVAL)
+    m, params = feats.shape[0], iter(updates)
+    rows = []
+    for _ in range(hp.epochs):
+        order = shuffle_rng.permutation(m)
+        recon_sum = fe_sum = 0.0
+        for start in range(0, m, hp.batch_size):
+            batch = feats[order[start:start + hp.batch_size]]
+            p = next(params)
+            recon_sum += reconstruction_error(p, batch, eval_rng) * batch.shape[0]
+            fe_sum += float(free_energy(p, batch, hidden_input(p, batch)).sum())
+        rows.append((recon_sum / m, fe_sum / m))
+    assert next(params, None) is None
+    return rows
+
+
+class TestGroupedMetrics:
+    """train_rbm computes its metrics per group of minibatches as stacked
+    models; every value must equal the one-batch-at-a-time loop's bits."""
+
+    def run(self, monkeypatch, n_visible, n_hidden, rows, hp, estimator,
+            visible_kind="binary", label_units=0):
+        """(reference rows, rows the epoch callback saw, returned rows,
+        group sizes) of one training run."""
+        apply_update, group_metrics = trainer.apply_update, trainer._group_metrics
+        updates, groups = [], []
+
+        def recording_update(*args):
+            updates.append(apply_update(*args))
+            return updates[-1]
+
+        def recording_groups(trained, rng):
+            groups.append(len(trained))
+            return group_metrics(trained, rng)
+
+        monkeypatch.setattr(trainer, "apply_update", recording_update)
+        monkeypatch.setattr(trainer, "_group_metrics", recording_groups)
+        feats = RngStream(rows, 6).uniforms((rows, n_visible))
+        if visible_kind != GAUSSIAN:
+            feats = (feats < 0.4).astype(float)
+        init = init_params(n_visible, n_hidden, RngStream(rows, STREAM_INIT),
+                           visible_kind, label_units)
+        seen = []
+        _, metrics = train_rbm(
+            init, feats, hp, estimator, seed=rows,
+            epoch_callback=lambda e, p, row: seen.append(
+                (row.recon_error, row.mean_free_energy)))
+        got = [(r.recon_error, r.mean_free_energy) for r in metrics]
+        sizes = list(groups)  # before the reference loop adds its own
+        return per_batch_metrics(updates, feats, hp, rows), seen, got, sizes
+
+    @pytest.mark.parametrize("estimator", ESTIMATORS)
+    @pytest.mark.parametrize("n_visible, n_hidden, rows, batch, kind, labels, sizes", [
+        (12, 8, 400, 20, "binary", 0, [20]),   # one group an epoch
+        (12, 8, 410, 20, "binary", 0, [20, 1]),  # ragged last batch alone
+        (7, 5, 30, 7, GAUSSIAN, 0, [4, 1]),
+        (14, 6, 60, 20, "binary", 4, [3]),      # discriminative label block
+        (20, 10, 9, 1, "binary", 0, [9]),       # batch of one row
+        (6, 4, 5, 20, "binary", 0, [1]),        # batch larger than the data
+        (794, 64, 60, 20, "binary", 10, [1, 1, 1]),  # a batch fills the budget
+    ])
+    def test_bit_identical_to_per_batch_loop(self, monkeypatch, estimator, n_visible,
+                                             n_hidden, rows, batch, kind, labels, sizes):
+        hp = Hyperparams(epsilon=0.1, momentum=0.5, batch_size=batch, epochs=2)
+        want, seen, got, groups = self.run(monkeypatch, n_visible, n_hidden, rows, hp,
+                                           estimator, kind, labels)
+        assert got == want
+        assert seen == want
+        assert groups == sizes * hp.epochs
+
+    @pytest.mark.parametrize("estimator", ESTIMATORS)
+    def test_small_budget_splits_an_epoch(self, monkeypatch, estimator):
+        monkeypatch.setattr(trainer, "METRICS_GROUP_BYTES",
+                            3 * trainer._group_bytes(12, 8, 20))
+        hp = Hyperparams(epsilon=0.1, batch_size=20, epochs=2)
+        want, seen, got, groups = self.run(monkeypatch, 12, 8, 410, hp, estimator)
+        assert got == want
+        assert seen == want
+        assert groups == [3] * 6 + [2, 1] + [3] * 6 + [2, 1]
 
 
 class TestMetricsCsv:

@@ -1,5 +1,7 @@
 """Mutation check: shows the tier-1 suite fails on each known estimator,
-chain-noise, trainer and classifier fault, on a discriminative stack's
+chain-noise, trainer and classifier fault (among them training metrics
+taken on pre-update params, or a group's metrics reaching the epoch row
+only after the epoch callback), on a discriminative stack's
 labelled top layer trained with the bottom layer's unit kind or seed, on
 each way of making an oracle identity vacuous, on faults in the oracle's
 blocked finite difference, its count of visited states and its one chain
@@ -77,6 +79,48 @@ MUTANTS = {
         "samplers.py",
         "zip(block, self.streams)",
         "zip(block, self.streams[1:] + self.streams[:1])"),
+    "metrics-on-pre-update-params": (
+        "trainer.py",
+        "                try:\n"
+        "                    p = apply_update(p, pos, neg, hp, vel)\n"
+        "                except ValueError as exc:\n"
+        "                    raise TrainingDivergedError(\n"
+        "                        f\"non-finite parameters at epoch {epoch}, \"\n"
+        "                        f\"batch offset {start} ({estimator}, seed {seed})\") from exc\n"
+        "                # apply_update returns fresh arrays, so a reference will do\n"
+        "                trained.append((p, batch))\n",
+        "                trained.append((p, batch))\n"
+        "                try:\n"
+        "                    p = apply_update(p, pos, neg, hp, vel)\n"
+        "                except ValueError as exc:\n"
+        "                    raise TrainingDivergedError(\n"
+        "                        f\"non-finite parameters at epoch {epoch}, \"\n"
+        "                        f\"batch offset {start} ({estimator}, seed {seed})\") from exc\n"),
+    "metrics-last-group-after-epoch-callback": (
+        "trainer.py",
+        "            recon, fe = _group_metrics(trained, eval_rng)\n"
+        "            for r, f in zip(recon.tolist(), fe.tolist()):\n"
+        "                recon_sum += r * batch.shape[0]\n"
+        "                fe_sum += f\n"
+        "        metrics.append(EpochMetrics(epoch, recon_sum / m, fe_sum / m,\n"
+        "                                    time.perf_counter() - t0, estimator, seed))\n"
+        "        if epoch_callback is not None:\n"
+        "            epoch_callback(epoch, p, metrics[-1])\n",
+        "            if offsets is not groups[-1]:\n"
+        "                recon, fe = _group_metrics(trained, eval_rng)\n"
+        "                for r, f in zip(recon.tolist(), fe.tolist()):\n"
+        "                    recon_sum += r * batch.shape[0]\n"
+        "                    fe_sum += f\n"
+        "        metrics.append(EpochMetrics(epoch, recon_sum / m, fe_sum / m,\n"
+        "                                    time.perf_counter() - t0, estimator, seed))\n"
+        "        if epoch_callback is not None:\n"
+        "            epoch_callback(epoch, p, metrics[-1])\n"
+        "        recon, fe = _group_metrics(trained, eval_rng)\n"
+        "        for r, f in zip(recon.tolist(), fe.tolist()):\n"
+        "            recon_sum += r * batch.shape[0]\n"
+        "            fe_sum += f\n"
+        "        metrics[-1].recon_error = recon_sum / m\n"
+        "        metrics[-1].mean_free_energy = fe_sum / m\n"),
     "momentum-ignored": (
         "model.py",
         "vel *= hp.momentum",
