@@ -1,74 +1,56 @@
-"""Brute-force ground truth for small binary RBMs.
+"""Exact ground truth for small binary RBMs, by enumeration.
 
-Everything here enumerates the full 2^(n_visible + n_hidden) state space,
-so it is the reference against which the closed-form free energy and the
-sampling-based gradient estimators are measured. Models must have binary
-visible units and at most MAX_ENUM_UNITS units in total; larger requests
-fail loudly rather than silently approximating.
+In an RBM either layer can be summed out in closed form, so each value
+here enumerates one layer's states and sums the other layer out:
+
+- partition_function enumerates the 2^n_hidden hidden states, the
+  visible layer summed out:
+  log Z = logsumexp_h [b.h + sum_i softplus(a_i + (W h)_i)].
+- exact_gradient's negative statistics enumerate the same hidden states,
+  each weighted by P(h): E[v h^T] = sum_h P(h) sigmoid(a + W h) h^T.
+- visible_marginal (every visible state) and mean_log_likelihood (the
+  data rows) take log P(v) = -F(v) - log Z, with this module's own
+  closed-form -F(v) = a.v + sum_j softplus(b_j + (v W)_j), the hidden
+  layer summed out, and log Z from partition_function.
+- joint_table enumerates the whole 2^(n_visible + n_hidden) joint grid.
+
+Models must have binary visible units and at most MAX_ENUM_UNITS units in
+total; larger requests fail loudly rather than silently approximating.
+Under that cap the closed forms hold no array of more than 2^19 floats
+(4 MiB) beside the state grid they enumerate and the data rows' -F terms.
 
 run_oracle_checks bundles these into the identity suite behind the
 oracle-check command. Each trial calls the functions under test
 (visible_marginal, free_energy, free_energy_entropy_form, hidden_probs,
 exact_gradient) through this module's bindings, one model at a time. The
-witnesses they are checked against (brute -F, the joint table behind the
-conditionals, the finite-difference gradient) are built afterwards for a
-group of trials at once, as stacked models, as many trials a group as
-FD_BLOCK_BYTES of tables holds.
+witnesses they are checked against (brute -F and the conditionals from
+the joint -E table, the finite-difference gradient) are built afterwards
+for a group of trials at once, as stacked models, as many trials a group
+as FD_BLOCK_BYTES of joint tables holds.
 
-All sums run in log space (log-sum-exp); numpy's pairwise summation keeps
-results summation-order-robust well below the 1e-10 tolerances used by
-the identity checks.
-
-An enumeration builds its 2^(n_visible + n_hidden) table a block of
-visible rows at a time, each block at most ENUM_BLOCK_BYTES of one
-model's table, and reduces each block before it builds the next: the bias
-terms are added into the product's buffer, and the log-sum-exp shifts and
-exponentiates that same buffer. So on a 12x8 model (8 MiB a table) every
-public function but joint_table, whose output is the table, peaks near
-one 1 MiB block.
-
-The state grids an enumeration reads are built once per unit count and
-kept, read-only, when the whole grid is at most ENUM_BLOCK_BYTES (13
-units or fewer at 1 MiB); larger grids are built afresh on each call.
-enumerate_states always returns a fresh writable copy.
+All sums run in log space (log-sum-exp). The state grids are built once
+per unit count and kept, read-only, for 13 units or fewer (at most 832
+KiB a grid); larger grids are built afresh on each call.
+enumerate_states always returns a fresh writable array.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .core import RngStream, sigmoid
+from .core import RngStream, log1p_exp, sigmoid
 from .model import (BINARY, GradientStats, RbmParams, batch_stats, free_energy,
                     hidden_probs)
 from .samplers import gibbs_chain, make_pool
 
 MAX_ENUM_UNITS = 20
 
-# Bytes of one model's energy table that an enumeration holds at a time:
-# tables are built and reduced a block of visible rows at a time, as many
-# rows as this budget holds (at least one, so a row of more than 2^17
-# hidden states is a block of its own). At 1 MiB a block fits a core's L2
-# cache (2 MiB on the 2-vCPU Xeon measured). Against the whole table,
-# partition_function at 12x8, 10x10, 14x6 and 8x12 took 0.82-1.04x the
-# time (alternating runs, median of 40 each) and its traced peak at 12x8
-# fell from 8.6 to 1.1 MiB. The log-sum-exp of a single block's value is
-# that value exactly, so a table that fits one block gives the bits it
-# gave before blocking.
-ENUM_BLOCK_BYTES = 2 ** 20
-
-# Bytes of energy tables that finite_diff_loglik_grad lets one block of
-# stacked perturbed models hold; a model holds one row block of a table at
-# a time (see ENUM_BLOCK_BYTES), so this bounds the block's working set.
-# Small models gain from sharing numpy calls: against one model a block, 3x3 (30 models, one block) went
-# from 3.2 to 0.2 ms and 6x6 from 13 to 5 ms. Blocks that outgrow a
-# core's L2 cache lose (2 MiB per core on the 2-vCPU Xeon measured, one
-# BLAS thread): at an 8 MiB budget 8x6 and 8x8 ran 1.5-2x slower than one
-# model at a time. Re-measured with one table per model over budgets of
-# 256 KiB to 4 MiB, 1 MiB was within noise of the best at every size from
-# 3x3 to 10x8, and 256 KiB ran 6x6 1.3x and 8x6 2x slower. From 10x8 up
-# one model's row block fills the budget, so each model is its own block
-# and the traced peak stays near one row block (1.3 MiB at 10x8, where
-# stacking all 196 models would take 400 MB).
+# Bytes of working set that one block of finite_diff_loglik_grad's stacked
+# perturbed models may hold (see _model_bytes), and of joint tables that
+# one group of run_oracle_checks' trials may hold. Small models gain from
+# sharing numpy calls (3x3's 30 models: 6 ms one model a block, 0.16 ms in
+# one block); at 8 MiB, 8x8 and 10x8 ran 1.1-1.4x slower than at 1 MiB
+# (2-vCPU Xeon, one BLAS thread, medians of 15 calls).
 FD_BLOCK_BYTES = 2 ** 20
 
 # finite_diff_loglik_grad's central-difference step on every parameter
@@ -76,7 +58,6 @@ FD_STEP = 1e-5
 
 __all__ = [
     "MAX_ENUM_UNITS",
-    "ENUM_BLOCK_BYTES",
     "FD_BLOCK_BYTES",
     "FD_STEP",
     "enumerate_states",
@@ -120,40 +101,32 @@ def enumerate_states(n_units: int) -> np.ndarray:
     """All binary vectors of the given length, in binary counting order.
 
     Row s spells out s in base 2 with unit 0 as the most significant bit,
-    so the row index doubles as a state id.
+    so the row index doubles as a state id. The bits come from each id's
+    four big-endian bytes, one uint8 each, so the only temporaries beside
+    the float64 result are 4 + 32 bytes a row.
     """
     if n_units > MAX_ENUM_UNITS:
         raise ValueError(f"refusing to enumerate 2^{n_units} states")
-    return _states(0, 2 ** n_units, n_units)
+    ids = np.arange(2 ** n_units, dtype=">u4")
+    bits = np.unpackbits(ids.view(np.uint8).reshape(-1, 4), axis=1)
+    return bits[:, 32 - n_units:].astype(np.float64)
 
 
-# n_units -> read-only enumerate_states(n_units), for grids of at most
-# ENUM_BLOCK_BYTES; a default 3x3 oracle-check built 452 grids before them
+# n_units -> read-only enumerate_states(n_units), for 13 units or fewer;
+# a default 3x3 oracle-check built 452 grids before them
 _GRIDS = {}
 
 
 def _grid(n_units: int) -> np.ndarray:
-    """enumerate_states(n_units), read-only; kept for later calls when it
-    is at most ENUM_BLOCK_BYTES."""
+    """enumerate_states(n_units), read-only; kept for later calls when
+    n_units <= 13."""
     grid = _GRIDS.get(n_units)
     if grid is None:
-        grid = _states(0, 2 ** n_units, n_units)
+        grid = enumerate_states(n_units)
         grid.flags.writeable = False
-        if grid.nbytes <= ENUM_BLOCK_BYTES:
+        if n_units <= 13:
             _GRIDS[n_units] = grid
     return grid
-
-
-def _states(start: int, stop: int, n_units: int) -> np.ndarray:
-    """Rows start to stop - 1 of enumerate_states(n_units), n_units <= 32.
-
-    The bits come from each id's four big-endian bytes, one uint8 each,
-    so the only temporaries beside the float64 result are 4 + 32 bytes
-    a row.
-    """
-    ids = np.arange(start, stop, dtype=">u4")
-    bits = np.unpackbits(ids.view(np.uint8).reshape(-1, 4), axis=1)
-    return bits[:, 32 - n_units:].astype(np.float64)
 
 
 def state_index(v):
@@ -182,91 +155,69 @@ def _neg_energy_tables(w, a, b, rows, H) -> np.ndarray:
     return table
 
 
+def _neg_free_energies(w, a, b, rows) -> np.ndarray:
+    """-F(v) = a.v + sum_j softplus(b_j + (v W)_j) of K stacked models (see
+    _neg_energy_tables) for each of the rows, the hidden layer summed out:
+    shape (K, R). The oracle's own marginalization of h, written apart
+    from model.free_energy, which the identities check against it."""
+    x = rows @ w
+    x += b[:, None, :]
+    return (rows @ a[:, :, None])[..., 0] + log1p_exp(x).sum(axis=2)
+
+
+def _log_partitions(w, a, b) -> np.ndarray:
+    """log Z of K stacked models, shape (K,), summed over the 2^n_h hidden
+    states with the visible layer summed out:
+    log Z = logsumexp_h [b.h + sum_i softplus(a_i + (W h)_i)].
+
+    One product H @ [W^T | b], H the hidden grid, gives every (W h)_i and
+    b.h. H is not held past it, so where it is built afresh (2x18: 36 MiB)
+    it is gone before the softplus.
+    """
+    n_v = w.shape[1]
+    x = _grid(w.shape[2]) @ np.concatenate([w.transpose(0, 2, 1), b[:, :, None]],
+                                           axis=2)
+    act = x[..., :n_v]
+    act += a[:, None, :]
+    return _logsumexp(x[..., n_v] + log1p_exp(act).sum(axis=2), axis=1)
+
+
 def _stack(p: RbmParams):
     """(w, a, b) of p as a stack of one model."""
     return p.w[None], p.a[None], p.b[None]
 
 
-def _block_rows(n_hidden: int) -> int:
-    """Visible rows in one block of a table: as many as ENUM_BLOCK_BYTES
-    of float64 entries hold, 2^n_hidden a row, and at least one."""
-    return max(1, ENUM_BLOCK_BYTES // (8 * 2 ** n_hidden))
-
-
-def _by_block(w, a, b, reduce, rows=None) -> list:
-    """reduce(block_rows, table) of each block of the rows in order, where
-    table is the block's -E table (see _neg_energy_tables) and each holds
-    _block_rows(n_hidden) of the rows (by default every visible state,
-    built a block at a time). rows may be shared, (R, n_v), or one set a
-    model, (K, R, n_v). reduce may consume its table, and only one block's
-    table is alive at a time."""
-    n_v, n_h = w.shape[1:]
-    step = _block_rows(n_h)
-    if rows is None and 2 ** n_v <= step:
-        rows = _grid(n_v)
-    n_rows = 2 ** n_v if rows is None else rows.shape[-2]
-    H = _grid(n_h)
-    out = []
-    for start in range(0, n_rows, step):
-        stop = min(start + step, n_rows)
-        block = _states(start, stop, n_v) if rows is None else rows[..., start:stop, :]
-        out.append(reduce(block, _neg_energy_tables(w, a, b, block, H)))
-    return out
-
-
-def _log_partitions(w, a, b) -> np.ndarray:
-    """log Z of each of K stacked models: the log-sum-exp of each block's
-    log-sum-exp, shape (K,). A lone block's value is log Z as it stands;
-    the log-sum-exp would return it unchanged, but its five numpy calls
-    would add about 40% to a 3x3 partition_function and 5% to
-    oracle-check at its defaults."""
-    k = len(w)
-    per_block = _by_block(w, a, b, lambda _, t: _logsumexp(t.reshape(k, -1), axis=1))
-    if len(per_block) == 1:
-        return per_block[0]
-    return _logsumexp(np.stack(per_block, axis=1), axis=1)
-
-
-def _log_unnormalized(w, a, b, rows=None) -> np.ndarray:
-    """log sum_h exp(-E(v, h)) of K stacked models for each of the rows (by
-    default every visible state), shape (K, rows)."""
-    return np.concatenate(_by_block(w, a, b, lambda _, t: _logsumexp(t, axis=2), rows),
-                          axis=1)
-
-
 def partition_function(p: RbmParams) -> float:
-    """log Z = log sum over all joint states of exp(-E(v, h))."""
+    """log Z, summed over the hidden states with the visible layer summed
+    out in closed form."""
     _check_enumerable(p)
     return float(_log_partitions(*_stack(p))[0])
 
 
 def visible_marginal(p: RbmParams) -> np.ndarray:
-    """P(v) for every visible state, marginalizing the hidden units out.
+    """P(v) for every visible state: exp(-F(v) - log Z), the hidden layer
+    summed out in closed form.
 
     Indexed by enumerate_states(n_visible) row order. Normalized by
-    partition_function rather than by its own sum, so the result sums to
-    1 only if log Z is right.
+    partition_function, which sums over the other layer, rather than by
+    its own sum, so the result sums to 1 only if both are right.
     """
     _check_enumerable(p)
-    log_pv = _log_unnormalized(*_stack(p))[0]
+    log_pv = _neg_free_energies(*_stack(p), _grid(p.n_visible))[0]
     return np.exp(log_pv - partition_function(p))
 
 
 def _joint_tables(w, a, b) -> np.ndarray:
     """P(v, h) of K stacked models over the full joint grid, shape
-    (K, 2^n_v, 2^n_h), each normalized by its model's log Z. The tables
-    are built whole, in one call, after log Z has freed its blocks."""
-    log_z = _log_partitions(w, a, b)
+    (K, 2^n_v, 2^n_h), each normalized by its model's log Z."""
     n_v, n_h = w.shape[1:]
     joint = _neg_energy_tables(w, a, b, _grid(n_v), _grid(n_h))
-    joint -= log_z[:, None, None]
+    joint -= _log_partitions(w, a, b)[:, None, None]
     return np.exp(joint, out=joint)
 
 
 def joint_table(p: RbmParams) -> np.ndarray:
-    """P(v, h) over the full joint grid, visible rows x hidden columns.
-
-    The one enumeration that holds a whole table, as it is the output."""
+    """P(v, h) over the full joint grid, visible rows x hidden columns."""
     _check_enumerable(p)
     return _joint_tables(*_stack(p))[0]
 
@@ -288,49 +239,35 @@ def _binary_rows(p: RbmParams, data) -> np.ndarray:
 def exact_gradient(p: RbmParams, data: np.ndarray):
     """Data-clamped and exact model-expectation statistics.
 
-    The positive half averages v x P(h=1|v) over the dataset rows; the
-    negative half sums v_i h_j, v_i, h_j over the entire joint
-    distribution. Their difference is the exact gradient of the mean data
-    log-likelihood.
-
-    The negative sums run a block of visible rows at a time, each block's
-    P(v, h) normalized in its table's buffer, so the joint table is never
-    held whole.
+    The positive half averages v x P(h=1|v) over the dataset rows. The
+    negative half sums over the hidden states with the visible layer
+    summed out: E[v h^T] = sum_h P(h) sigmoid(a + W h) h^T, E[v] =
+    sum_h P(h) sigmoid(a + W h) and E[h] = sum_h P(h) h. Their difference
+    is the exact gradient of the mean data log-likelihood.
     """
     _check_enumerable(p)
     data = _binary_rows(p, data)
     pos = batch_stats(data, hidden_probs(p, data))
 
-    log_z = partition_function(p)
+    log_z = partition_function(p)  # first: two uncached grids never coexist
     H = _grid(p.n_hidden)
-
-    def block_sums(V, table):
-        P = table[0]
-        P -= log_z
-        np.exp(P, out=P)
-        return V.T @ P @ H, P.sum(axis=1) @ V, P.sum(axis=0) @ H
-
-    vh, v, h = (sum(parts) for parts in zip(*_by_block(*_stack(p), block_sums)))
-    neg = GradientStats(vh=vh, v=v, h=h, count=2 ** (p.n_visible + p.n_hidden))
+    act = H @ p.w.T
+    act += p.a
+    ph = H @ p.b + log1p_exp(act).sum(axis=1) - log_z  # log P(h)
+    np.exp(ph, out=ph)
+    pv = sigmoid(act)  # P(v_i = 1 | h)
+    pv *= ph[:, None]
+    neg = GradientStats(vh=pv.T @ H, v=pv.sum(axis=0), h=ph @ H,
+                        count=2 ** (p.n_visible + p.n_hidden))
     return pos, neg
 
 
 def mean_log_likelihood(p: RbmParams, data: np.ndarray) -> float:
-    """Mean of log P(v) over dataset rows, by full enumeration."""
+    """Mean of log P(v) = -F(v) - log Z over dataset rows."""
     _check_enumerable(p)
     data = _binary_rows(p, data)
-    log_pv = _log_unnormalized(*_stack(p), data)[0] - partition_function(p)
+    log_pv = _neg_free_energies(*_stack(p), data)[0] - partition_function(p)
     return float(np.mean(log_pv))
-
-
-def _mean_log_likelihoods(w, a, b, data) -> np.ndarray:
-    """mean_log_likelihood of each of K stacked models (see
-    _neg_energy_tables) on data, shared (R, n_v) or one set a model
-    (K, R, n_v), each bit-identical to the one-model call, as both split
-    the rows into the same blocks. Log Z comes from the stacked tables,
-    not through partition_function."""
-    log_unnorm = _log_unnormalized(w, a, b, data)
-    return np.mean(log_unnorm - _log_partitions(w, a, b)[:, None], axis=1)
 
 
 def free_energy_entropy_form(p: RbmParams, v):
@@ -361,10 +298,11 @@ def free_energy_entropy_form(p: RbmParams, v):
 
 
 def _model_bytes(n_visible: int, n_hidden: int, n_rows: int) -> int:
-    """Bytes of tables one model holds at a time while its mean
-    log-likelihood on n_rows data rows is enumerated: one row block of a
-    float64 table, reduced in place."""
-    return 8 * min(_block_rows(n_hidden), max(n_rows, 2 ** n_visible)) * 2 ** n_hidden
+    """Bytes one model holds while its mean log-likelihood on n_rows rows
+    is evaluated: three float64 arrays (a product, its softplus and a
+    temporary) of log Z's 2^n_hidden x (n_visible + 1) or -F's n_rows x
+    n_hidden, whichever is larger."""
+    return 3 * 8 * max(2 ** n_hidden * (n_visible + 1), n_rows * n_hidden)
 
 
 def _finite_diff_grads(w, a, b, data) -> np.ndarray:
@@ -374,7 +312,8 @@ def _finite_diff_grads(w, a, b, data) -> np.ndarray:
 
     Model k's 2P perturbed models (model 2i moves entry i by +FD_STEP,
     model 2i+1 by -FD_STEP) are evaluated as stacks, each reading model
-    k's rows, as many models per block as FD_BLOCK_BYTES allows.
+    k's rows, as many models per block as FD_BLOCK_BYTES allows. Each
+    model's value is bit-identical to mean_log_likelihood's.
     """
     k, n_v, n_h = w.shape
     flat = np.concatenate([w.reshape(k, -1), a, b], axis=1)
@@ -390,10 +329,13 @@ def _finite_diff_grads(w, a, b, data) -> np.ndarray:
     A, B = params[:, n_v * n_h:-n_h], params[:, -n_h:]
 
     block = max(1, FD_BLOCK_BYTES // _model_bytes(n_v, n_h, data.shape[1]))
-    loglik = np.concatenate([
-        _mean_log_likelihoods(W[s:s + block], A[s:s + block], B[s:s + block],
-                              data[owner[s:s + block]])
-        for s in range(0, len(params), block)])
+    loglik = []
+    for s in range(0, len(params), block):
+        m = slice(s, s + block)
+        log_pv = _neg_free_energies(W[m], A[m], B[m], data[owner[m]])
+        loglik.append(np.mean(log_pv - _log_partitions(W[m], A[m], B[m])[:, None],
+                              axis=1))
+    loglik = np.concatenate(loglik)
 
     return ((loglik[0::2] - loglik[1::2]) / (2.0 * FD_STEP)).reshape(k, n)
 
@@ -403,8 +345,7 @@ def finite_diff_loglik_grad(p: RbmParams, data: np.ndarray) -> dict:
 
     Perturbs every entry of w, a and b by +-FD_STEP and differences the
     enumerated objective; entirely independent of exact_gradient's
-    expectation algebra. The 2P perturbed models are evaluated as
-    stacks, as many per block as FD_BLOCK_BYTES allows.
+    expectation algebra.
     """
     _check_enumerable(p)
     data = _binary_rows(p, data)
@@ -491,14 +432,19 @@ def run_oracle_checks(n_visible: int = 3, n_hidden: int = 3, trials: int = 25,
                       seed: int = 0) -> list:
     """Identity suite over random models; one result per invariant.
 
-    Every identity but the gradient and Gibbs checks is evaluated on all
-    2^n_visible visible states at once. Each trial calls the functions
-    under test through this module's bindings, so a fault patched into
-    one of them (as the tests do) shows as that identity's failure. The
-    witnesses they are compared with (brute -F, the joint tables, the
-    finite-difference gradients) are built for a group of trials at a
-    time as stacked models, each slice bit-identical to building it for
-    the trial alone.
+    Each compares two routes to one quantity, over all 2^n_visible states
+    for the first four: sum_v exp(-F(v)) (h summed out) against
+    partition_function (v summed out); free_energy against brute -F from
+    the joint -E table; free_energy against free_energy_entropy_form;
+    hidden_probs against the joint table's rows; exact_gradient (sums
+    over h) against finite differences of mean -F(v) - log Z; the states
+    a Gibbs chain visits against visible_marginal.
+
+    Each trial calls the functions under test through this module's
+    bindings, so a fault patched into one of them (as the tests do) shows
+    as that identity's failure. The witnesses are built for a group of
+    trials at a time as stacked models, each slice bit-identical to
+    building it for the trial alone.
     """
     if n_visible < 1:
         raise ValueError(f"n_visible (--visible) must be >= 1, got {n_visible}")
@@ -513,7 +459,6 @@ def run_oracle_checks(n_visible: int = 3, n_hidden: int = 3, trials: int = 25,
     if trials == 0:
         return [CheckResult(name, True, "no trials") for name in TOLERANCES]
     V = _grid(n_visible)
-    H = _grid(n_hidden)
     worst = dict.fromkeys(TOLERANCES, 0.0)
     # (model, chain pool, visible marginal) of the first three trials
     stationarity = []
@@ -521,11 +466,9 @@ def run_oracle_checks(n_visible: int = 3, n_hidden: int = 3, trials: int = 25,
     def note(name, gaps):
         worst[name] = max(worst[name], float(np.max(gaps)))
 
-    # Trials a group: as many as FD_BLOCK_BYTES holds of tables, each
-    # counted as finite_diff_loglik_grad counts one of its models. A joint
-    # table is built whole, so where one row block is not the whole table
-    # (4x14, say) a group is one trial holding one joint_table's worth.
-    group = max(1, FD_BLOCK_BYTES // _model_bytes(n_visible, n_hidden, 6))
+    # Trials a group: as many joint tables as FD_BLOCK_BYTES holds, and at
+    # least one (4x14, say, whose table is 2 MiB)
+    group = max(1, FD_BLOCK_BYTES // (8 * 2 ** (n_visible + n_hidden)))
     for first in range(0, trials, group):
         # the functions under test, one trial at a time
         models, rows, closed_f, probs, grads = [], [], [], [], []
@@ -553,17 +496,20 @@ def run_oracle_checks(n_visible: int = 3, n_hidden: int = 3, trials: int = 25,
                                    16, seed + trial)
                 stationarity.append((p, chains, marg))
 
-        # their witnesses, the group's models stacked
+        # their witnesses, the group's models stacked; an uncached H (over
+        # 13 units) is let go before the finite difference builds its own
         w = np.stack([p.w for p in models])
         a = np.stack([p.a for p in models])
         b = np.stack([p.b for p in models])
-        brute_f = -_log_unnormalized(w, a, b)
+        H = _grid(n_hidden)
+        brute_f = -_logsumexp(_neg_energy_tables(w, a, b, V, H), axis=2)
         note("free_energy_marginalization", np.abs(np.stack(closed_f) - brute_f))
 
         # P(h_j = 1 | v) by direct enumeration of each joint row
         joint = _joint_tables(w, a, b)
         cond = (joint @ H) / joint.sum(axis=2, keepdims=True)
         note("conditional_consistency", np.abs(cond - np.stack(probs)))
+        del joint, H
 
         fd = _finite_diff_grads(w, a, b, np.stack(rows))
         note("gradient_finite_difference", np.abs(np.stack(grads) - fd))

@@ -213,7 +213,7 @@ class TestStackedFiniteDiff:
     # repeated: row i appears i + 1 times, so the rows weigh unequally
     @pytest.mark.parametrize("repeated", [False, True], ids=["plain", "repeated"])
     @pytest.mark.parametrize("n_visible, n_hidden",
-                             [(1, 1), (3, 3), (4, 5), (6, 2), (8, 6)])
+                             [(1, 1), (1, 6), (6, 1), (3, 3), (4, 5), (6, 2), (8, 6)])
     def test_equals_the_per_entry_loop(self, n_visible, n_hidden, repeated):
         p, data = seeded_case(n_visible, n_hidden)
         if repeated:
@@ -234,8 +234,7 @@ class TestStackedFiniteDiff:
         assert_same_grads(default, all_at_once)
 
     def test_traced_peak_memory_is_bounded(self):
-        # Stacking all 196 perturbed 10x8 models at once needs about 400 MB
-        # of tables; blocked, the peak is about one model's table.
+        # 196 perturbed 10x8 models, evaluated a block at a time
         p, data = seeded_case(10, 8, rows=6)
         tracemalloc.start()
         try:
@@ -317,37 +316,33 @@ def oracle_args(name, p, data):
     return (p, data) if name in ("mean_log_likelihood", "exact_gradient") else (p,)
 
 
-class TestOneTableAtATime:
-    # A 12x8 joint table is 2^20 float64 entries (8 MiB), built and reduced
-    # a 1 MiB block of visible rows at a time.
+class TestTracedPeak:
+    # A 12x8 joint table is 2^20 float64 entries (8 MiB); the closed forms
+    # hold arrays of 2^n_hidden x n_visible or rows x n_hidden instead.
     @pytest.mark.parametrize("name, n_visible, n_hidden, rows", [
         ("partition_function", 12, 8, 6), ("visible_marginal", 12, 8, 6),
         ("mean_log_likelihood", 12, 8, 6), ("exact_gradient", 12, 8, 6),
         ("mean_log_likelihood", 8, 12, 400)])
-    def test_traced_peak_is_about_one_block(self, name, n_visible, n_hidden, rows):
-        # 8x12 with 400 rows: the data rows' table alone is 13 MiB
+    def test_traced_peak_is_far_below_one_table(self, name, n_visible, n_hidden,
+                                                rows):
+        # 8x12 with 400 rows: the data rows' -E table alone would be 13 MiB
         p, data = seeded_case(n_visible, n_hidden, rows=rows)
         peak = traced_peak(getattr(oracle, name), *oracle_args(name, p, data))
         assert peak <= 2.5 * 2 ** 20, f"traced peak {peak / 2 ** 20:.2f} MiB"
 
-    # With many hidden units the hidden-state grid, not the table block,
-    # sets the peak: at 2x18 it is 36 MiB itself, and building its bits
-    # through int64 temporaries of its size traced 74 MiB.
+    # With many hidden units the hidden-state grid sets the peak: at 2x18
+    # it is 36 MiB itself, and building its bits through int64 temporaries
+    # of its size traced 74 MiB. The grid must be gone before the softplus.
     def test_traced_peak_of_a_wide_hidden_grid(self):
         p, _ = seeded_case(2, 18)
         peak = traced_peak(oracle.partition_function, p)
         assert peak <= 48 * 2 ** 20, f"traced peak {peak / 2 ** 20:.1f} MiB"
 
-    # With the whole table one block, holding a shifted copy or its exp
-    # beside it would put the peak at 16-24 MiB. joint_table, whose output
-    # is the table, peaks near one table at any block size.
-    @pytest.mark.parametrize("name", ["partition_function", "visible_marginal",
-                                      "mean_log_likelihood", "joint_table",
-                                      "exact_gradient"])
-    def test_traced_peak_is_about_one_table(self, monkeypatch, name):
-        p, data = seeded_case(12, 8, rows=6)
-        monkeypatch.setattr(oracle, "ENUM_BLOCK_BYTES", 2 ** 23)
-        peak = traced_peak(getattr(oracle, name), *oracle_args(name, p, data))
+    # joint_table's output is the table; a shifted copy or its exp held
+    # beside it would put the peak at 16-24 MiB.
+    def test_joint_table_peaks_near_one_table(self):
+        p, _ = seeded_case(12, 8)
+        peak = traced_peak(oracle.joint_table, p)
         assert peak <= 10 * 2 ** 20, f"traced peak {peak / 2 ** 20:.1f} MiB"
 
 
@@ -359,8 +354,7 @@ def flat_logsumexp(x, axis=None):
 
 def flat_oracle(p, data):
     """(log Z, P(v), mean log-likelihood, negative vh, v and h sums), each
-    reduced over the whole table at once: the enumeration before it was
-    blocked."""
+    reduced over the whole joint -E table at once."""
     V, H = enumerate_states(p.n_visible), enumerate_states(p.n_hidden)
     table = oracle._neg_energy_tables(p.w[None], p.a[None], p.b[None], V, H)[0]
     log_z = flat_logsumexp(table)
@@ -371,54 +365,22 @@ def flat_oracle(p, data):
     return (log_z, marg, mll, V.T @ P @ H, P.sum(axis=1) @ V, P.sum(axis=0) @ H)
 
 
-def blocked_oracle(p, data):
-    """flat_oracle's values as the module computes them."""
-    _, neg = exact_gradient(p, data)
-    return (partition_function(p), visible_marginal(p), mean_log_likelihood(p, data),
-            neg.vh, neg.v, neg.h)
-
-
 ORACLE_VALUES = ["log_z", "marginal", "mean_loglik", "neg_vh", "neg_v", "neg_h"]
-ENUM_SIZES = [(3, 3), (4, 5), (6, 2), (8, 6)]
 
 
-class TestBlockedEnumeration:
-    @pytest.mark.parametrize("n_visible, n_hidden", ENUM_SIZES)
-    def test_one_block_gives_the_flat_bits(self, n_visible, n_hidden):
-        p, data = seeded_case(n_visible, n_hidden)
-        assert oracle._block_rows(n_hidden) >= 2 ** n_visible
-        for name, got, want in zip(ORACLE_VALUES, blocked_oracle(p, data),
-                                   flat_oracle(p, data)):
-            assert np.array_equal(got, want), name
-
-    # rows of table a block holds; 3 leaves a short last block
-    @pytest.mark.parametrize("rows", [1, 3])
-    @pytest.mark.parametrize("n_visible, n_hidden", ENUM_SIZES)
-    def test_several_blocks_agree_with_the_flat_sums(self, monkeypatch, n_visible,
-                                                     n_hidden, rows):
-        p, data = seeded_case(n_visible, n_hidden)
-        monkeypatch.setattr(oracle, "ENUM_BLOCK_BYTES", rows * 8 * 2 ** n_hidden)
-        assert oracle._block_rows(n_hidden) == rows
-        for name, got, want in zip(ORACLE_VALUES, blocked_oracle(p, data),
-                                   flat_oracle(p, data)):
-            np.testing.assert_allclose(got, want, rtol=1e-13, atol=0, err_msg=name)
-
-    @pytest.mark.parametrize("rows", [1, 3])
-    @pytest.mark.parametrize("n_visible, n_hidden", ENUM_SIZES)
-    def test_several_blocks_keep_the_stack_equal_to_the_loop(
-            self, monkeypatch, n_visible, n_hidden, rows):
-        p, data = seeded_case(n_visible, n_hidden)
-        monkeypatch.setattr(oracle, "ENUM_BLOCK_BYTES", rows * 8 * 2 ** n_hidden)
-        assert_same_grads(finite_diff_loglik_grad(p, data), loop_finite_diff(p, data))
-
-    @pytest.mark.parametrize("n_visible, n_hidden, rows", [(12, 8, 6), (8, 12, 400)])
-    def test_default_blocks_agree_with_the_flat_sums(self, n_visible, n_hidden, rows):
-        # 8 blocks of visible rows at 12x8; at 8x12, 8 of them and 13 of data
+class TestClosedForms:
+    @pytest.mark.parametrize("n_visible, n_hidden, rows", [
+        (1, 1, 7), (1, 6, 7), (6, 1, 7), (3, 3, 7), (4, 5, 7), (6, 2, 7),
+        (8, 6, 7), (12, 8, 7), (8, 12, 400)])
+    def test_agree_with_the_whole_table_sums(self, n_visible, n_hidden, rows):
         p, data = seeded_case(n_visible, n_hidden, rows=rows)
-        assert oracle._block_rows(n_hidden) < 2 ** n_visible
-        for name, got, want in zip(ORACLE_VALUES, blocked_oracle(p, data),
-                                   flat_oracle(p, data)):
-            np.testing.assert_allclose(got, want, rtol=1e-13, atol=0, err_msg=name)
+        _, neg = exact_gradient(p, data)
+        got = (partition_function(p), visible_marginal(p), mean_log_likelihood(p, data),
+               neg.vh, neg.v, neg.h)
+        for name, g, want in zip(ORACLE_VALUES, got, flat_oracle(p, data)):
+            np.testing.assert_allclose(g, want, rtol=1e-13, atol=0, err_msg=name)
+        if n_visible + n_hidden <= 9:
+            assert partition_function(p) == pytest.approx(loop_log_z(p), rel=1e-13)
 
 
 class TestMeanLogLikelihood:
@@ -452,6 +414,8 @@ def _stuck_at_zero(chain):
 ORACLE_FAULTS = [
     ("marginal_normalization", "partition_function",
      lambda f: lambda p: f(p) + 1e-3),
+    ("marginal_normalization", "_neg_free_energies",
+     lambda f: lambda w, a, b, rows: f(w, a, b, rows) + 1e-6),
     ("free_energy_marginalization", "free_energy",
      lambda f: lambda p, v, h_input=None: f(p, v, h_input) + 1e-6),
     ("free_energy_two_forms", "free_energy",
@@ -473,7 +437,8 @@ class TestRunOracleChecks:
         assert all(r.ok is True for r in results)
 
     @pytest.mark.parametrize("identity, binding, fault", ORACLE_FAULTS,
-                             ids=[f[0] for f in ORACLE_FAULTS])
+                             ids=[f"{f[0]}-{f[1]}" if f[1].startswith("_") else f[0]
+                                  for f in ORACLE_FAULTS])
     def test_every_identity_can_fail(self, monkeypatch, identity, binding, fault):
         monkeypatch.setattr(oracle, binding, fault(getattr(oracle, binding)))
         verdicts = {r.name: r.ok for r in run_oracle_checks(trials=3, seed=4)}
@@ -554,7 +519,8 @@ def loop_suite(n_visible, n_hidden, trials, seed):
                       rng.normals((n_hidden,)))
         marg = visible_marginal(p)
         note("marginal_normalization", abs(marg.sum() - 1.0))
-        brute_f = -oracle._log_unnormalized(p.w[None], p.a[None], p.b[None])[0]
+        brute_f = -flat_logsumexp(
+            oracle._neg_energy_tables(p.w[None], p.a[None], p.b[None], V, H)[0], axis=1)
         note("free_energy_marginalization", np.abs(free_energy(p, V) - brute_f))
         note("free_energy_two_forms",
              np.abs(oracle.free_energy_entropy_form(p, V) - free_energy(p, V)))
@@ -602,7 +568,7 @@ class TestStackedWitnesses:
         assert got == loop_suite(n_visible, n_hidden, trials, seed)
 
     # 2**62 stacks every trial's perturbed models in one block, so only
-    # small models: at 6x10 that block would be about 380 MiB.
+    # small models: at 6x10 that block would be about 125 MiB.
     @pytest.mark.parametrize("budget", [1, 2 ** 62], ids=["one-each", "one-block"])
     @pytest.mark.parametrize("n_visible, n_hidden, trials, seed",
                              [(3, 3, 25, 0), (4, 5, 4, 3)])
@@ -616,9 +582,16 @@ class TestStackedWitnesses:
 
     def test_traced_peak_is_about_one_group(self):
         # 8x8: a 512 KiB table, two trials a group. All 25 trials in one
-        # group traced about 18 MiB; one trial at a time about 3 MiB.
+        # group traced about 18 MiB; two a group trace about 2.5 MiB.
         peak = traced_peak(run_oracle_checks, 8, 8, 25)
         assert peak <= 4 * 2 ** 20, f"traced peak {peak / 2 ** 20:.2f} MiB"
+
+    def test_traced_peak_of_a_one_trial_group_is_about_one_table(self):
+        # 12x8: an 8 MiB joint table, one trial a group. Brute -F reduces
+        # its table in place, and the joint table is built after it: about
+        # 10 MiB. A shifted copy beside either table traced 17.5 MiB.
+        peak = traced_peak(run_oracle_checks, 12, 8, 1)
+        assert peak <= 12 * 2 ** 20, f"traced peak {peak / 2 ** 20:.2f} MiB"
 
 
 class TestGridCache:
@@ -645,13 +618,12 @@ class TestGridCache:
             with pytest.raises(ValueError):
                 grid[0, 0] = 1.0
 
-    def test_only_grids_within_one_block_are_kept(self, monkeypatch):
+    def test_only_grids_of_13_units_or_fewer_are_kept(self, monkeypatch):
         # 2^14 states x 14 units of float64 is 1.75 MiB, 2^13 x 13 0.8 MiB
         monkeypatch.setattr(oracle, "_GRIDS", {})
         p, _ = seeded_case(2, 14)
-        partition_function(p)
+        visible_marginal(p)
         assert set(oracle._GRIDS) == {2}
-        assert oracle._grid(14).nbytes > oracle.ENUM_BLOCK_BYTES
         assert oracle._grid(14) is not oracle._grid(14)
         assert oracle._grid(13) is oracle._grid(13)
         assert set(oracle._GRIDS) == {2, 13}

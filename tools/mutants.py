@@ -3,13 +3,14 @@ chain-noise, trainer and classifier fault (among them training metrics
 taken on pre-update params, or a group's metrics reaching the epoch row
 only after the epoch callback), on a discriminative stack's
 labelled top layer trained with the bottom layer's unit kind or seed, on
-each way of making an oracle identity vacuous, on faults in the oracle's
-blocked finite difference, its count of visited states and its one chain
-over the union of the stationarity trials' models, on a stacked witness
-(finite difference, joint table or brute -F) that reads the first
-trial's rows or model for every trial in its group, on an enumeration
-that holds a second copy of its table, and on a blocked enumeration that
-drops its last block of rows from log Z or from the negative statistics.
+each way of making an oracle identity vacuous (log Z taken over the
+visible states through the oracle's own -F among them), on faults in the
+oracle's blocked finite difference, its count of visited states and its
+one chain over the union of the stationarity trials' models, on a stacked
+witness (finite difference, joint table or brute -F) that reads the first
+trial's rows or model for every trial in its group, on a log-sum-exp
+that holds a second copy of its table, and on exact negative statistics
+whose P(h) drops the b.h term.
 
 Usage, from the repository root:
 
@@ -164,24 +165,24 @@ MUTANTS = {
         "cond = np.stack(probs)"),
     "oracle-brute-free-energy-from-closed-form": (
         "oracle.py",
-        "brute_f = -_log_unnormalized(w, a, b)",
+        "brute_f = -_logsumexp(_neg_energy_tables(w, a, b, V, H), axis=2)",
         "brute_f = np.stack(closed_f)"),
     "oracle-fd-every-trial-reads-first-trial-rows": (
         "oracle.py",
-        "data[owner[s:s + block]]",
-        "data[0 * owner[s:s + block]]"),
+        "data[owner[m]]",
+        "data[0 * owner[m]]"),
     "oracle-conditional-every-trial-from-first-joint-table": (
         "oracle.py",
         "cond = (joint @ H) / joint.sum(axis=2, keepdims=True)",
         "cond = (joint[0] @ H) / joint[0].sum(axis=1, keepdims=True)"),
     "oracle-brute-free-energy-every-trial-from-first": (
         "oracle.py",
-        "brute_f = -_log_unnormalized(w, a, b)",
-        "brute_f = -_log_unnormalized(w, a, b)[:1]"),
+        "brute_f = -_logsumexp(_neg_energy_tables(w, a, b, V, H), axis=2)",
+        "brute_f = -_logsumexp(_neg_energy_tables(w, a, b, V, H), axis=2)[:1]"),
     "oracle-fd-last-model-skipped": (
         "oracle.py",
-        "for s in range(0, len(params), block)])",
-        "for s in range(0, len(params) - 1, block)])"),
+        "for s in range(0, len(params), block):",
+        "for s in range(0, len(params) - 1, block):"),
     "oracle-stationarity-counts-last-sweep": (
         "oracle.py",
         "np.bincount(ids[..., t].ravel()",
@@ -194,14 +195,14 @@ MUTANTS = {
         "oracle.py",
         "    x -= m\n",
         "    x = x - m\n"),
-    "oracle-log-z-drops-last-block": (
+    "oracle-log-z-over-visible-states": (
         "oracle.py",
-        "_logsumexp(np.stack(per_block, axis=1), axis=1)",
-        "_logsumexp(np.stack(per_block[:-1], axis=1), axis=1)"),
-    "oracle-negative-sums-drop-last-block": (
+        "return _logsumexp(x[..., n_v] + log1p_exp(act).sum(axis=2), axis=1)",
+        "return _logsumexp(_neg_free_energies(w, a, b, _grid(n_v)), axis=1)"),
+    "oracle-exact-p-h-drops-b-h": (
         "oracle.py",
-        "(sum(parts) for parts in",
-        "(sum(parts[:-1] or parts) for parts in"),
+        "ph = H @ p.b + log1p_exp(act).sum(axis=1) - log_z",
+        "ph = log1p_exp(act).sum(axis=1) - log_z"),
 }
 
 
