@@ -233,6 +233,16 @@ class TestStackedFiniteDiff:
         assert_same_grads(one_each, all_at_once)
         assert_same_grads(default, all_at_once)
 
+    # models a block; 3 leaves a short last block except at 3x3
+    @pytest.mark.parametrize("models", [1, 3])
+    @pytest.mark.parametrize("n_visible, n_hidden", [(3, 3), (4, 5), (6, 2), (8, 6)])
+    def test_several_model_blocks_equal_the_per_entry_loop(
+            self, monkeypatch, n_visible, n_hidden, models):
+        p, data = seeded_case(n_visible, n_hidden)
+        monkeypatch.setattr(oracle, "FD_BLOCK_BYTES",
+                            models * oracle._model_bytes(n_visible, n_hidden, len(data)))
+        assert_same_grads(finite_diff_loglik_grad(p, data), loop_finite_diff(p, data))
+
     def test_traced_peak_memory_is_bounded(self):
         # 196 perturbed 10x8 models, evaluated a block at a time
         p, data = seeded_case(10, 8, rows=6)
@@ -322,7 +332,8 @@ class TestTracedPeak:
     @pytest.mark.parametrize("name, n_visible, n_hidden, rows", [
         ("partition_function", 12, 8, 6), ("visible_marginal", 12, 8, 6),
         ("mean_log_likelihood", 12, 8, 6), ("exact_gradient", 12, 8, 6),
-        ("mean_log_likelihood", 8, 12, 400)])
+        ("partition_function", 8, 12, 400), ("visible_marginal", 8, 12, 400),
+        ("mean_log_likelihood", 8, 12, 400), ("exact_gradient", 8, 12, 400)])
     def test_traced_peak_is_far_below_one_table(self, name, n_visible, n_hidden,
                                                 rows):
         # 8x12 with 400 rows: the data rows' -E table alone would be 13 MiB
@@ -370,8 +381,8 @@ ORACLE_VALUES = ["log_z", "marginal", "mean_loglik", "neg_vh", "neg_v", "neg_h"]
 
 class TestClosedForms:
     @pytest.mark.parametrize("n_visible, n_hidden, rows", [
-        (1, 1, 7), (1, 6, 7), (6, 1, 7), (3, 3, 7), (4, 5, 7), (6, 2, 7),
-        (8, 6, 7), (12, 8, 7), (8, 12, 400)])
+        (1, 1, 7), (1, 6, 7), (6, 1, 7), (2, 10, 7), (10, 2, 7), (3, 3, 7),
+        (4, 5, 7), (6, 2, 7), (8, 6, 7), (12, 8, 7), (8, 12, 400)])
     def test_agree_with_the_whole_table_sums(self, n_visible, n_hidden, rows):
         p, data = seeded_case(n_visible, n_hidden, rows=rows)
         _, neg = exact_gradient(p, data)
