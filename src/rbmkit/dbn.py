@@ -189,20 +189,18 @@ def _label_free_energies(p: RbmParams, v: np.ndarray) -> np.ndarray:
     if v.shape[1] != d:
         raise ValueError(f"feature length {v.shape[1]} != {d}")
     base_input = v @ p.w[:d] + p.b                      # (m, n_hidden)
-    # the feature block's visible term is the same for every clamped label
+    # the feature block's visible term is the same for every clamped label,
+    # and the label block's is one number a class
     if p.visible_kind == BINARY:
         feature_term = -(v @ p.a[:d])
+        label_term = -p.a[d:]
     else:
         feature_term = 0.5 * np.sum((v - p.a[:d]) ** 2, axis=1)
+        label_term = 0.5 * np.sum((np.eye(p.label_units) - p.a[d:]) ** 2, axis=1)
     f = np.empty((v.shape[0], p.label_units))
-    eye = np.eye(p.label_units)
     for c in range(p.label_units):
         hidden_term = np.sum(log1p_exp(base_input + p.w[d + c]), axis=1)
-        if p.visible_kind == BINARY:
-            visible_term = feature_term - p.a[d + c]
-        else:
-            visible_term = feature_term + 0.5 * np.sum((eye[c] - p.a[d:]) ** 2)
-        f[:, c] = visible_term - hidden_term
+        f[:, c] = feature_term + label_term[c] - hidden_term
     return f
 
 

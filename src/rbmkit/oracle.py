@@ -28,10 +28,9 @@ the joint -E table, the finite-difference gradient) are built afterwards
 for a group of trials at once, as stacked models, as many trials a group
 as FD_BLOCK_BYTES of joint tables holds.
 
-All sums run in log space (log-sum-exp). The state grids are built once
-per unit count and kept, read-only, for 13 units or fewer (at most 832
-KiB a grid); larger grids are built afresh on each call.
-enumerate_states always returns a fresh writable array.
+All sums run in log space (log-sum-exp). Each call builds the state grids
+it needs with enumerate_states, which returns a fresh array, and keeps
+none of them past its return; the module holds no state between calls.
 """
 
 from __future__ import annotations
@@ -112,23 +111,6 @@ def enumerate_states(n_units: int) -> np.ndarray:
     return bits[:, 32 - n_units:].astype(np.float64)
 
 
-# n_units -> read-only enumerate_states(n_units), for 13 units or fewer;
-# a default 3x3 oracle-check built 452 grids before them
-_GRIDS = {}
-
-
-def _grid(n_units: int) -> np.ndarray:
-    """enumerate_states(n_units), read-only; kept for later calls when
-    n_units <= 13."""
-    grid = _GRIDS.get(n_units)
-    if grid is None:
-        grid = enumerate_states(n_units)
-        grid.flags.writeable = False
-        if n_units <= 13:
-            _GRIDS[n_units] = grid
-    return grid
-
-
 def state_index(v):
     """Row index of a binary vector in enumerate_states order; for a
     batch of rows, an int64 array of their row indices."""
@@ -165,21 +147,33 @@ def _neg_free_energies(w, a, b, rows) -> np.ndarray:
     return (rows @ a[:, :, None])[..., 0] + log1p_exp(x).sum(axis=2)
 
 
-def _log_partitions(w, a, b) -> np.ndarray:
-    """log Z of K stacked models, shape (K,), summed over the 2^n_h hidden
-    states with the visible layer summed out:
-    log Z = logsumexp_h [b.h + sum_i softplus(a_i + (W h)_i)].
+def _hidden_product(H, w, b) -> np.ndarray:
+    """H @ [W^T | b] of K stacked models (see _neg_energy_tables), H the
+    hidden grid: shape (K, 2^n_h, n_v + 1), each hidden state's (W h)_i
+    followed by its b.h."""
+    return H @ np.concatenate([w.transpose(0, 2, 1), b[:, :, None]], axis=2)
 
-    One product H @ [W^T | b], H the hidden grid, gives every (W h)_i and
-    b.h. H is not held past it, so where it is built afresh (2x18: 36 MiB)
-    it is gone before the softplus.
-    """
-    n_v = w.shape[1]
-    x = _grid(w.shape[2]) @ np.concatenate([w.transpose(0, 2, 1), b[:, :, None]],
-                                           axis=2)
-    act = x[..., :n_v]
+
+def _hidden_log_weights(x, a):
+    """The hidden side of K stacked models with the visible layer summed
+    out, from x = _hidden_product(H, w, b): (act, log_w), act = a + W h
+    (K, 2^n_h, n_v) in x's own buffer and
+    log_w = b.h + sum_i softplus(a_i + (W h)_i) (K, 2^n_h), each hidden
+    state's unnormalized log P(h)."""
+    act = x[..., :-1]
     act += a[:, None, :]
-    return _logsumexp(x[..., n_v] + log1p_exp(act).sum(axis=2), axis=1)
+    return act, x[..., -1] + log1p_exp(act).sum(axis=2)
+
+
+def _log_partitions(w, a, b) -> np.ndarray:
+    """log Z = logsumexp_h log_w of K stacked models, shape (K,), summed
+    over the 2^n_h hidden states (see _hidden_log_weights).
+
+    The hidden grid is a temporary of the product, so at 2x18 (36 MiB) it
+    is gone before the softplus.
+    """
+    x = _hidden_product(enumerate_states(w.shape[2]), w, b)
+    return _logsumexp(_hidden_log_weights(x, a)[1], axis=1)
 
 
 def _stack(p: RbmParams):
@@ -203,7 +197,7 @@ def visible_marginal(p: RbmParams) -> np.ndarray:
     its own sum, so the result sums to 1 only if both are right.
     """
     _check_enumerable(p)
-    log_pv = _neg_free_energies(*_stack(p), _grid(p.n_visible))[0]
+    log_pv = _neg_free_energies(*_stack(p), enumerate_states(p.n_visible))[0]
     return np.exp(log_pv - partition_function(p))
 
 
@@ -211,7 +205,8 @@ def _joint_tables(w, a, b) -> np.ndarray:
     """P(v, h) of K stacked models over the full joint grid, shape
     (K, 2^n_v, 2^n_h), each normalized by its model's log Z."""
     n_v, n_h = w.shape[1:]
-    joint = _neg_energy_tables(w, a, b, _grid(n_v), _grid(n_h))
+    joint = _neg_energy_tables(w, a, b, enumerate_states(n_v),
+                               enumerate_states(n_h))
     joint -= _log_partitions(w, a, b)[:, None, None]
     return np.exp(joint, out=joint)
 
@@ -242,19 +237,21 @@ def exact_gradient(p: RbmParams, data: np.ndarray):
     The positive half averages v x P(h=1|v) over the dataset rows. The
     negative half sums over the hidden states with the visible layer
     summed out: E[v h^T] = sum_h P(h) sigmoid(a + W h) h^T, E[v] =
-    sum_h P(h) sigmoid(a + W h) and E[h] = sum_h P(h) h. Their difference
-    is the exact gradient of the mean data log-likelihood.
+    sum_h P(h) sigmoid(a + W h) and E[h] = sum_h P(h) h, P(h) being the
+    exponentiated log-weights of _hidden_log_weights over their own sum.
+    Their difference is the exact gradient of the mean data log-likelihood.
     """
     _check_enumerable(p)
     data = _binary_rows(p, data)
     pos = batch_stats(data, hidden_probs(p, data))
 
-    log_z = partition_function(p)  # first: two uncached grids never coexist
-    H = _grid(p.n_hidden)
-    act = H @ p.w.T
-    act += p.a
-    ph = H @ p.b + log1p_exp(act).sum(axis=1) - log_z  # log P(h)
+    H = enumerate_states(p.n_hidden)
+    w, a, b = _stack(p)
+    act, ph = _hidden_log_weights(_hidden_product(H, w, b), a)
+    act, ph = act[0], ph[0]
+    ph -= ph.max()
     np.exp(ph, out=ph)
+    ph /= ph.sum()  # P(h)
     pv = sigmoid(act)  # P(v_i = 1 | h)
     pv *= ph[:, None]
     neg = GradientStats(vh=pv.T @ H, v=pv.sum(axis=0), h=ph @ H,
@@ -312,8 +309,9 @@ def _finite_diff_grads(w, a, b, data) -> np.ndarray:
 
     Model k's 2P perturbed models (model 2i moves entry i by +FD_STEP,
     model 2i+1 by -FD_STEP) are evaluated as stacks, each reading model
-    k's rows, as many models per block as FD_BLOCK_BYTES allows. Each
-    model's value is bit-identical to mean_log_likelihood's.
+    k's rows, as many models per block as FD_BLOCK_BYTES allows, all
+    blocks reading one hidden grid. Each model's value is bit-identical to
+    mean_log_likelihood's.
     """
     k, n_v, n_h = w.shape
     flat = np.concatenate([w.reshape(k, -1), a, b], axis=1)
@@ -328,13 +326,14 @@ def _finite_diff_grads(w, a, b, data) -> np.ndarray:
     W = params[:, :n_v * n_h].reshape(-1, n_v, n_h)
     A, B = params[:, n_v * n_h:-n_h], params[:, -n_h:]
 
+    H = enumerate_states(n_h)
     block = max(1, FD_BLOCK_BYTES // _model_bytes(n_v, n_h, data.shape[1]))
     loglik = []
     for s in range(0, len(params), block):
         m = slice(s, s + block)
         log_pv = _neg_free_energies(W[m], A[m], B[m], data[owner[m]])
-        loglik.append(np.mean(log_pv - _log_partitions(W[m], A[m], B[m])[:, None],
-                              axis=1))
+        log_w = _hidden_log_weights(_hidden_product(H, W[m], B[m]), A[m])[1]
+        loglik.append(np.mean(log_pv - _logsumexp(log_w, axis=1)[:, None], axis=1))
     loglik = np.concatenate(loglik)
 
     return ((loglik[0::2] - loglik[1::2]) / (2.0 * FD_STEP)).reshape(k, n)
@@ -395,8 +394,6 @@ def _stationarity_tvs(models, pools, margs, sweeps: int) -> list:
     of the union is one sweep of every model, and its noise() concatenates
     each pool's own per-sweep draws, so every chain sees exactly the draws
     it would see run alone. One gibbs_chain call a sweep serves them all.
-    A lone model takes its pool's draws as they come, with nothing to
-    concatenate.
     """
     n_v, n_h = models[0].n_visible, models[0].n_hidden
     w = np.zeros((len(models) * n_v, len(models) * n_h))
@@ -406,11 +403,9 @@ def _stationarity_tvs(models, pools, margs, sweeps: int) -> list:
                       np.concatenate([p.b for p in models]))
     draws = [pool.noise(p) for p, pool in zip(models, pools)]
 
-    def union_noise():
+    def noise():
         u_h, e_v = zip(*(draw() for draw in draws))
         return np.concatenate(u_h, axis=1), np.concatenate(e_v, axis=1)
-
-    noise = draws[0] if len(draws) == 1 else union_noise
 
     states = np.concatenate([pool.states for pool in pools], axis=1)
     ph = None
@@ -458,7 +453,7 @@ def run_oracle_checks(n_visible: int = 3, n_hidden: int = 3, trials: int = 25,
             f"exceeds the enumeration cap MAX_ENUM_UNITS = {MAX_ENUM_UNITS}")
     if trials == 0:
         return [CheckResult(name, True, "no trials") for name in TOLERANCES]
-    V = _grid(n_visible)
+    V = enumerate_states(n_visible)
     worst = dict.fromkeys(TOLERANCES, 0.0)
     # (model, chain pool, visible marginal) of the first three trials
     stationarity = []
@@ -496,12 +491,12 @@ def run_oracle_checks(n_visible: int = 3, n_hidden: int = 3, trials: int = 25,
                                    16, seed + trial)
                 stationarity.append((p, chains, marg))
 
-        # their witnesses, the group's models stacked; an uncached H (over
-        # 13 units) is let go before the finite difference builds its own
+        # their witnesses, the group's models stacked; H is let go before
+        # the finite difference builds its own
         w = np.stack([p.w for p in models])
         a = np.stack([p.a for p in models])
         b = np.stack([p.b for p in models])
-        H = _grid(n_hidden)
+        H = enumerate_states(n_hidden)
         brute_f = -_logsumexp(_neg_energy_tables(w, a, b, V, H), axis=2)
         note("free_energy_marginalization", np.abs(np.stack(closed_f) - brute_f))
 

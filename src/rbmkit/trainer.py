@@ -8,7 +8,7 @@ the single exception and are excluded from reproducibility comparisons.
 Stream layout under one seed:
     0 weight init | 1 epoch shuffling | 2 estimator data-side sampling
     3 metric probes | 4 subset selection | 5 ad-hoc sampling CLI
-    100+c persistent chain c
+    100+c persistent chain c | 1000+t oracle-check trial t
 """
 
 from __future__ import annotations
@@ -206,8 +206,8 @@ def train_rbm(init: RbmParams, data, hp: Hyperparams, estimator: str, seed: int,
                 # apply_update returns fresh arrays, so a reference will do
                 trained.append((p, batch))
             recon, fe = _group_metrics(trained, eval_rng)
-            for r, f in zip(recon.tolist(), fe.tolist()):
-                recon_sum += r * batch.shape[0]
+            for (_, rows), r, f in zip(trained, recon.tolist(), fe.tolist()):
+                recon_sum += r * rows.shape[0]
                 fe_sum += f
         metrics.append(EpochMetrics(epoch, recon_sum / m, fe_sum / m,
                                     time.perf_counter() - t0, estimator, seed))

@@ -1,6 +1,8 @@
+import gc
 import itertools
 import math
 import tracemalloc
+import weakref
 
 import numpy as np
 import pytest
@@ -606,11 +608,12 @@ class TestStackedWitnesses:
 
 
 class TestGridCache:
+    """No grid is cached: each call builds the grids it reads."""
+
     def test_enumerate_states_returns_a_fresh_writable_array(self):
         first, second = enumerate_states(3), enumerate_states(3)
         assert first.flags.writeable
         assert not np.shares_memory(first, second)
-        assert not np.shares_memory(first, oracle._grid(3))
 
     def test_writing_a_returned_grid_changes_no_later_result(self):
         p, _ = seeded_case(3, 3)
@@ -620,21 +623,47 @@ class TestGridCache:
         assert partition_function(p) == log_z
         assert [repr(r) for r in run_oracle_checks(3, 3, 4, 1)] == results
 
-    def test_cached_grids_are_read_only(self):
-        run_oracle_checks(3, 4, 2, 0)
-        assert {3, 4} <= set(oracle._GRIDS)
-        for n, grid in oracle._GRIDS.items():
-            assert not grid.flags.writeable
-            np.testing.assert_array_equal(grid, enumerate_states(n))
-            with pytest.raises(ValueError):
-                grid[0, 0] = 1.0
+    def test_finite_difference_builds_one_hidden_grid(self, monkeypatch):
+        # 2x14: 88 perturbed models, one a block, all reading one grid
+        calls = []
 
-    def test_only_grids_of_13_units_or_fewer_are_kept(self, monkeypatch):
-        # 2^14 states x 14 units of float64 is 1.75 MiB, 2^13 x 13 0.8 MiB
-        monkeypatch.setattr(oracle, "_GRIDS", {})
-        p, _ = seeded_case(2, 14)
-        visible_marginal(p)
-        assert set(oracle._GRIDS) == {2}
-        assert oracle._grid(14) is not oracle._grid(14)
-        assert oracle._grid(13) is oracle._grid(13)
-        assert set(oracle._GRIDS) == {2, 13}
+        def counted(n_units):
+            calls.append(n_units)
+            return enumerate_states(n_units)
+
+        p, data = seeded_case(2, 14)
+        monkeypatch.setattr(oracle, "enumerate_states", counted)
+        finite_diff_loglik_grad(p, data)
+        assert calls == [14]
+
+    def test_exact_gradient_builds_one_hidden_grid_and_no_log_z(
+            self, monkeypatch):
+        # P(h) is normalized by its own sum, so log Z is never taken
+        calls = []
+
+        def counted(n_units):
+            calls.append(n_units)
+            return enumerate_states(n_units)
+
+        def no_log_z(*args):
+            raise AssertionError("exact_gradient took log Z")
+
+        p, data = seeded_case(2, 14)
+        monkeypatch.setattr(oracle, "enumerate_states", counted)
+        monkeypatch.setattr(oracle, "_log_partitions", no_log_z)
+        exact_gradient(p, data)
+        assert calls == [14]
+
+    def test_no_grid_outlives_its_call(self, monkeypatch):
+        grids = []
+
+        def tracked(n_units):
+            grid = enumerate_states(n_units)
+            grids.append(weakref.ref(grid))
+            return grid
+
+        monkeypatch.setattr(oracle, "enumerate_states", tracked)
+        run_oracle_checks(3, 4, 2, 0)
+        gc.collect()
+        assert grids
+        assert all(ref() is None for ref in grids)

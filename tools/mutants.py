@@ -10,7 +10,7 @@ one chain over the union of the stationarity trials' models, on a stacked
 witness (finite difference, joint table or brute -F) that reads the first
 trial's rows or model for every trial in its group, on a log-sum-exp
 that holds a second copy of its table, and on exact negative statistics
-whose P(h) drops the b.h term.
+whose P(h) drops the b.h term or is not normalized.
 
 Usage, from the repository root:
 
@@ -100,8 +100,8 @@ MUTANTS = {
     "metrics-last-group-after-epoch-callback": (
         "trainer.py",
         "            recon, fe = _group_metrics(trained, eval_rng)\n"
-        "            for r, f in zip(recon.tolist(), fe.tolist()):\n"
-        "                recon_sum += r * batch.shape[0]\n"
+        "            for (_, rows), r, f in zip(trained, recon.tolist(), fe.tolist()):\n"
+        "                recon_sum += r * rows.shape[0]\n"
         "                fe_sum += f\n"
         "        metrics.append(EpochMetrics(epoch, recon_sum / m, fe_sum / m,\n"
         "                                    time.perf_counter() - t0, estimator, seed))\n"
@@ -109,16 +109,16 @@ MUTANTS = {
         "            epoch_callback(epoch, p, metrics[-1])\n",
         "            if offsets is not groups[-1]:\n"
         "                recon, fe = _group_metrics(trained, eval_rng)\n"
-        "                for r, f in zip(recon.tolist(), fe.tolist()):\n"
-        "                    recon_sum += r * batch.shape[0]\n"
+        "                for (_, rows), r, f in zip(trained, recon.tolist(), fe.tolist()):\n"
+        "                    recon_sum += r * rows.shape[0]\n"
         "                    fe_sum += f\n"
         "        metrics.append(EpochMetrics(epoch, recon_sum / m, fe_sum / m,\n"
         "                                    time.perf_counter() - t0, estimator, seed))\n"
         "        if epoch_callback is not None:\n"
         "            epoch_callback(epoch, p, metrics[-1])\n"
         "        recon, fe = _group_metrics(trained, eval_rng)\n"
-        "        for r, f in zip(recon.tolist(), fe.tolist()):\n"
-        "            recon_sum += r * batch.shape[0]\n"
+        "        for (_, rows), r, f in zip(trained, recon.tolist(), fe.tolist()):\n"
+        "            recon_sum += r * rows.shape[0]\n"
         "            fe_sum += f\n"
         "        metrics[-1].recon_error = recon_sum / m\n"
         "        metrics[-1].mean_free_energy = fe_sum / m\n"),
@@ -128,12 +128,12 @@ MUTANTS = {
         "vel *= 0.0"),
     "gaussian-classifier-drops-label-term": (
         "dbn.py",
-        "visible_term = feature_term + 0.5 * np.sum((eye[c] - p.a[d:]) ** 2)",
-        "visible_term = feature_term"),
+        "label_term = 0.5 * np.sum((np.eye(p.label_units) - p.a[d:]) ** 2, axis=1)",
+        "label_term = np.zeros(p.label_units)"),
     "gaussian-classifier-label-term-sign": (
         "dbn.py",
-        "visible_term = feature_term + 0.5 * np.sum((eye[c] - p.a[d:]) ** 2)",
-        "visible_term = feature_term - 0.5 * np.sum((eye[c] - p.a[d:]) ** 2)"),
+        "label_term = 0.5 * np.sum((np.eye(p.label_units) - p.a[d:]) ** 2, axis=1)",
+        "label_term = -0.5 * np.sum((np.eye(p.label_units) - p.a[d:]) ** 2, axis=1)"),
     "labelled-top-layer-bottom-visible-kind": (
         "dbn.py",
         "visible_kind if idx == 0 else BINARY,",
@@ -197,12 +197,17 @@ MUTANTS = {
         "    x = x - m\n"),
     "oracle-log-z-over-visible-states": (
         "oracle.py",
-        "return _logsumexp(x[..., n_v] + log1p_exp(act).sum(axis=2), axis=1)",
-        "return _logsumexp(_neg_free_energies(w, a, b, _grid(n_v)), axis=1)"),
+        "return _logsumexp(_hidden_log_weights(x, a)[1], axis=1)",
+        "return _logsumexp(_neg_free_energies(w, a, b, enumerate_states(w.shape[1])),"
+        " axis=1)"),
     "oracle-exact-p-h-drops-b-h": (
         "oracle.py",
-        "ph = H @ p.b + log1p_exp(act).sum(axis=1) - log_z",
-        "ph = log1p_exp(act).sum(axis=1) - log_z"),
+        "_hidden_log_weights(_hidden_product(H, w, b), a)",
+        "_hidden_log_weights(_hidden_product(H, w, 0.0 * b), a)"),
+    "oracle-exact-p-h-unnormalized": (
+        "oracle.py",
+        "    ph /= ph.sum()  # P(h)\n",
+        ""),
 }
 
 
