@@ -64,24 +64,31 @@ def _fresh(ufunc, x):
     return x, ufunc(x, out=np.empty_like(x))
 
 
-def sigmoid(x):
+def sigmoid(x, out=None):
     """Logistic function 1/(1+exp(-x)), computed in that direct form.
 
     The work happens in place in one freshly allocated float64 buffer, so
-    the input is never written. For x below about -709.78, exp(-x)
-    overflows to inf and 1/inf gives the correct saturated value 0; that
-    overflow is the only floating-point warning silenced. Large positive x
-    saturates to 1, NaN propagates, and the result is within a few ulp of
-    the exact logistic. A scalar input returns a float, an array an array.
+    the input is never written; a scalar input returns a float, an array
+    an array. With out (a float64 array shaped like x, x itself included)
+    the work happens in out instead, which is returned even when 0-d; a
+    caller that owns a fresh x saves the allocation with out=x. The bits
+    are the same either way. For x below about -709.78, exp(-x) overflows
+    to inf and 1/inf gives the correct saturated value 0; that overflow is
+    the only floating-point warning silenced. Large positive x saturates
+    to 1, NaN propagates, and the result is within a few ulp of the exact
+    logistic.
     """
-    _, out = _fresh(np.negative, x)
+    if out is None:
+        _, buf = _fresh(np.negative, x)
+    else:
+        buf = np.negative(x, out=out)
     with np.errstate(over="ignore"):
-        np.exp(out, out=out)
-    out += 1.0
-    np.reciprocal(out, out=out)
-    if out.ndim == 0:
-        return float(out)
-    return out
+        np.exp(buf, out=buf)
+    buf += 1.0
+    np.reciprocal(buf, out=buf)
+    if out is None and buf.ndim == 0:
+        return float(buf)
+    return buf
 
 
 def log1p_exp(x):

@@ -124,7 +124,10 @@ def load_mnist_idx(images_path, labels_path) -> Dataset:
 
 
 def load_isolet_csv(path) -> Dataset:
-    """ISOLET CSV: 617 real features then a 1..26 class label per row."""
+    """ISOLET CSV: 617 real features then a 1..26 class label per row.
+
+    The label must be a whole number (written 3, 3. or 3.0); any other
+    value is refused, never rounded to a class."""
     n_features = 617
     rows = []
     labels = []
@@ -149,12 +152,12 @@ def load_isolet_csv(path) -> Dataset:
             raise CsvFormatError(f"{path}:{lineno}: {exc}") from None
         if not all(map(math.isfinite, values)):
             raise CsvFormatError(f"{path}:{lineno}: non-finite value")
-        label = int(round(values[-1])) - 1
-        if not (0 <= label <= 25):
-            raise CsvFormatError(
-                f"{path}:{lineno}: class label {values[-1]} outside 1..26")
+        label = values[-1]
+        if not (label.is_integer() and 1 <= label <= 26):
+            raise CsvFormatError(f"{path}:{lineno}: class label {fields[-1].strip()} "
+                                 f"is not an integer in 1..26")
         rows.append(values[:-1])
-        labels.append(label)
+        labels.append(int(label) - 1)
     if not rows:
         raise CsvFormatError(f"{path}: no data rows")
     return Dataset(np.array(rows), np.array(labels))

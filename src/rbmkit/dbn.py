@@ -91,7 +91,9 @@ def _upward(x: np.ndarray, pairs) -> list:
     and of its unrolled net (_forward_logits)."""
     acts = [x]
     for w, b in pairs:
-        acts.append(sigmoid(acts[-1] @ w + b))
+        x = acts[-1] @ w
+        x += b
+        acts.append(sigmoid(x, out=x))
     return acts
 
 

@@ -190,12 +190,15 @@ def energy(p: RbmParams, v, h) -> float:
 def hidden_input(p: RbmParams, v) -> np.ndarray:
     """Total input I_j = b_j + sum_i v_i W_ij to each hidden unit."""
     v = _check_visible(p, v)
-    return v @ p.w + p.b
+    x = v @ p.w
+    x += p.b
+    return x
 
 
 def hidden_probs(p: RbmParams, v) -> np.ndarray:
     """P(h_j = 1 | v), elementwise over a vector or batch of rows."""
-    return sigmoid(hidden_input(p, v))
+    x = hidden_input(p, v)
+    return sigmoid(x, out=x)
 
 
 def visible_probs(p: RbmParams, h) -> np.ndarray:
@@ -205,9 +208,10 @@ def visible_probs(p: RbmParams, h) -> np.ndarray:
     sampling adds unit-variance noise downstream.
     """
     h = _check_hidden(p, h)
-    mean = h @ p.w.T + p.a
+    mean = h @ p.w.T
+    mean += p.a
     if p.visible_kind == BINARY:
-        return sigmoid(mean)
+        return sigmoid(mean, out=mean)
     return mean
 
 

@@ -45,11 +45,13 @@ from .samplers import gibbs_chain, make_pool
 MAX_ENUM_UNITS = 20
 
 # Bytes of working set that one block of finite_diff_loglik_grad's stacked
-# perturbed models may hold (see _model_bytes), and of joint tables that
-# one group of run_oracle_checks' trials may hold. Small models gain from
-# sharing numpy calls (3x3's 30 models: 6 ms one model a block, 0.16 ms in
-# one block); at 8 MiB, 8x8 and 10x8 ran 1.1-1.4x slower than at 1 MiB
-# (2-vCPU Xeon, one BLAS thread, medians of 15 calls).
+# perturbed models may hold (see _model_bytes), of joint tables that one
+# group of run_oracle_checks' trials may hold, and of draws its Gibbs
+# stationarity chain holds at once (all 400 sweeps at 3x3, a third of
+# them at 8x8). Small models gain from sharing numpy calls (3x3's 30
+# models: 6 ms one model a block, 0.16 ms in one block); at 8 MiB, 8x8
+# and 10x8 ran 1.1-1.4x slower than at 1 MiB (2-vCPU Xeon, one BLAS
+# thread, medians of 15 calls).
 FD_BLOCK_BYTES = 2 ** 20
 
 # finite_diff_loglik_grad's central-difference step on every parameter
@@ -383,6 +385,36 @@ def _random_model(n_visible, n_hidden, rng) -> RbmParams:
                      rng.normals((n_visible,)), rng.normals((n_hidden,)))
 
 
+def _union_visits(union, models, pools, sweeps: int) -> np.ndarray:
+    """The union's states after each of `sweeps` one-sweep gibbs_chain
+    calls, as booleans shaped (sweeps, chains, union units).
+
+    Each pool draws as many sweeps at once as FD_BLOCK_BYTES of the
+    union's draws hold, and its draws are copied into the union's unit
+    axis in model order, so row c holds chain c of every model.
+    """
+    n_v, n_h = models[0].n_visible, models[0].n_hidden
+    states = np.concatenate([pool.states for pool in pools], axis=1)
+    n_chains = len(states)
+    width = union.n_visible + union.n_hidden
+    chunk = min(sweeps, max(1, FD_BLOCK_BYTES // (8 * n_chains * width)))
+    u_h = np.empty((chunk, n_chains, union.n_hidden))
+    e_v = np.empty((chunk, n_chains, union.n_visible))
+    ph = None
+    visited = np.empty((sweeps,) + states.shape, dtype=bool)
+    for first in range(0, sweeps, chunk):
+        k = min(chunk, sweeps - first)
+        for t, (p, pool) in enumerate(zip(models, pools)):
+            u_h[:k, :, t * n_h:(t + 1) * n_h], e_v[:k, :, t * n_v:(t + 1) * n_v] = (
+                pool.draw_sweeps(p, k))
+        # each call hands out the next sweep's (u_h, e_v)
+        noise = zip(u_h, e_v).__next__
+        for sweep in range(first, first + k):
+            states, ph, _ = gibbs_chain(union, states, 1, noise, ph)
+            visited[sweep] = states
+    return visited
+
+
 def _stationarity_tvs(models, pools, margs, sweeps: int) -> list:
     """Total-variation distance between the visible states each model's
     pool visits over `sweeps` one-sweep Gibbs steps and that model's
@@ -391,9 +423,9 @@ def _stationarity_tvs(models, pools, margs, sweeps: int) -> list:
     The models, all of one size, run as one chain on their disjoint union:
     an RBM with their weights on the diagonal blocks and their biases
     concatenated. Its conditionals factorize over the blocks, so one sweep
-    of the union is one sweep of every model, and its noise() concatenates
-    each pool's own per-sweep draws, so every chain sees exactly the draws
-    it would see run alone. One gibbs_chain call a sweep serves them all.
+    of the union is one sweep of every model, and every chain sees exactly
+    the draws it would see run alone. One gibbs_chain call a sweep serves
+    them all.
     """
     n_v, n_h = models[0].n_visible, models[0].n_hidden
     w = np.zeros((len(models) * n_v, len(models) * n_h))
@@ -401,20 +433,9 @@ def _stationarity_tvs(models, pools, margs, sweeps: int) -> list:
         w[t * n_v:(t + 1) * n_v, t * n_h:(t + 1) * n_h] = p.w
     union = RbmParams(w, np.concatenate([p.a for p in models]),
                       np.concatenate([p.b for p in models]))
-    draws = [pool.noise(p) for p, pool in zip(models, pools)]
-
-    def noise():
-        u_h, e_v = zip(*(draw() for draw in draws))
-        return np.concatenate(u_h, axis=1), np.concatenate(e_v, axis=1)
-
-    states = np.concatenate([pool.states for pool in pools], axis=1)
-    ph = None
-    visited = np.empty((sweeps,) + states.shape, dtype=bool)
-    for sweep in range(sweeps):
-        states, ph, _ = gibbs_chain(union, states, 1, noise, ph)
-        visited[sweep] = states
+    visited = _union_visits(union, models, pools, sweeps)
     # state ids, shaped (sweeps, chains, models)
-    ids = state_index(visited.reshape(sweeps, len(states), len(models), n_v))
+    ids = state_index(visited.reshape(sweeps, visited.shape[1], len(models), n_v))
     tvs = []
     for t, marg in enumerate(margs):
         counts = np.bincount(ids[..., t].ravel(), minlength=marg.size)

@@ -107,7 +107,7 @@ def _group_metrics(trained, rng):
     mean += a[:, None, :]
     binary = params[0].visible_kind == BINARY
     if binary:
-        mean = sigmoid(mean)
+        sigmoid(mean, out=mean)
     gap = v - mean
     np.square(gap, out=gap)
     # np.mean's bits: the same sum, truly divided by the count

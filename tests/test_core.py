@@ -42,6 +42,45 @@ class TestSigmoid:
         assert np.all(np.diff(sigmoid(x)) > 0)
 
 
+class TestSigmoidOut:
+    EDGES = [-1000.0, -709.79, -709.78, 0.0, 36.0, 800.0, np.inf, -np.inf, np.nan]
+
+    def test_in_place_is_bit_identical_and_silent(self):
+        x = np.array(self.EDGES + list(np.linspace(-40.0, 40.0, 801)))
+        want = sigmoid(x)
+        buf = x.copy()
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = sigmoid(buf, out=buf)
+        assert got is buf
+        assert np.array_equal(got, want, equal_nan=True)
+
+    @pytest.mark.parametrize("value", EDGES)
+    def test_in_place_0d_is_bit_identical_and_silent(self, value):
+        buf = np.array(value)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = sigmoid(buf, out=buf)
+            want = sigmoid(value)
+        assert got is buf and got.ndim == 0
+        assert np.array_equal(got, want, equal_nan=True)
+
+    def test_into_another_buffer_leaves_the_input(self):
+        x = np.linspace(-5.0, 5.0, 12).reshape(3, 4)
+        before = x.copy()
+        out = np.empty_like(x)
+        assert sigmoid(x, out=out) is out
+        assert np.array_equal(x, before)
+        assert np.array_equal(out, sigmoid(x))
+
+    @pytest.mark.parametrize("x", [np.array(EDGES), np.array(-709.79)])
+    def test_default_never_writes_its_input(self, x):
+        before = x.copy()
+        out = sigmoid(x)
+        assert out is not x
+        assert np.array_equal(x, before, equal_nan=True)
+
+
 class TestLog1pExp:
     def test_zero_is_ln2(self):
         assert log1p_exp(0.0) == pytest.approx(math.log(2.0), abs=1e-15)

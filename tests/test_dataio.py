@@ -125,6 +125,23 @@ class TestIsoletCsv:
         with pytest.raises(CsvFormatError):
             load_isolet_csv(path)
 
+    @pytest.mark.parametrize("label", ["0.6", "1.5", "3.4", "26.4"])
+    def test_fractional_label_refused_naming_line(self, tmp_path, label):
+        # once rounded to a class: 0.6 loaded as class 0, 3.4 as class 2
+        features = ", ".join(["0.5"] * 617)
+        path = tmp_path / "label.data"
+        path.write_text(f"{features}, 2\n{features}, {label}\n")
+        with pytest.raises(CsvFormatError,
+                           match=f":2: class label {label} is not an integer in 1..26"):
+            load_isolet_csv(path)
+
+    def test_whole_number_labels_in_every_spelling_load(self, tmp_path):
+        features = ", ".join(["0.5"] * 617)
+        path = tmp_path / "label.data"
+        path.write_text("".join(f"{features}, {label}\n"
+                                for label in ("1.", "26", "26.0", "3")))
+        np.testing.assert_array_equal(load_isolet_csv(path).labels, [0, 25, 25, 2])
+
     @pytest.mark.skipif("RBMKIT_ISOLET_TRAIN" not in os.environ,
                         reason="real ISOLET file not available")
     def test_official_train_file_shape(self):

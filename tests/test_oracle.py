@@ -516,6 +516,25 @@ class TestStationarityUnion:
         assert detail.startswith(f"worst {max(tv for _, tv in alone):.3e} ")
 
 
+class TestStationarityDraws:
+    def test_each_chain_stream_is_drawn_from_once(self, monkeypatch):
+        # 3 trials x 16 chains, each stream asked once for all 400 sweeps
+        # of 6 uniforms (a 3x3 pool's block would hold only 85 sweeps)
+        calls = {}
+        uniforms = RngStream.uniforms
+
+        def counting(stream, shape, out=None):
+            if stream.stream_id < 1000:
+                key = (stream.seed, stream.stream_id)
+                calls[key] = calls.get(key, []) + [shape]
+            return uniforms(stream, shape, out)
+
+        monkeypatch.setattr(RngStream, "uniforms", counting)
+        run_oracle_checks()
+        assert calls == {(trial, 100 + c): [2400]
+                         for trial in range(3) for c in range(16)}
+
+
 def loop_suite(n_visible, n_hidden, trials, seed):
     """run_oracle_checks' results with every witness built for one trial
     at a time, from the one-model functions, as the suite was before it

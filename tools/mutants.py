@@ -6,7 +6,9 @@ labelled top layer trained with the bottom layer's unit kind or seed, on
 each way of making an oracle identity vacuous (log Z taken over the
 visible states through the oracle's own -F among them), on faults in the
 oracle's blocked finite difference, its count of visited states and its
-one chain over the union of the stationarity trials' models, on a stacked
+one chain over the union of the stationarity trials' models (the trials'
+draws joined in the wrong order among them), on a pool's k-sweep draw
+handed out chain-major instead of sweep-major, on a stacked
 witness (finite difference, joint table or brute -F) that reads the first
 trial's rows or model for every trial in its group, on a log-sum-exp
 that holds a second copy of its table, and on exact negative statistics
@@ -80,6 +82,10 @@ MUTANTS = {
         "samplers.py",
         "zip(block, self.streams)",
         "zip(block, self.streams[1:] + self.streams[:1])"),
+    "draw-sweeps-chain-major": (
+        "samplers.py",
+        "u.reshape(self.n_chains, k, width).swapaxes(0, 1)",
+        "u.reshape(k, self.n_chains, width)"),
     "metrics-on-pre-update-params": (
         "trainer.py",
         "                try:\n"
@@ -191,6 +197,10 @@ MUTANTS = {
         "oracle.py",
         "tv = 0.5 * np.abs(counts / counts.sum() - marg).sum()",
         "tv = 0.5 * np.abs(counts / counts.sum() - margs[0]).sum()"),
+    "oracle-union-draws-in-reverse-model-order": (
+        "oracle.py",
+        "enumerate(zip(models, pools))",
+        "enumerate(zip(models[::-1], pools[::-1]))"),
     "oracle-logsumexp-out-of-place": (
         "oracle.py",
         "    x -= m\n",
