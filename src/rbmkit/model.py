@@ -123,6 +123,11 @@ class Hyperparams:
             value = getattr(self, name)
             if not np.isfinite(value):
                 raise ValueError(f"{name} ({option}) must be finite, got {value}")
+        for name in ("batch_size", "k", "epochs", "n_chains"):
+            value = getattr(self, name)
+            if value is not None and (isinstance(value, bool)
+                                      or not isinstance(value, (int, np.integer))):
+                raise ValueError(f"{name} must be an integer, got {value!r}")
         if self.epsilon < 0:
             raise ValueError("learning rate must be >= 0")
         if self.momentum < 0 or self.weight_decay < 0:

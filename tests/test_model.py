@@ -368,6 +368,17 @@ class TestValidation:
         with pytest.raises(ValueError, match=f"^{name} .*finite"):
             Hyperparams(**{name: value}).validate()
 
+    @pytest.mark.parametrize("value", [1.5, 3.0, True, np.float64(2.0)])
+    @pytest.mark.parametrize("name", ["batch_size", "k", "epochs", "n_chains"])
+    def test_hyperparams_non_integer_count_rejected_naming_the_field(self, name,
+                                                                     value):
+        with pytest.raises(ValueError, match=f"^{name} must be an integer"):
+            Hyperparams(**{name: value}).validate()
+
+    @pytest.mark.parametrize("name", ["batch_size", "k", "epochs", "n_chains"])
+    def test_hyperparams_numpy_integer_count_accepted(self, name):
+        Hyperparams(**{name: np.int64(3)}).validate()
+
     def test_hyperparams_bad_fraction(self):
         with pytest.raises(ValueError):
             Hyperparams(elite_fraction=0.0).validate()

@@ -1,14 +1,16 @@
 import numpy as np
 import pytest
 
-from rbmkit import (GAUSSIAN, Hyperparams, RbmParams, RngStream,
-                    TrainingDivergedError, free_energy, hidden_input,
-                    hidden_probs, init_params, reconstruction_error, train_rbm,
-                    visible_probs)
+from rbmkit import (BINARY, GAUSSIAN, Hyperparams, RbmParams, RngStream,
+                    TrainingDivergedError, UpdateState, apply_update,
+                    batch_stats, cd_k, fepcd_step, free_energy, hidden_input,
+                    hidden_probs, init_params, make_pool, pcd_step,
+                    reconstruction_error, train_rbm, visible_probs)
 from rbmkit import trainer
 from rbmkit.oracle import mean_log_likelihood
-from rbmkit.trainer import (ESTIMATORS, FEPCD, PCD, STREAM_EVAL, STREAM_INIT,
-                            STREAM_SHUFFLE, metrics_csv_text, read_metrics_csv)
+from rbmkit.trainer import (ESTIMATORS, FEPCD, PCD, STREAM_DATA, STREAM_EVAL,
+                            STREAM_INIT, STREAM_SHUFFLE, metrics_csv_text,
+                            read_metrics_csv)
 
 TWO_PATTERN_DATA = np.array([[1.0, 1.0]] * 4 + [[0.0, 0.0]] * 2)
 
@@ -42,6 +44,16 @@ class TestReconstructionError:
             h = (RngStream(16, m).uniforms((m, 20)) < hidden_probs(p, batch))
             want = float(np.mean((batch - visible_probs(p, h.astype(float))) ** 2))
             assert reconstruction_error(p, batch, RngStream(16, m)) == want
+
+    def test_shared_hidden_input_gives_the_same_bits_unwritten(self):
+        rng = RngStream(17, 0)
+        p = RbmParams(rng.normals((30, 20)), rng.normals(30), rng.normals(20))
+        batch = rng.uniforms((7, 30))
+        x = hidden_input(p, batch)
+        kept = x.copy()
+        assert reconstruction_error(p, batch, RngStream(17, 1), x) == \
+               reconstruction_error(p, batch, RngStream(17, 1))
+        assert np.array_equal(x, kept)
 
 
 class TestTrainRbm:
@@ -138,6 +150,15 @@ class TestTrainRbm:
             train_rbm(ref_model, TWO_PATTERN_DATA,
                       Hyperparams(epsilon=-1.0), "cd", seed=0)
 
+    @pytest.mark.parametrize("name, value", [("epochs", 1.5), ("n_chains", 3.5),
+                                             ("batch_size", True), ("k", 2.0)])
+    def test_non_integer_count_rejected_before_any_work(self, monkeypatch,
+                                                        ref_model, name, value):
+        monkeypatch.setattr(trainer, "_features_of", None)
+        hp = Hyperparams(**{name: value})
+        with pytest.raises(ValueError, match=f"^{name} must be an integer"):
+            train_rbm(ref_model, TWO_PATTERN_DATA, hp, "pcd", seed=0)
+
     def test_empty_dataset_rejected(self, ref_model):
         with pytest.raises(ValueError):
             train_rbm(ref_model, np.zeros((0, 2)), Hyperparams(), "cd", seed=0)
@@ -150,89 +171,131 @@ class TestTrainRbm:
         assert seen == [(1, 1), (2, 2), (3, 3)]
 
 
-def per_batch_metrics(updates, feats, hp, seed):
-    """(recon_error, mean_free_energy) of each epoch, taken one minibatch
-    at a time right after its update: updates holds the params each
-    apply_update returned, in order."""
-    shuffle_rng, eval_rng = RngStream(seed, STREAM_SHUFFLE), RngStream(seed, STREAM_EVAL)
-    m, params = feats.shape[0], iter(updates)
+def probe_of(feats, seed):
+    """(probe rows, metric stream at the first epoch's draw): the rows
+    train_rbm evaluates on, chosen once per run as the sorted first 500 of
+    a permutation from STREAM_EVAL, or all rows when there are no more."""
+    rng = RngStream(seed, STREAM_EVAL)
+    if feats.shape[0] <= 500:
+        return feats, rng
+    return feats[np.sort(rng.permutation(feats.shape[0])[:500])], rng
+
+
+def epoch_end_metrics(params, feats, seed):
+    """(recon_error, mean_free_energy) of each epoch, recomputed from its
+    epoch-end params on the probe: one draw of hidden samples per epoch,
+    the mean squared gap to the reconstruction means, and the mean free
+    energy of the probe rows."""
+    probe, rng = probe_of(feats, seed)
     rows = []
-    for _ in range(hp.epochs):
-        order = shuffle_rng.permutation(m)
-        recon_sum = fe_sum = 0.0
-        for start in range(0, m, hp.batch_size):
-            batch = feats[order[start:start + hp.batch_size]]
-            p = next(params)
-            recon_sum += reconstruction_error(p, batch, eval_rng) * batch.shape[0]
-            fe_sum += float(free_energy(p, batch, hidden_input(p, batch)).sum())
-        rows.append((recon_sum / m, fe_sum / m))
-    assert next(params, None) is None
+    for p in params:
+        h = rng.uniforms((probe.shape[0], p.n_hidden)) < hidden_probs(p, probe)
+        recon = float(np.mean((probe - visible_probs(p, h.astype(float))) ** 2))
+        rows.append((recon, float(np.mean(free_energy(p, probe)))))
     return rows
 
 
-class TestGroupedMetrics:
-    """train_rbm computes its metrics per group of minibatches as stacked
-    models; every value must equal the one-batch-at-a-time loop's bits."""
+def plain_minibatch_loop(init, feats, hp, estimator, seed):
+    """Params after hp.epochs of positive phase, negative phase and update
+    over each shuffled minibatch, with no evaluation at all."""
+    shuffle_rng, data_rng = RngStream(seed, STREAM_SHUFFLE), RngStream(seed, STREAM_DATA)
+    p, vel, pool = init, UpdateState.zeros_like(init), None
+    m = feats.shape[0]
+    for _ in range(hp.epochs):
+        order = shuffle_rng.permutation(m)
+        for start in range(0, m, hp.batch_size):
+            batch = feats[order[start:start + hp.batch_size]]
+            if estimator == "cd":
+                pos, neg = cd_k(p, batch, hp.k, data_rng)
+            else:
+                pos = batch_stats(batch, hidden_probs(p, batch))
+                if pool is None:
+                    pool = make_pool(batch, hp.n_chains or hp.batch_size, seed)
+                if estimator == PCD:
+                    neg, pool = pcd_step(p, pool, hp.k)
+                else:
+                    neg, pool = fepcd_step(p, pool, hp.k, hp.elite_fraction)
+            p = apply_update(p, pos, neg, hp, vel)
+    return p
 
-    def run(self, monkeypatch, n_visible, n_hidden, rows, hp, estimator,
-            visible_kind="binary", label_units=0):
-        """(reference rows, rows the epoch callback saw, returned rows,
-        group sizes) of one training run."""
-        apply_update, group_metrics = trainer.apply_update, trainer._group_metrics
-        updates, groups = [], []
+
+def training_data(n_visible, n_hidden, rows, kind=BINARY, labels=0):
+    """(features, init) of a run seeded by its row count."""
+    feats = RngStream(rows, 6).uniforms((rows, n_visible))
+    if kind != GAUSSIAN:
+        feats = (feats < 0.4).astype(float)
+    return feats, init_params(n_visible, n_hidden, RngStream(rows, STREAM_INIT),
+                              kind, labels)
+
+
+class TestEpochMetrics:
+    """Each epoch is evaluated once, after its last update, on a probe of
+    at most 500 rows chosen once per run; the values must equal the bits
+    of an in-test recomputation on the params the epoch callback sees."""
+
+    @pytest.mark.parametrize("estimator", ESTIMATORS)
+    @pytest.mark.parametrize("n_visible, n_hidden, rows, batch, kind, labels", [
+        (12, 8, 410, 20, BINARY, 0),     # ragged last batch, all rows probed
+        (7, 5, 30, 7, GAUSSIAN, 0),      # Gaussian visibles, ragged
+        (14, 6, 60, 20, BINARY, 4),      # discriminative label block
+        (6, 4, 5, 20, BINARY, 0),        # batch larger than the data
+        (20, 10, 9, 1, BINARY, 0),       # batch of one row
+        (12, 8, 500, 20, BINARY, 0),     # exactly the probe size
+        (12, 8, 501, 20, BINARY, 0),     # one row above it, ragged
+        (30, 10, 1210, 50, BINARY, 0),   # a probe of 500 of 1210, ragged
+        (9, 6, 700, 32, GAUSSIAN, 0),    # Gaussian above the probe size
+        (794, 64, 60, 20, BINARY, 10),   # the criterion-5 shape
+    ])
+    def test_row_is_the_probe_at_epoch_end_params(self, monkeypatch, estimator,
+                                                  n_visible, n_hidden, rows,
+                                                  batch, kind, labels):
+        apply_update, updates = trainer.apply_update, []
 
         def recording_update(*args):
             updates.append(apply_update(*args))
             return updates[-1]
 
-        def recording_groups(trained, rng):
-            groups.append(len(trained))
-            return group_metrics(trained, rng)
-
         monkeypatch.setattr(trainer, "apply_update", recording_update)
-        monkeypatch.setattr(trainer, "_group_metrics", recording_groups)
-        feats = RngStream(rows, 6).uniforms((rows, n_visible))
-        if visible_kind != GAUSSIAN:
-            feats = (feats < 0.4).astype(float)
-        init = init_params(n_visible, n_hidden, RngStream(rows, STREAM_INIT),
-                           visible_kind, label_units)
+        feats, init = training_data(n_visible, n_hidden, rows, kind, labels)
+        hp = Hyperparams(epsilon=0.1, momentum=0.5, batch_size=batch, epochs=3)
         seen = []
-        _, metrics = train_rbm(
+        trained, metrics = train_rbm(
             init, feats, hp, estimator, seed=rows,
-            epoch_callback=lambda e, p, row: seen.append(
-                (row.recon_error, row.mean_free_energy)))
-        got = [(r.recon_error, r.mean_free_energy) for r in metrics]
-        sizes = list(groups)  # before the reference loop adds its own
-        return per_batch_metrics(updates, feats, hp, rows), seen, got, sizes
+            epoch_callback=lambda e, p, row: seen.append((e, p, row)))
+        per_epoch = -(-rows // batch)
+        assert len(updates) == per_epoch * hp.epochs
+        assert [e for e, _, _ in seen] == [1, 2, 3]
+        # the callback gets each epoch's last update and that epoch's row
+        ends = updates[per_epoch - 1::per_epoch]
+        assert all(p is end for (_, p, _), end in zip(seen, ends))
+        assert seen[-1][1] is trained
+        assert [row for _, _, row in seen] == metrics
+        want = epoch_end_metrics([p for _, p, _ in seen], feats, rows)
+        assert [(r.recon_error, r.mean_free_energy) for r in metrics] == want
 
     @pytest.mark.parametrize("estimator", ESTIMATORS)
-    @pytest.mark.parametrize("n_visible, n_hidden, rows, batch, kind, labels, sizes", [
-        (12, 8, 400, 20, "binary", 0, [20]),   # one group an epoch
-        (12, 8, 410, 20, "binary", 0, [20, 1]),  # ragged last batch alone
-        (7, 5, 30, 7, GAUSSIAN, 0, [4, 1]),
-        (14, 6, 60, 20, "binary", 4, [3]),      # discriminative label block
-        (20, 10, 9, 1, "binary", 0, [9]),       # batch of one row
-        (6, 4, 5, 20, "binary", 0, [1]),        # batch larger than the data
-        (794, 64, 60, 20, "binary", 10, [1, 1, 1]),  # a batch fills the budget
-    ])
-    def test_bit_identical_to_per_batch_loop(self, monkeypatch, estimator, n_visible,
-                                             n_hidden, rows, batch, kind, labels, sizes):
-        hp = Hyperparams(epsilon=0.1, momentum=0.5, batch_size=batch, epochs=2)
-        want, seen, got, groups = self.run(monkeypatch, n_visible, n_hidden, rows, hp,
-                                           estimator, kind, labels)
-        assert got == want
-        assert seen == want
-        assert groups == sizes * hp.epochs
+    def test_trained_params_are_the_plain_minibatch_loop(self, estimator):
+        feats, init = training_data(12, 8, 530, GAUSSIAN)
+        hp = Hyperparams(epsilon=0.05, momentum=0.5, batch_size=20, epochs=3,
+                         n_chains=7)
+        got, _ = train_rbm(init, feats, hp, estimator, seed=530)
+        want = plain_minibatch_loop(init, feats, hp, estimator, 530)
+        assert np.array_equal(got.w, want.w)
+        assert np.array_equal(got.a, want.a)
+        assert np.array_equal(got.b, want.b)
 
-    @pytest.mark.parametrize("estimator", ESTIMATORS)
-    def test_small_budget_splits_an_epoch(self, monkeypatch, estimator):
-        monkeypatch.setattr(trainer, "METRICS_GROUP_BYTES",
-                            3 * trainer._group_bytes(12, 8, 20))
-        hp = Hyperparams(epsilon=0.1, batch_size=20, epochs=2)
-        want, seen, got, groups = self.run(monkeypatch, 12, 8, 410, hp, estimator)
-        assert got == want
-        assert seen == want
-        assert groups == [3] * 6 + [2, 1] + [3] * 6 + [2, 1]
+    def test_one_evaluation_per_epoch(self, monkeypatch):
+        calls = []
+        recon = trainer.reconstruction_error
+
+        def counting(p, batch, *args):
+            calls.append(batch.shape[0])
+            return recon(p, batch, *args)
+
+        monkeypatch.setattr(trainer, "reconstruction_error", counting)
+        feats, init = training_data(12, 8, 1210)
+        train_rbm(init, feats, Hyperparams(batch_size=20, epochs=4), "cd", seed=1)
+        assert calls == [500] * 4
 
 
 class TestMetricsCsv:

@@ -1,18 +1,19 @@
 """Mutation check: shows the tier-1 suite fails on each known estimator,
-chain-noise, trainer and classifier fault (among them training metrics
-taken on pre-update params, or a group's metrics reaching the epoch row
-only after the epoch callback), on a discriminative stack's
-labelled top layer trained with the bottom layer's unit kind or seed, on
-each way of making an oracle identity vacuous (log Z taken over the
-visible states through the oracle's own -F among them), on faults in the
-oracle's blocked finite difference, its count of visited states and its
-one chain over the union of the stationarity trials' models (the trials'
-draws joined in the wrong order among them), on a pool's k-sweep draw
-handed out chain-major instead of sweep-major, on a stacked
-witness (finite difference, joint table or brute -F) that reads the first
-trial's rows or model for every trial in its group, on a log-sum-exp
-that holds a second copy of its table, and on exact negative statistics
-whose P(h) drops the b.h term or is not normalized.
+chain-noise, trainer and classifier fault (among them an epoch's metrics
+taken on the params from before its last update, taken only after the
+epoch callback, or on a probe of rows redrawn each epoch), on a
+discriminative stack's labelled top layer trained with the bottom
+layer's unit kind or seed, on each way of making an oracle identity
+vacuous (log Z taken over the visible states through the oracle's own -F
+among them), on faults in the oracle's blocked finite difference, its
+count of visited states and its one chain over the union of the
+stationarity trials' models (the trials' draws joined in the wrong order
+among them), on a pool's k-sweep draw handed out chain-major instead of
+sweep-major, on a stacked witness (finite difference, joint table or
+brute -F) that reads the first trial's rows or model for every trial in
+its group, on a log-sum-exp that holds a second copy of its table, and
+on exact negative statistics whose P(h) drops the b.h term or is not
+normalized.
 
 Usage, from the repository root:
 
@@ -88,46 +89,44 @@ MUTANTS = {
         "u.reshape(k, self.n_chains, width)"),
     "metrics-on-pre-update-params": (
         "trainer.py",
-        "                try:\n"
-        "                    p = apply_update(p, pos, neg, hp, vel)\n"
-        "                except ValueError as exc:\n"
-        "                    raise TrainingDivergedError(\n"
-        "                        f\"non-finite parameters at epoch {epoch}, \"\n"
-        "                        f\"batch offset {start} ({estimator}, seed {seed})\") from exc\n"
-        "                # apply_update returns fresh arrays, so a reference will do\n"
-        "                trained.append((p, batch))\n",
-        "                trained.append((p, batch))\n"
-        "                try:\n"
-        "                    p = apply_update(p, pos, neg, hp, vel)\n"
-        "                except ValueError as exc:\n"
-        "                    raise TrainingDivergedError(\n"
-        "                        f\"non-finite parameters at epoch {epoch}, \"\n"
-        "                        f\"batch offset {start} ({estimator}, seed {seed})\") from exc\n"),
-    "metrics-last-group-after-epoch-callback": (
+        "                p = apply_update(p, pos, neg, hp, vel)\n"
+        "            except ValueError as exc:\n"
+        "                raise TrainingDivergedError(\n"
+        "                    f\"non-finite parameters at epoch {epoch}, \"\n"
+        "                    f\"batch offset {start} ({estimator}, seed {seed})\") from exc\n"
+        "        x = hidden_input(p, probe)\n"
+        "        recon = reconstruction_error(p, probe, eval_rng, x)\n"
+        "        mean_fe = float(np.mean(free_energy(p, probe, x)))\n",
+        "                before, p = p, apply_update(p, pos, neg, hp, vel)\n"
+        "            except ValueError as exc:\n"
+        "                raise TrainingDivergedError(\n"
+        "                    f\"non-finite parameters at epoch {epoch}, \"\n"
+        "                    f\"batch offset {start} ({estimator}, seed {seed})\") from exc\n"
+        "        x = hidden_input(before, probe)\n"
+        "        recon = reconstruction_error(before, probe, eval_rng, x)\n"
+        "        mean_fe = float(np.mean(free_energy(before, probe, x)))\n"),
+    "metrics-after-epoch-callback": (
         "trainer.py",
-        "            recon, fe = _group_metrics(trained, eval_rng)\n"
-        "            for (_, rows), r, f in zip(trained, recon.tolist(), fe.tolist()):\n"
-        "                recon_sum += r * rows.shape[0]\n"
-        "                fe_sum += f\n"
-        "        metrics.append(EpochMetrics(epoch, recon_sum / m, fe_sum / m,\n"
+        "        x = hidden_input(p, probe)\n"
+        "        recon = reconstruction_error(p, probe, eval_rng, x)\n"
+        "        mean_fe = float(np.mean(free_energy(p, probe, x)))\n"
+        "        metrics.append(EpochMetrics(epoch, recon, mean_fe,\n"
         "                                    time.perf_counter() - t0, estimator, seed))\n"
         "        if epoch_callback is not None:\n"
         "            epoch_callback(epoch, p, metrics[-1])\n",
-        "            if offsets is not groups[-1]:\n"
-        "                recon, fe = _group_metrics(trained, eval_rng)\n"
-        "                for (_, rows), r, f in zip(trained, recon.tolist(), fe.tolist()):\n"
-        "                    recon_sum += r * rows.shape[0]\n"
-        "                    fe_sum += f\n"
-        "        metrics.append(EpochMetrics(epoch, recon_sum / m, fe_sum / m,\n"
-        "                                    time.perf_counter() - t0, estimator, seed))\n"
         "        if epoch_callback is not None:\n"
-        "            epoch_callback(epoch, p, metrics[-1])\n"
-        "        recon, fe = _group_metrics(trained, eval_rng)\n"
-        "        for (_, rows), r, f in zip(trained, recon.tolist(), fe.tolist()):\n"
-        "            recon_sum += r * rows.shape[0]\n"
-        "            fe_sum += f\n"
-        "        metrics[-1].recon_error = recon_sum / m\n"
-        "        metrics[-1].mean_free_energy = fe_sum / m\n"),
+        "            epoch_callback(epoch, p, metrics[-1] if metrics else None)\n"
+        "        x = hidden_input(p, probe)\n"
+        "        recon = reconstruction_error(p, probe, eval_rng, x)\n"
+        "        mean_fe = float(np.mean(free_energy(p, probe, x)))\n"
+        "        metrics.append(EpochMetrics(epoch, recon, mean_fe,\n"
+        "                                    time.perf_counter() - t0, estimator, seed))\n"),
+    "probe-redrawn-each-epoch": (
+        "trainer.py",
+        "        x = hidden_input(p, probe)\n",
+        "        if m > EVAL_ROWS:\n"
+        "            probe = feats[np.sort(eval_rng.permutation(m)[:EVAL_ROWS])]\n"
+        "        x = hidden_input(p, probe)\n"),
     "momentum-ignored": (
         "model.py",
         "vel *= hp.momentum",
