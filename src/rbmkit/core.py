@@ -21,15 +21,22 @@ class RngStream:
     Two streams built from the same (seed, stream_id) yield bit-identical
     draw sequences; distinct stream_ids give statistically independent
     sequences. Chains, shuffling, initialization etc. each get their own
-    stream_id so consumption in one never perturbs another.
+    stream_id so consumption in one never perturbs another. Each key must
+    be an integer (a Python or numpy one, not a bool) in [0, 2^64);
+    anything else raises ValueError naming it.
     """
 
     def __init__(self, seed: int, stream_id: int = 0):
-        if not (0 <= seed < 2**64) or not (0 <= stream_id < 2**64):
-            raise ValueError("seed and stream_id must be unsigned 64-bit integers")
-        self.seed = seed
-        self.stream_id = stream_id
-        key = np.array([seed, stream_id], dtype=np.uint64)
+        for name, key in (("seed", seed), ("stream_id", stream_id)):
+            # a bool is an int, and a float would key its integer part's stream
+            if isinstance(key, bool) or not isinstance(key, (int, np.integer)):
+                raise ValueError(f"{name} must be an integer, got {key!r}")
+            if not 0 <= int(key) < 2**64:
+                raise ValueError(f"{name} must be an unsigned 64-bit integer, "
+                                 f"got {key!r}")
+        self.seed = int(seed)
+        self.stream_id = int(stream_id)
+        key = np.array([self.seed, self.stream_id], dtype=np.uint64)
         self._gen = np.random.Generator(np.random.Philox(key=key))
 
     def __repr__(self):

@@ -45,13 +45,11 @@ from .samplers import gibbs_chain, make_pool
 MAX_ENUM_UNITS = 20
 
 # Bytes of working set that one block of finite_diff_loglik_grad's stacked
-# perturbed models may hold (see _model_bytes), of joint tables that one
-# group of run_oracle_checks' trials may hold, and of draws its Gibbs
-# stationarity chain holds at once (all 400 sweeps at 3x3, a third of
-# them at 8x8). Small models gain from sharing numpy calls (3x3's 30
-# models: 6 ms one model a block, 0.16 ms in one block); at 8 MiB, 8x8
-# and 10x8 ran 1.1-1.4x slower than at 1 MiB (2-vCPU Xeon, one BLAS
-# thread, medians of 15 calls).
+# perturbed models may hold (see _model_bytes), and of joint tables that
+# one group of run_oracle_checks' trials may hold. Small models gain from
+# sharing numpy calls (3x3's 30 models: 6 ms one model a block, 0.16 ms in
+# one block); at 8 MiB, 8x8 and 10x8 ran 1.1-1.4x slower than at 1 MiB
+# (2-vCPU Xeon, one BLAS thread, medians of 15 calls).
 FD_BLOCK_BYTES = 2 ** 20
 
 # finite_diff_loglik_grad's central-difference step on every parameter
@@ -76,8 +74,8 @@ __all__ = [
 ]
 
 
-def _logsumexp(x, axis=None):
-    """log sum exp(x) over axis (every entry by default).
+def _logsumexp(x, axis):
+    """log sum exp(x) over axis.
 
     Consumes x: the max-shifted exponentials are computed in x's own
     buffer, so x must be a fresh float64 table that nothing else reads.
@@ -85,8 +83,7 @@ def _logsumexp(x, axis=None):
     m = np.max(x, axis=axis, keepdims=True)
     x -= m
     np.exp(x, out=x)
-    out = m.squeeze(axis) if axis is not None else m.reshape(())
-    return out + np.log(np.sum(x, axis=axis))
+    return m.squeeze(axis) + np.log(np.sum(x, axis=axis))
 
 
 def _check_enumerable(p: RbmParams):
@@ -385,47 +382,18 @@ def _random_model(n_visible, n_hidden, rng) -> RbmParams:
                      rng.normals((n_visible,)), rng.normals((n_hidden,)))
 
 
-def _union_visits(union, models, pools, sweeps: int) -> np.ndarray:
-    """The union's states after each of `sweeps` one-sweep gibbs_chain
-    calls, as booleans shaped (sweeps, chains, union units).
-
-    Each pool draws as many sweeps at once as FD_BLOCK_BYTES of the
-    union's draws hold, and its draws are copied into the union's unit
-    axis in model order, so row c holds chain c of every model.
-    """
-    n_v, n_h = models[0].n_visible, models[0].n_hidden
-    states = np.concatenate([pool.states for pool in pools], axis=1)
-    n_chains = len(states)
-    width = union.n_visible + union.n_hidden
-    chunk = min(sweeps, max(1, FD_BLOCK_BYTES // (8 * n_chains * width)))
-    u_h = np.empty((chunk, n_chains, union.n_hidden))
-    e_v = np.empty((chunk, n_chains, union.n_visible))
-    ph = None
-    visited = np.empty((sweeps,) + states.shape, dtype=bool)
-    for first in range(0, sweeps, chunk):
-        k = min(chunk, sweeps - first)
-        for t, (p, pool) in enumerate(zip(models, pools)):
-            u_h[:k, :, t * n_h:(t + 1) * n_h], e_v[:k, :, t * n_v:(t + 1) * n_v] = (
-                pool.draw_sweeps(p, k))
-        # each call hands out the next sweep's (u_h, e_v)
-        noise = zip(u_h, e_v).__next__
-        for sweep in range(first, first + k):
-            states, ph, _ = gibbs_chain(union, states, 1, noise, ph)
-            visited[sweep] = states
-    return visited
-
-
-def _stationarity_tvs(models, pools, margs, sweeps: int) -> list:
+def _stationarity_tvs(models, starts, margs, sweeps: int, seed: int) -> list:
     """Total-variation distance between the visible states each model's
-    pool visits over `sweeps` one-sweep Gibbs steps and that model's
-    marginal, one per model.
+    chains visit over `sweeps` one-sweep Gibbs steps, from its start
+    states, and that model's marginal, one per model.
 
-    The models, all of one size, run as one chain on their disjoint union:
+    The models, all of one size, run as one pool on their disjoint union:
     an RBM with their weights on the diagonal blocks and their biases
-    concatenated. Its conditionals factorize over the blocks, so one sweep
-    of the union is one sweep of every model, and every chain sees exactly
-    the draws it would see run alone. One gibbs_chain call a sweep serves
-    them all.
+    concatenated, its start states the models' joined in model order. Its
+    conditionals factorize over the blocks, so one sweep of the union is
+    one sweep of every model, each model's chains drawing from its slice
+    of the pool's streams (seed, CHAIN_STREAM_BASE + c). With one model
+    the union is that model.
     """
     n_v, n_h = models[0].n_visible, models[0].n_hidden
     w = np.zeros((len(models) * n_v, len(models) * n_h))
@@ -433,9 +401,15 @@ def _stationarity_tvs(models, pools, margs, sweeps: int) -> list:
         w[t * n_v:(t + 1) * n_v, t * n_h:(t + 1) * n_h] = p.w
     union = RbmParams(w, np.concatenate([p.a for p in models]),
                       np.concatenate([p.b for p in models]))
-    visited = _union_visits(union, models, pools, sweeps)
+    pool = make_pool(np.concatenate(starts, axis=1), len(starts[0]), seed)
+    noise = pool.noise(union)
+    states, ph = pool.states, None
+    visited = np.empty((sweeps,) + states.shape, dtype=bool)
+    for sweep in range(sweeps):
+        states, ph, _ = gibbs_chain(union, states, 1, noise, ph)
+        visited[sweep] = states
     # state ids, shaped (sweeps, chains, models)
-    ids = state_index(visited.reshape(sweeps, visited.shape[1], len(models), n_v))
+    ids = state_index(visited.reshape(sweeps, len(states), len(models), n_v))
     tvs = []
     for t, marg in enumerate(margs):
         counts = np.bincount(ids[..., t].ravel(), minlength=marg.size)
@@ -476,7 +450,7 @@ def run_oracle_checks(n_visible: int = 3, n_hidden: int = 3, trials: int = 25,
         return [CheckResult(name, True, "no trials") for name in TOLERANCES]
     V = enumerate_states(n_visible)
     worst = dict.fromkeys(TOLERANCES, 0.0)
-    # (model, chain pool, visible marginal) of the first three trials
+    # (model, chains' start states, visible marginal) of the first three trials
     stationarity = []
 
     def note(name, gaps):
@@ -508,9 +482,8 @@ def run_oracle_checks(n_visible: int = 3, n_hidden: int = 3, trials: int = 25,
                                          pos.h - neg.h]))
 
             if trial < 3:
-                chains = make_pool((rng.uniforms((16, n_visible)) < 0.5).astype(float),
-                                   16, seed + trial)
-                stationarity.append((p, chains, marg))
+                start = (rng.uniforms((16, n_visible)) < 0.5).astype(float)
+                stationarity.append((p, start, marg))
 
         # their witnesses, the group's models stacked; H is let go before
         # the finite difference builds its own
@@ -530,6 +503,6 @@ def run_oracle_checks(n_visible: int = 3, n_hidden: int = 3, trials: int = 25,
         fd = _finite_diff_grads(w, a, b, np.stack(rows))
         note("gradient_finite_difference", np.abs(np.stack(grads) - fd))
 
-    note("gibbs_stationarity", _stationarity_tvs(*zip(*stationarity), 400))
+    note("gibbs_stationarity", _stationarity_tvs(*zip(*stationarity), 400, seed))
     return [CheckResult(name, worst[name] <= tol, f"worst {worst[name]:.3e} vs {tol:.0e}")
             for name, tol in TOLERANCES.items()]

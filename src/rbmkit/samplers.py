@@ -17,13 +17,10 @@ A binary pool draws each chain's uniforms a block of sweeps at a time
 (NOISE_BLOCK_BYTES, and at least NOISE_MIN_SWEEPS sweeps), each chain's
 straight into its row of the block, and hands out one sweep's slice per
 call, so its streams may run up to one block ahead of what the pool has
-used. A caller that knows how many sweeps it will run can take them all
-at once with ChainPool.draw_sweeps: one uniforms call per chain after the
-pool's unused uniforms, handed out sweep-major. One Philox generator
-gives the same doubles whatever widths they are drawn in, so every chain
-sees the same sequence, drawn either way, as with one call per sweep.
-Gaussian pools draw per sweep: normals consume a variable number of raw
-outputs, so they cannot be drawn ahead without changing the draws.
+used. One Philox generator gives the same doubles whatever widths they
+are drawn in, so every chain sees the same sequence as with one call per
+sweep. Gaussian pools draw per sweep: normals consume a variable number
+of raw outputs, so they cannot be drawn ahead without changing the draws.
 """
 
 from __future__ import annotations
@@ -117,7 +114,8 @@ class ChainPool:
                     self._refill(sweeps * width)
                     start = 0
                 self._cursor = start + width
-                return _halves(self._block[:, start:start + width], n_h)
+                u = self._block[:, start:start + width]
+                return u[:, :n_h], u[:, n_h:]
         else:
             def draw():
                 if self._cursor < self._block.shape[1]:
@@ -126,35 +124,6 @@ class ChainPool:
                 u_h = np.stack([s.uniforms(n_h) for s in self.streams])
                 return u_h, np.stack([s.normals(n_v) for s in self.streams])
         return draw
-
-    def draw_sweeps(self, p: RbmParams, k: int):
-        """k sweeps' binary draws at once, as arrays shaped (k, n_chains,
-        n_hidden) and (k, n_chains, n_visible): sweep s holds what the s-th
-        of k noise(p)() calls would return, bit for bit, and the pool
-        continues after them.
-
-        The pool's unused uniforms come first, then one uniforms call per
-        chain draws the rest, so the streams end exactly where the k sweeps
-        do. The arrays are views of the pool's block; a block handed out
-        to its end is let go, so the pool holds no memory once the caller
-        drops them. A model with Gaussian visibles is refused with
-        ValueError and nothing drawn: its normals are drawn per sweep.
-        """
-        if p.visible_kind != BINARY:
-            raise ValueError("draw_sweeps draws binary visibles only; draw "
-                             "Gaussian ones per sweep with noise(p)")
-        if k < 1:
-            raise ValueError("k must be >= 1")
-        width = p.n_hidden + p.n_visible
-        n = k * width
-        rest = self._block.shape[1] - self._cursor
-        if rest < n:
-            self._refill(n - rest)
-        u = self._block[:, self._cursor:self._cursor + n]
-        self._cursor += n
-        if self._cursor == self._block.shape[1]:
-            self._block, self._cursor = np.empty((self.n_chains, 0)), 0
-        return _halves(u.reshape(self.n_chains, k, width).swapaxes(0, 1), p.n_hidden)
 
     def _refill(self, n: int):
         """Draw n more uniforms per chain after the unused ones, each
@@ -166,12 +135,6 @@ class ChainPool:
             stream.uniforms(n, out=row[rest:])
         self._block = block
         self._cursor = 0
-
-
-def _halves(u: np.ndarray, n_hidden: int):
-    """(hidden, visible) draws of binary-pool uniforms whose last axis
-    holds one sweep, the hidden block first."""
-    return u[..., :n_hidden], u[..., n_hidden:]
 
 
 def make_pool(init_states: np.ndarray, n_chains: int, seed: int) -> ChainPool:

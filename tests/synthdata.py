@@ -44,6 +44,12 @@ def _prototype_digits(n: int, rng: RngStream):
     return feats, labels
 
 
+def digit_generator() -> str:
+    """Name of the generator digit_dataset runs here: "scikit-learn
+    digits" when scikit-learn is importable, else "numpy prototypes"."""
+    return "numpy prototypes" if _digits_base() is None else "scikit-learn digits"
+
+
 def digit_dataset(n: int, seed: int) -> Dataset:
     """n samples of 784-dim, 10-class digit data in [0, 1], deterministic."""
     rng = RngStream(seed, 0)

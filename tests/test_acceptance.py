@@ -4,7 +4,8 @@ Run with `pytest tests/test_acceptance.py -v -s` to see the per-criterion
 lines as they complete. Every tolerance is pinned here; nothing defers to
 later calibration. The estimator-comparison criterion uses real MNIST IDX
 files when RBMKIT_MNIST_DIR points at them and otherwise runs the identical
-protocol on the deterministic handwritten-digit stand-in from synthdata.
+protocol on the deterministic digit stand-in from synthdata, and names
+the generator that ran.
 """
 
 import math
@@ -30,7 +31,7 @@ from rbmkit.samplers import (cd_k, fepcd_step, gibbs_chain, make_pool,
                              pcd_step, select_elite)
 from rbmkit.trainer import STREAM_INIT, read_metrics_csv
 
-from synthdata import digit_dataset, write_idx_fixture
+from synthdata import digit_dataset, digit_generator, write_idx_fixture
 
 
 @contextmanager
@@ -169,7 +170,17 @@ def _criterion5_datasets():
     full = digit_dataset(3000, seed=2025)
     train = Dataset(full.features[:2000], full.labels[:2000])
     test = Dataset(full.features[2000:], full.labels[2000:])
-    return train, test, "digit stand-in"
+    return train, test, f"digit stand-in ({digit_generator()})"
+
+
+def test_criterion5_stand_in_names_the_generator_that_ran(monkeypatch):
+    monkeypatch.delenv("RBMKIT_MNIST_DIR", raising=False)
+    train, test, source = _criterion5_datasets()
+    assert source == f"digit stand-in ({digit_generator()})"
+    # the numpy prototypes are binary; upsampled scikit-learn digits are
+    # sixteenths and include grey levels
+    grey = np.any((train.features > 0) & (train.features < 1))
+    assert grey == (digit_generator() == "scikit-learn digits")
 
 
 def test_criterion_5_desk_scale_estimator_comparison():

@@ -177,7 +177,21 @@ class TestRngStream:
         np.testing.assert_array_equal(fresh.uniforms(3), second)
 
     def test_rejects_out_of_range_keys(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="seed"):
             RngStream(-1, 0)
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="stream_id"):
             RngStream(0, 2**64)
+        # a float or bool would quietly key another integer's stream
+        for seed, stream_id, name in [
+                (1.5, 0, "seed"), (1.0, 0, "seed"), (True, 0, "seed"),
+                ("3", 0, "seed"), (np.float64(2.0), 0, "seed"),
+                (np.bool_(True), 0, "seed"), (0, 1.5, "stream_id"),
+                (0, False, "stream_id"), (0, "3", "stream_id")]:
+            with pytest.raises(ValueError, match=f"^{name} must be an integer"):
+                RngStream(seed, stream_id)
+
+    def test_accepts_numpy_integer_keys(self):
+        a = RngStream(np.int64(12), np.uint64(7))
+        assert (a.seed, a.stream_id) == (12, 7)
+        assert repr(a) == "RngStream(seed=12, stream_id=7)"
+        np.testing.assert_array_equal(a.uniforms(5), RngStream(12, 7).uniforms(5))

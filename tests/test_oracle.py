@@ -365,6 +365,25 @@ def flat_logsumexp(x, axis=None):
     return out + np.log(np.sum(np.exp(x - m), axis=axis))
 
 
+class TestLogsumexp:
+    @pytest.mark.parametrize("axis", [0, 1])
+    def test_matches_a_shifted_sum_and_consumes_its_input(self, axis):
+        # entries near +-800: exp alone overflows to inf or underflows to 0
+        x = RngStream(45, 0).normals((7, 5)) + np.array([800.0, -800.0, 0.0,
+                                                         3.0, -3.0])
+        x[2] = 800.0
+        want = [m + math.log(math.fsum(math.exp(v - m) for v in line))
+                for line in np.moveaxis(x, axis, -1)
+                for m in [max(line)]]
+        m = np.max(x, axis=axis, keepdims=True)
+        table = x.copy()
+        got = oracle._logsumexp(table, axis)
+        assert got.shape == (x.shape[1 - axis],)
+        np.testing.assert_allclose(got, want, rtol=1e-14)
+        # the shifted exponentials are left in the table's own buffer
+        np.testing.assert_array_equal(table, np.exp(x - m))
+
+
 def flat_oracle(p, data):
     """(log Z, P(v), mean log-likelihood, negative vh, v and h sums), each
     reduced over the whole joint -E table at once."""
@@ -460,21 +479,31 @@ class TestRunOracleChecks:
 
 def loop_stationarity(n_visible, n_hidden, trials, seed):
     """(visited states, TV) of each of run_oracle_checks' first three
-    trials, each model run alone: its pool built from the trial stream's
-    draws in the suite's order, then 400 one-sweep gibbs_chain calls."""
-    out = []
+    trials, each model run alone: its start states drawn from the trial
+    stream in the suite's order; 400 sweeps drawn from a fresh pool over
+    the union of the trials' shapes, each trial's chains reading their
+    slice of every sweep's draws; then 400 one-sweep gibbs_chain calls."""
+    models, starts = [], []
     for trial in range(min(trials, 3)):
         rng = RngStream(seed, 1000 + trial)
-        p = RbmParams(rng.normals((n_visible, n_hidden)), rng.normals((n_visible,)),
-                      rng.normals((n_hidden,)))
+        models.append(RbmParams(rng.normals((n_visible, n_hidden)),
+                                rng.normals((n_visible,)), rng.normals((n_hidden,))))
         rng.uniforms((6, n_visible))  # the gradient check's data rows
-        chains = make_pool((rng.uniforms((16, n_visible)) < 0.5).astype(float),
-                           16, seed + trial)
-        noise = chains.noise(p)
-        states, ph = chains.states, None
+        starts.append((rng.uniforms((16, n_visible)) < 0.5).astype(float))
+    k = len(models)
+    # a pool's draws depend only on the model's shape
+    union_shape = RbmParams(np.zeros((k * n_visible, k * n_hidden)),
+                            np.zeros(k * n_visible), np.zeros(k * n_hidden))
+    noise = make_pool(np.concatenate(starts, axis=1), 16, seed).noise(union_shape)
+    draws = [tuple(u.copy() for u in noise()) for _ in range(400)]
+    out = []
+    for t, (p, states) in enumerate(zip(models, starts)):
+        own = iter([(u_h[:, t * n_hidden:(t + 1) * n_hidden],
+                     e_v[:, t * n_visible:(t + 1) * n_visible]) for u_h, e_v in draws])
+        ph = None
         visited = np.empty((400,) + states.shape)
         for sweep in range(400):
-            states, ph, _ = gibbs_chain(p, states, 1, noise, ph)
+            states, ph, _ = gibbs_chain(p, states, 1, own.__next__, ph)
             visited[sweep] = states
         counts = np.bincount(state_index(visited).ravel(), minlength=2 ** n_visible)
         out.append((visited, 0.5 * np.abs(counts / counts.sum()
@@ -517,22 +546,20 @@ class TestStationarityUnion:
 
 
 class TestStationarityDraws:
-    def test_each_chain_stream_is_drawn_from_once(self, monkeypatch):
-        # 3 trials x 16 chains, each stream asked once for all 400 sweeps
-        # of 6 uniforms (a 3x3 pool's block would hold only 85 sweeps)
-        calls = {}
+    @pytest.mark.parametrize("trials, seed", [(25, 0), (3, 4), (1, 9)])
+    def test_only_the_union_pools_streams_are_drawn(self, monkeypatch, trials, seed):
+        # one pool of 16 chains on the union: no trial builds a pool of its own
+        drawn = set()
         uniforms = RngStream.uniforms
 
-        def counting(stream, shape, out=None):
+        def recording(stream, shape, out=None):
             if stream.stream_id < 1000:
-                key = (stream.seed, stream.stream_id)
-                calls[key] = calls.get(key, []) + [shape]
+                drawn.add((stream.seed, stream.stream_id))
             return uniforms(stream, shape, out)
 
-        monkeypatch.setattr(RngStream, "uniforms", counting)
-        run_oracle_checks()
-        assert calls == {(trial, 100 + c): [2400]
-                         for trial in range(3) for c in range(16)}
+        monkeypatch.setattr(RngStream, "uniforms", recording)
+        run_oracle_checks(trials=trials, seed=seed)
+        assert drawn == {(seed, 100 + c) for c in range(16)}
 
 
 def loop_suite(n_visible, n_hidden, trials, seed):

@@ -1,6 +1,3 @@
-import gc
-import weakref
-
 import numpy as np
 import pytest
 
@@ -270,6 +267,31 @@ class TestNoiseBlock:
                 np.testing.assert_array_equal(states[c], v)
                 np.testing.assert_array_equal(q[c], qq)
 
+    @pytest.mark.parametrize("n_visible, n_hidden, n_chains, before, k",
+                             [(3, 3, 16, 0, 7),       # fresh pool, within a block
+                              (3, 3, 16, 0, 400),     # fresh pool, 400 > 85 sweeps
+                              (3, 3, 16, 80, 30),     # a refill in the middle
+                              (9, 9, 16, 0, 400),     # three 3x3 models' union
+                              (5, 2, 3, 1, 1),
+                              (794, 64, 24, 1, 9)])   # a wide pool
+    def test_each_sweep_is_each_chains_next_uniforms(self, n_visible, n_hidden,
+                                                     n_chains, before, k):
+        # sweep s of chain c is stream (seed, CHAIN_STREAM_BASE + c)'s next
+        # n_hidden + n_visible uniforms, the hidden ones first, whichever
+        # block they were drawn in
+        p = RbmParams(np.zeros((n_visible, n_hidden)), np.zeros(n_visible),
+                      np.zeros(n_hidden))
+        draw = make_pool(np.zeros((n_chains, n_visible)), n_chains, 40).noise(p)
+        sweeps = [tuple(u.copy() for u in draw()) for _ in range(before + k)]
+        for u_h, e_v in sweeps:
+            assert u_h.shape == (n_chains, n_hidden)
+            assert e_v.shape == (n_chains, n_visible)
+        for c in range(n_chains):
+            lone = RngStream(40, CHAIN_STREAM_BASE + c)
+            for u_h, e_v in sweeps:
+                np.testing.assert_array_equal(u_h[c], lone.uniforms(n_hidden))
+                np.testing.assert_array_equal(e_v[c], lone.uniforms(n_visible))
+
     def test_changing_width_keeps_each_stream_in_order(self):
         # models of four widths drawn from one pool in a seeded order: the
         # leftover of one width's block must come first in the next draw
@@ -363,95 +385,6 @@ class TestNoiseBlock:
         pool.noise(binary)()
         with pytest.raises(ValueError, match="unused uniforms"):
             pool.noise(gaussian)()
-
-
-def twin_pools(n_chains, width, seed):
-    return [make_pool(np.zeros((n_chains, width)), n_chains, seed) for _ in range(2)]
-
-
-def per_sweep(pool, p, k):
-    """k noise(p)() draws stacked sweep-major, as draw_sweeps hands them out."""
-    draw = pool.noise(p)
-    u_h, e_v = zip(*(draw() for _ in range(k)))
-    return np.stack(u_h), np.stack(e_v)
-
-
-class TestDrawSweeps:
-    def assert_same(self, got, want):
-        for g, w in zip(got, want):
-            assert g.shape == w.shape
-            np.testing.assert_array_equal(g, w)
-
-    @pytest.mark.parametrize("n_visible, n_hidden, n_chains, before, k",
-                             [(3, 3, 16, 0, 7),       # fresh pool, within a block
-                              (3, 3, 16, 0, 400),     # fresh pool, 400 > 85 sweeps
-                              (3, 3, 16, 20, 30),     # unused uniforms cover k
-                              (3, 3, 16, 80, 30),     # a refill in the middle
-                              (5, 2, 3, 1, 1),
-                              (794, 64, 24, 1, 9)])   # a wide pool
-    def test_equals_k_per_sweep_draws(self, n_visible, n_hidden, n_chains,
-                                      before, k):
-        p = RbmParams(np.zeros((n_visible, n_hidden)), np.zeros(n_visible),
-                      np.zeros(n_hidden))
-        pool, twin = twin_pools(n_chains, n_visible, 40)
-        if before:
-            self.assert_same(per_sweep(pool, p, before), per_sweep(twin, p, before))
-        got = pool.draw_sweeps(p, k)
-        assert got[0].shape == (k, n_chains, n_hidden)
-        assert got[1].shape == (k, n_chains, n_visible)
-        self.assert_same(got, per_sweep(twin, p, k))
-        # and the pool goes on from where the k sweeps end
-        self.assert_same(per_sweep(pool, p, 90), per_sweep(twin, p, 90))
-
-    def test_unused_uniforms_come_first_and_streams_end_with_the_sweeps(self):
-        p = RbmParams(np.zeros((3, 3)), np.zeros(3), np.zeros(3))
-        calls = []
-
-        class CountingStream(RngStream):
-            def uniforms(self, shape, out=None):
-                calls.append((self.stream_id, shape))
-                return super().uniforms(shape, out)
-
-        pool = ChainPool(np.zeros((16, 3)),
-                         [CountingStream(41, CHAIN_STREAM_BASE + c) for c in range(16)])
-        block = NOISE_BLOCK_BYTES // (8 * 16 * 6)
-        pool.noise(p)()
-        pool.draw_sweeps(p, block - 1)
-        assert len(calls) == 16  # the rest of the first block, no new draw
-        u_h, e_v = pool.draw_sweeps(p, 100)
-        assert sorted(calls[16:]) == [(CHAIN_STREAM_BASE + c, 600) for c in range(16)]
-        for c in range(16):
-            want = RngStream(41, CHAIN_STREAM_BASE + c).uniforms(6 * (block + 100))
-            got = np.concatenate([u_h[:, c], e_v[:, c]], axis=1)
-            np.testing.assert_array_equal(got, want[6 * block:].reshape(100, 6))
-
-    def test_a_block_handed_out_to_its_end_is_let_go(self):
-        p = RbmParams(np.zeros((3, 3)), np.zeros(3), np.zeros(3))
-        pool = make_pool(np.zeros((16, 3)), 16, 42)
-        pool.noise(p)()
-        u_h, e_v = pool.draw_sweeps(p, 400)
-        block = weakref.ref(u_h.base)
-        del u_h, e_v
-        gc.collect()
-        assert block() is None
-
-    def test_gaussian_visibles_refused_drawing_nothing(self):
-        p = RbmParams(np.zeros((4, 3)), np.zeros(4), np.zeros(3),
-                      visible_kind="gaussian")
-        pool = make_pool(np.zeros((5, 4)), 5, 43)
-        with pytest.raises(ValueError, match="binary visibles only"):
-            pool.draw_sweeps(p, 2)
-        u_h, e_v = pool.noise(p)()
-        for c in range(5):
-            stream = RngStream(43, CHAIN_STREAM_BASE + c)
-            np.testing.assert_array_equal(u_h[c], stream.uniforms(3))
-            np.testing.assert_array_equal(e_v[c], stream.normals(4))
-
-    @pytest.mark.parametrize("k", [0, -1])
-    def test_needs_a_sweep(self, k):
-        p = RbmParams(np.zeros((3, 3)), np.zeros(3), np.zeros(3))
-        with pytest.raises(ValueError, match="k must be >= 1"):
-            make_pool(np.zeros((2, 3)), 2, 44).draw_sweeps(p, k)
 
 
 class TestSelectElite:
