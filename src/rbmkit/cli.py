@@ -18,7 +18,7 @@ from .core import RngStream, sigmoid
 from .dataio import (Dataset, atomic_write_text, load_isolet_csv,
                      load_mnist_idx, load_model, minmax_normalize, save_model,
                      write_pgm)
-from .dbn import (classify_free_energy, pretrain_stack,
+from .dbn import (classify_free_energy, label_classes, pretrain_stack,
                   train_discriminative_rbm)
 from .errors import DataFormatError, TrainingDivergedError
 from .model import (BINARY, GAUSSIAN, Hyperparams, RbmParams, free_energy,
@@ -93,7 +93,7 @@ def _subset(ds: Dataset, n, seed: int) -> Dataset:
         return ds
     order = RngStream(seed, STREAM_SUBSET).permutation(ds.n_samples)[:int(n)]
     labels = ds.labels[order] if ds.labels is not None else None
-    return Dataset(ds.features[order], labels)
+    return Dataset(ds.features[order], labels, n_classes=ds.n_classes)
 
 
 def _load_raw(kind: str, images, labels, csv_path) -> Dataset:
@@ -220,13 +220,13 @@ def cmd_compare_samplers(args) -> int:
     train, test = _load_train_test(args)
     if train.labels is None or test is None or test.labels is None:
         raise ValueError("compare-samplers needs labeled train and test data")
-    # the label block spans the training labels' classes (see
+    # the label block spans the training data's classes (see
     # train_discriminative_rbm); a test class above them could never be
     # predicted
-    train_top, test_top = int(train.labels.max()), int(test.labels.max())
-    if test_top > train_top:
+    n_classes, test_top = label_classes(train), int(test.labels.max())
+    if test_top >= n_classes:
         raise ValueError(f"test labels include class {test_top}; the training "
-                         f"labels span classes 0..{train_top}")
+                         f"data has classes 0..{n_classes - 1}")
     hp = _hyperparams(args)
     kind = _visible_kind(args)
     echo = _config_echo(args, _TRAIN_ECHO)

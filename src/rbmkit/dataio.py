@@ -48,11 +48,17 @@ class NormStats:
 
 @dataclass
 class Dataset:
-    """Row-major sample matrix with optional integer labels."""
+    """Row-major sample matrix with optional integer labels.
+
+    n_classes, when known, is the class count of the file the rows were
+    loaded from; a subset keeps it even when it misses a class. Left
+    None, consumers take max(labels) + 1 of the rows they see.
+    """
 
     features: np.ndarray
     labels: np.ndarray | None = None
     normalization: NormStats | None = None
+    n_classes: int | None = None
 
     def __post_init__(self):
         self.features = np.atleast_2d(np.asarray(self.features, dtype=np.float64))
@@ -62,6 +68,13 @@ class Dataset:
             self.labels = np.asarray(self.labels, dtype=np.int64)
             if self.labels.shape != (self.features.shape[0],):
                 raise ValueError("labels must align with feature rows")
+        if self.n_classes is not None:
+            if self.labels is None:
+                raise ValueError("n_classes needs labels")
+            self.n_classes = int(self.n_classes)
+            if self.labels.size and not (
+                    0 <= self.labels.min() and self.labels.max() < self.n_classes):
+                raise ValueError(f"labels outside [0, {self.n_classes})")
 
     @property
     def n_samples(self) -> int:
@@ -105,6 +118,7 @@ def load_mnist_idx(images_path, labels_path) -> Dataset:
     """MNIST-style IDX pair -> Dataset with raw byte-valued pixels.
 
     Images stay in 0..255; run minmax_normalize to map them into [0, 1].
+    n_classes is max(labels) + 1 over the whole label file.
     """
     images = _load_idx_array(images_path, IDX_IMAGE_MAGIC)
     labels = _load_idx_array(labels_path, IDX_LABEL_MAGIC)
@@ -120,14 +134,17 @@ def load_mnist_idx(images_path, labels_path) -> Dataset:
         # only a zero-image file gets here: its float64 rows are unaddressable
         raise IdxMagicError(f"{images_path}: {n_pixels} pixels per image")
     feats = images.reshape(images.shape[0], n_pixels).astype(np.float64)
-    return Dataset(feats, labels.astype(np.int64))
+    labels = labels.astype(np.int64)
+    n_classes = int(labels.max()) + 1 if labels.size else None
+    return Dataset(feats, labels, n_classes=n_classes)
 
 
 def load_isolet_csv(path) -> Dataset:
     """ISOLET CSV: 617 real features then a 1..26 class label per row.
 
     The label must be a whole number (written 3, 3. or 3.0); any other
-    value is refused, never rounded to a class."""
+    value is refused, never rounded to a class. n_classes is 26 whatever
+    classes the file holds."""
     n_features = 617
     rows = []
     labels = []
@@ -160,7 +177,7 @@ def load_isolet_csv(path) -> Dataset:
         labels.append(int(label) - 1)
     if not rows:
         raise CsvFormatError(f"{path}: no data rows")
-    return Dataset(np.array(rows), np.array(labels))
+    return Dataset(np.array(rows), np.array(labels), n_classes=26)
 
 
 def minmax_normalize(ds: Dataset, stats: NormStats | None = None) -> Dataset:
@@ -183,7 +200,7 @@ def minmax_normalize(ds: Dataset, stats: NormStats | None = None) -> Dataset:
     scaled[:, span == 0] = 0.0
     if not fresh:
         np.clip(scaled, 0.0, 1.0, out=scaled)
-    return Dataset(scaled, ds.labels, stats)
+    return Dataset(scaled, ds.labels, stats, ds.n_classes)
 
 
 def _atomic_write_bytes(path, data: bytes):

@@ -23,7 +23,7 @@ from .trainer import STREAM_INIT, STREAM_SHUFFLE, train_rbm
 
 __all__ = [
     "DbnModel", "FeedforwardNet",
-    "one_hot", "propagate_up", "pretrain_stack",
+    "one_hot", "label_classes", "propagate_up", "pretrain_stack",
     "train_discriminative_rbm", "classify_free_energy",
     "unroll_to_network", "net_forward", "cross_entropy", "net_gradients",
     "fine_tune", "classify_net", "OUTPUT_WEIGHT_SCALE",
@@ -97,18 +97,27 @@ def _upward(x: np.ndarray, pairs) -> list:
     return acts
 
 
-def _label_block(labels) -> np.ndarray:
-    """One-hot rows for integer labels; the block spans classes
-    0..max(labels), at least two of them."""
+def label_classes(data) -> int:
+    """Number of classes of a labelled dataset: its n_classes when it
+    carries one (a loader sets it from the whole file), else
+    max(labels) + 1."""
+    labels = getattr(data, "labels", None)
     if labels is None:
         raise ValueError("discriminative training requires labels")
     labels = np.asarray(labels, dtype=np.int64)
     if labels.size == 0:
         raise ValueError("empty dataset")
-    n_classes = int(labels.max()) + 1
+    n_classes = getattr(data, "n_classes", None)
+    return int(labels.max()) + 1 if n_classes is None else n_classes
+
+
+def _label_block(data) -> np.ndarray:
+    """One-hot rows for data's integer labels; the block spans
+    label_classes(data) classes, at least two of them."""
+    n_classes = label_classes(data)
     if n_classes < 2:
         raise ValueError("need at least two classes")
-    return one_hot(labels, n_classes)
+    return one_hot(data.labels, n_classes)
 
 
 def _train_layer(x, n_hidden: int, hp: Hyperparams, estimator: str, seed: int,
@@ -150,8 +159,7 @@ def pretrain_stack(sizes, data, hp: Hyperparams, estimators, seed: int,
         estimators = list(estimators) * n_rbms
     if len(estimators) != n_rbms:
         raise ValueError("need one estimator or one per layer")
-    labels = getattr(data, "labels", None)
-    top_block = _label_block(labels) if discriminative else None
+    top_block = _label_block(data) if discriminative else None
 
     layers = []
     all_metrics = []
@@ -176,7 +184,7 @@ def train_discriminative_rbm(data, n_hidden: int, hp: Hyperparams,
     Returns (RbmParams with label_units set, metrics). data must carry
     integer labels.
     """
-    block = _label_block(getattr(data, "labels", None))
+    block = _label_block(data)
     feats = np.atleast_2d(np.asarray(data.features, dtype=np.float64))
     return _train_layer(feats, n_hidden, hp, estimator, seed, visible_kind,
                         block, epoch_callback)

@@ -89,18 +89,39 @@ def _check_finite(*arrays):
             raise ValueError("non-finite parameter entries")
 
 
-@dataclass
 class GradientStats:
     """Sufficient statistics of one gradient phase, already averaged.
 
     vh[i, j] is the mean of v_i * h_j over the contributing samples, v and
     h the mean unit activities, count how many samples contributed.
+
+    Statistics built here are dense: vh is the array given. batch_stats
+    builds row-backed ones instead, which keep the phase's visible and
+    hidden rows and compute vh only when it is first read (then keep it).
+    apply_update steps from the rows of two row-backed phases without
+    reading vh. Assigning vh makes row-backed statistics dense, so the
+    update follows the assigned array.
     """
 
-    vh: np.ndarray
-    v: np.ndarray
-    h: np.ndarray
-    count: int
+    def __init__(self, vh: np.ndarray, v: np.ndarray, h: np.ndarray, count: int):
+        self.vh = vh
+        self.v = v
+        self.h = h
+        self.count = count
+
+    @property
+    def vh(self) -> np.ndarray:
+        if self._vh is None:
+            v_rows, h_rows = self._rows
+            # the sum divided in place by the count: the bits of np.mean
+            vh = v_rows.T @ h_rows
+            vh /= self.count
+            self._vh = vh
+        return self._vh
+
+    @vh.setter
+    def vh(self, value: np.ndarray):
+        self._vh, self._rows = value, None
 
 
 @dataclass
@@ -243,7 +264,13 @@ def free_energy(p: RbmParams, v, h_input=None):
 
 
 def batch_stats(v_batch: np.ndarray, h_batch: np.ndarray) -> GradientStats:
-    """Average sufficient statistics of paired visible/hidden rows."""
+    """Average sufficient statistics of paired visible/hidden rows.
+
+    Only the means v and h are computed here. The result is row-backed:
+    it keeps references to the two row matrices (float64 arrays are not
+    copied), and vh is formed from them when first read, so the rows must
+    not be written while the statistics are in use.
+    """
     v_batch = np.atleast_2d(np.asarray(v_batch, dtype=np.float64))
     h_batch = np.atleast_2d(np.asarray(h_batch, dtype=np.float64))
     if v_batch.shape[0] != h_batch.shape[0]:
@@ -251,13 +278,13 @@ def batch_stats(v_batch: np.ndarray, h_batch: np.ndarray) -> GradientStats:
     m = v_batch.shape[0]
     # each sum divided in place by m: the bits of np.mean, whose reduction
     # is this same sum followed by a true division by the count
-    vh = v_batch.T @ h_batch
-    vh /= m
     v = v_batch.sum(axis=0)
     v /= m
     h = h_batch.sum(axis=0)
     h /= m
-    return GradientStats(vh=vh, v=v, h=h, count=m)
+    stats = GradientStats(None, v, h, m)
+    stats._rows = (v_batch, h_batch)  # vh comes from these when first read
+    return stats
 
 
 def momentum_step(vel: np.ndarray, grad: np.ndarray, hp: Hyperparams,
@@ -268,37 +295,58 @@ def momentum_step(vel: np.ndarray, grad: np.ndarray, hp: Hyperparams,
     overwritten as scratch. The decay term applies only when param is
     given, so biases pass no param and stay undecayed. Returns vel.
     Overflow is left to the caller's np.errstate.
+
+    With momentum 0 the old velocity drops out, and vel is written in one
+    pass as grad * -epsilon: the same values, save that a zero step may
+    be -0.0 where the three-pass form gives +0.0.
     """
-    vel *= hp.momentum
     if param is not None and hp.weight_decay:
         grad += hp.weight_decay * param
+    if not hp.momentum:
+        return np.multiply(grad, -hp.epsilon, out=vel)
+    vel *= hp.momentum
     grad *= hp.epsilon
     vel -= grad
     return vel
 
 
+def _weight_descent(pos: GradientStats, neg: GradientStats) -> np.ndarray:
+    """neg.vh - pos.vh in a fresh array. For two row-backed phases it is
+    one product over both phases' rows,
+    [v_neg; v_pos]^T @ [h_neg / m_neg; -h_pos / m_pos], and vh is never
+    read; otherwise it is the difference of the two vh arrays."""
+    if pos._rows is None or neg._rows is None:
+        return np.subtract(neg.vh, pos.vh)
+    (v_neg, h_neg), (v_pos, h_pos) = neg._rows, pos._rows
+    m_neg = v_neg.shape[0]
+    h = np.empty((m_neg + v_pos.shape[0], h_neg.shape[1]))
+    np.divide(h_neg, neg.count, out=h[:m_neg])
+    np.divide(h_pos, -pos.count, out=h[m_neg:])
+    return np.concatenate((v_neg, v_pos)).T @ h
+
+
 def apply_update(p: RbmParams, pos: GradientStats, neg: GradientStats,
                  hp: Hyperparams, state: UpdateState) -> RbmParams:
-    """One stochastic ascent step on the data log-probability.
+    """One stochastic ascent step on the data log-probability, taken in
+    place: p's arrays and the velocities in state are written, and p is
+    returned. The statistics are not written.
 
     Each velocity takes a momentum_step along neg - pos (the descent
-    direction of the log-probability), with the weights alone decayed; the
-    velocities in state are updated in place. Returns new parameters:
-    neither p nor the statistics are written. Raises ValueError, as the
-    RbmParams constructor does, when an entry comes out non-finite.
+    direction of the log-probability), with the weights alone decayed.
+    The weights' direction comes from _weight_descent: one product over
+    the rows of two row-backed phases (equal to the dense difference to
+    within rounding), or neg.vh - pos.vh when either phase is dense.
+    Raises ValueError, as the RbmParams constructor does, when an entry
+    comes out non-finite; p then holds the failed step.
     """
-    if pos.vh.shape != p.w.shape or neg.vh.shape != p.w.shape:
-        raise ValueError("gradient statistics do not match parameter shape")
+    for stats in (pos, neg):
+        if (stats.v.size, stats.h.size) != p.w.shape or (
+                stats._rows is None and stats.vh.shape != p.w.shape):
+            raise ValueError("gradient statistics do not match parameter shape")
     with np.errstate(over="ignore"):
         # overflow lands as inf and trips the finiteness check below
-        momentum_step(state.vel_w, np.subtract(neg.vh, pos.vh), hp, p.w)
-        momentum_step(state.vel_a, np.subtract(neg.v, pos.v), hp)
-        momentum_step(state.vel_b, np.subtract(neg.h, pos.h), hp)
-        w, a, b = p.w + state.vel_w, p.a + state.vel_a, p.b + state.vel_b
-    _check_finite(w, a, b)
-    # fresh contiguous float64 arrays of p's shapes: of the constructor's
-    # checks only finiteness can fail, so the rest is skipped
-    new = object.__new__(RbmParams)
-    new.__dict__.update(w=w, a=a, b=b, visible_kind=p.visible_kind,
-                        label_units=p.label_units)
-    return new
+        p.w += momentum_step(state.vel_w, _weight_descent(pos, neg), hp, p.w)
+        p.a += momentum_step(state.vel_a, np.subtract(neg.v, pos.v), hp)
+        p.b += momentum_step(state.vel_b, np.subtract(neg.h, pos.h), hp)
+    _check_finite(p.w, p.a, p.b)
+    return p

@@ -108,7 +108,12 @@ def train_rbm(init: RbmParams, data, hp: Hyperparams, estimator: str, seed: int,
     samples drawn from the same stream. The evaluation never feeds back
     into training, and the epoch's seconds include it.
     epoch_callback(epoch, params, metrics_row), when given, runs after
-    each evaluation, off the training clock.
+    each evaluation, off the training clock; params is a snapshot of the
+    epoch-end parameters, which later updates do not write.
+
+    init is copied once, and every update steps that private copy in
+    place (apply_update), so init is never written; the copy is what is
+    returned.
     """
     hp.validate()
     if estimator not in ESTIMATORS:
@@ -124,8 +129,8 @@ def train_rbm(init: RbmParams, data, hp: Hyperparams, estimator: str, seed: int,
     if m > EVAL_ROWS:
         probe = feats[np.sort(eval_rng.permutation(m)[:EVAL_ROWS])]
 
-    p = init
-    vel = UpdateState.zeros_like(init)
+    p = init.copy()
+    vel = UpdateState.zeros_like(p)
     pool = None
     metrics: list[EpochMetrics] = []
 
@@ -145,7 +150,7 @@ def train_rbm(init: RbmParams, data, hp: Hyperparams, estimator: str, seed: int,
                 else:
                     neg, pool = fepcd_step(p, pool, hp.k, hp.elite_fraction)
             try:
-                p = apply_update(p, pos, neg, hp, vel)
+                apply_update(p, pos, neg, hp, vel)
             except ValueError as exc:
                 raise TrainingDivergedError(
                     f"non-finite parameters at epoch {epoch}, "
@@ -156,7 +161,7 @@ def train_rbm(init: RbmParams, data, hp: Hyperparams, estimator: str, seed: int,
         metrics.append(EpochMetrics(epoch, recon, mean_fe,
                                     time.perf_counter() - t0, estimator, seed))
         if epoch_callback is not None:
-            epoch_callback(epoch, p, metrics[-1])
+            epoch_callback(epoch, p.copy(), metrics[-1])
     return p, metrics
 
 

@@ -14,7 +14,7 @@ from rbmkit.dbn import (DbnModel, pretrain_stack, propagate_up,
                         train_discriminative_rbm)
 from rbmkit.samplers import (CHAIN_STREAM_BASE, gibbs_chain, make_pool,
                              select_elite)
-from rbmkit.trainer import STREAM_SAMPLE, read_metrics_csv
+from rbmkit.trainer import STREAM_SAMPLE, STREAM_SUBSET, read_metrics_csv
 
 from synthdata import write_idx_fixture
 
@@ -30,6 +30,22 @@ def idx_pair(tmp_path):
     images_path = tmp_path / "images-idx3-ubyte"
     labels_path = tmp_path / "labels-idx1-ubyte"
     write_idx_fixture(images_path, labels_path, pixels, labels)
+    return str(images_path), str(labels_path)
+
+
+@pytest.fixture
+def ten_class_idx(tmp_path):
+    """40 labeled 4x4 images of classes 0..9, class 9 in one row only, and
+    a --subset 20 (seed 7) of them that misses that row."""
+    rng = RngStream(57, 0)
+    labels = np.arange(40, dtype=np.uint8) % 9
+    labels[39] = 9
+    pixels = (rng.uniforms((40, 4, 4)) * 255).astype(np.uint8)
+    images_path = tmp_path / "ten-images-idx3-ubyte"
+    labels_path = tmp_path / "ten-labels-idx1-ubyte"
+    write_idx_fixture(images_path, labels_path, pixels, labels)
+    subset = RngStream(7, STREAM_SUBSET).permutation(40)[:20]
+    assert 39 not in subset
     return str(images_path), str(labels_path)
 
 
@@ -92,6 +108,17 @@ class TestTrainRbmCommand:
         assert model.top_label_units == 2
         assert os.path.exists(f"{out}.layer0.metrics.csv")
         assert os.path.exists(f"{out}.layer1.metrics.csv")
+
+    @pytest.mark.parametrize("hidden", ["6", "6,4"])
+    def test_subset_missing_a_class_keeps_the_file_class_count(
+            self, ten_class_idx, tmp_path, hidden):
+        out = str(tmp_path / "run")
+        assert main(train_args(ten_class_idx, out,
+                               ["--subset", "20", "--discriminative",
+                                "--hidden", hidden])) == 0
+        model = load_model(f"{out}.model.json")
+        top = model if isinstance(model, RbmParams) else model.layers[-1]
+        assert top.label_units == 10
 
     @pytest.mark.parametrize("hidden, estimator", [("6,4", "cd"),
                                                    ("7,5,4", "cd,pcd,fepcd")])
@@ -300,6 +327,18 @@ class TestCompareSamplersCommand:
         err = capsys.readouterr().err
         assert err.startswith("error:") and "class 2" in err
         assert not out.exists()
+
+    def test_test_class_missing_from_the_training_subset_is_scored(
+            self, ten_class_idx, tmp_path):
+        # the training subset misses class 9, but its file holds 10
+        # classes, so a test row of class 9 has a label unit
+        images, labels = ten_class_idx
+        out = str(tmp_path / "compare.csv")
+        assert main(["compare-samplers", "--data", "mnist",
+                     "--images", images, "--labels", labels, "--subset", "20",
+                     "--test-images", images, "--test-labels", labels,
+                     "--hidden", "6", "--epochs", "1", "--batch", "8",
+                     "--seed", "7", "--estimator", "cd", "--out", out]) == 0
 
     def test_bad_test_subset_exits_2_naming_the_option(self, idx_pair,
                                                        tmp_path, capsys):

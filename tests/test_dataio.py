@@ -44,6 +44,7 @@ class TestMnistIdx:
         np.testing.assert_array_equal(ds.features,
                                       PIXELS.reshape(2, 6).astype(float))
         np.testing.assert_array_equal(ds.labels, [3, 9])
+        assert ds.n_classes == 10
 
     def test_reencoding_is_byte_exact(self, tmp_path):
         # encode the same data with the independent test writer and
@@ -106,6 +107,14 @@ class TestIsoletCsv:
         np.testing.assert_allclose(ds.features[0], np.round(values, 4), atol=1e-12)
         np.testing.assert_array_equal(ds.labels, [0, 25])
 
+    def test_class_count_is_26_whatever_the_rows_hold(self, tmp_path):
+        path = tmp_path / "isolet.data"
+        path.write_text(isolet_row(np.zeros(617), 1) + "\n"
+                        + isolet_row(np.ones(617), 3) + "\n")
+        ds = load_isolet_csv(path)
+        assert ds.n_classes == 26
+        assert minmax_normalize(ds).n_classes == 26
+
     def test_wrong_column_count_names_line(self, tmp_path):
         path = tmp_path / "short.data"
         path.write_text(isolet_row(np.zeros(617), 1) + "\n" + "1.0, 2.0\n")
@@ -148,6 +157,22 @@ class TestIsoletCsv:
         ds = load_isolet_csv(os.environ["RBMKIT_ISOLET_TRAIN"])
         assert ds.n_samples == 6238
         assert ds.n_features == 617
+
+
+class TestDatasetClassCount:
+    def test_defaults_to_unknown(self):
+        assert Dataset(np.zeros((2, 1)), [0, 1]).n_classes is None
+
+    @pytest.mark.parametrize("labels, n_classes", [([0, 3], 3), ([-1, 0], 2),
+                                                   (None, 2)])
+    def test_must_cover_the_labels(self, labels, n_classes):
+        with pytest.raises(ValueError):
+            Dataset(np.zeros((2, 1)), labels, n_classes=n_classes)
+
+    def test_normalization_keeps_it(self):
+        ds = minmax_normalize(Dataset(np.array([[0.0], [2.0]]), [0, 1], n_classes=5))
+        assert ds.n_classes == 5
+        assert minmax_normalize(ds, ds.normalization).n_classes == 5
 
 
 class TestMinmaxNormalize:

@@ -189,6 +189,17 @@ class TestDiscriminativeRbm:
         assert p.label_units == 2
         assert p.n_visible == TOY_FEATURES.shape[1] + 2
 
+    def test_label_units_follow_the_dataset_class_count(self):
+        # a dataset that records 10 classes keeps 10 label units even when
+        # its rows hold only classes 0 and 1
+        hp = Hyperparams(epochs=1, batch_size=4)
+        data = Dataset(TOY_FEATURES, TOY_LABELS, n_classes=10)
+        p, _ = train_discriminative_rbm(data, 3, hp, "cd", seed=1)
+        assert p.label_units == 10
+        stack, _ = pretrain_stack([TOY_FEATURES.shape[1], 3, 2], data, hp, "cd",
+                                  seed=1, discriminative=True)
+        assert stack.top_label_units == 10
+
     def test_one_hot_rows_have_single_active_unit(self):
         block = one_hot(TOY_LABELS, 2)
         np.testing.assert_array_equal(block.sum(axis=1), np.ones(len(TOY_LABELS)))

@@ -206,11 +206,12 @@ class TestApplyUpdate:
     def test_zero_gradient_is_identity(self, ref_model):
         stats = make_stats([[0.2, 0.3], [0.1, 0.4]], [0.5, 0.5], [0.5, 0.5])
         hp = Hyperparams(epsilon=0.1, momentum=0.0, weight_decay=0.0)
+        before = ref_model.copy()
         out = apply_update(ref_model, stats, stats, hp,
                            UpdateState.zeros_like(ref_model))
-        np.testing.assert_array_equal(out.w, ref_model.w)
-        np.testing.assert_array_equal(out.a, ref_model.a)
-        np.testing.assert_array_equal(out.b, ref_model.b)
+        np.testing.assert_array_equal(out.w, before.w)
+        np.testing.assert_array_equal(out.a, before.a)
+        np.testing.assert_array_equal(out.b, before.b)
 
     def test_unit_learning_rate_unit_gradient(self):
         p = RbmParams(np.array([[2.0]]), np.array([0.0]), np.array([0.0]))
@@ -226,10 +227,12 @@ class TestApplyUpdate:
         neg = make_stats([[0.0]], [0.0], [0.0])
         hp = Hyperparams(epsilon=0.1, momentum=0.5)
         state = UpdateState.zeros_like(p)
-        p1 = apply_update(p, pos, neg, hp, state)
-        p2 = apply_update(p1, pos, neg, hp, state)
-        assert p1.w[0, 0] == pytest.approx(0.1)
-        assert p2.w[0, 0] - p1.w[0, 0] == pytest.approx(1.5 * 0.1)
+        # the update steps p in place, so each step's weights are read off
+        # as a snapshot
+        w1 = apply_update(p, pos, neg, hp, state).w[0, 0].copy()
+        w2 = apply_update(p, pos, neg, hp, state).w[0, 0].copy()
+        assert w1 == pytest.approx(0.1)
+        assert w2 - w1 == pytest.approx(1.5 * 0.1)
 
     def test_swapping_phases_negates_update(self, ref_model):
         # the step itself (the velocity written by the call) flips sign
@@ -259,7 +262,7 @@ class TestApplyUpdate:
         rng = RngStream(35, 0)
         p = RbmParams(rng.normals((7, 5)), rng.normals(7), rng.normals(5))
         state = UpdateState.zeros_like(p)
-        ref_p, ref_vel = (p.w, p.a, p.b), (state.vel_w, state.vel_a, state.vel_b)
+        ref_p, ref_vel = (p.w.copy(), p.a.copy(), p.b.copy()), (0.0, 0.0, 0.0)
         for _ in range(4):
             pos = random_stats(rng, 7, 5)
             neg = random_stats(rng, 7, 5)
@@ -269,20 +272,30 @@ class TestApplyUpdate:
                                   state.vel_b), ref_p + ref_vel):
                 np.testing.assert_array_equal(got, want)
 
-    def test_writes_neither_params_nor_statistics(self):
+    @pytest.mark.parametrize("row_backed", [False, True])
+    def test_steps_params_in_place_and_writes_no_statistics(self, row_backed):
         hp = Hyperparams(epsilon=0.1, momentum=0.9, weight_decay=0.01)
         rng = RngStream(36, 0)
         p = RbmParams(rng.normals((4, 3)), rng.normals(4), rng.normals(3))
-        pos, neg = random_stats(rng, 4, 3), random_stats(rng, 4, 3)
-        inputs = (p.w, p.a, p.b, pos.vh, pos.v, pos.h, neg.vh, neg.v, neg.h)
+        if row_backed:
+            pos, neg = random_row_stats(rng, 4, 3, 5), random_row_stats(rng, 4, 3, 3)
+            inputs = (*pos._rows, *neg._rows, pos.v, pos.h, neg.v, neg.h)
+        else:
+            pos, neg = random_stats(rng, 4, 3), random_stats(rng, 4, 3)
+            inputs = (pos.vh, pos.v, pos.h, neg.vh, neg.v, neg.h)
         before = [arr.copy() for arr in inputs]
+        buffers = (p.w, p.a, p.b)
         state = UpdateState.zeros_like(p)
-        out = apply_update(p, pos, neg, hp, state)
-        apply_update(out, pos, neg, hp, state)
+        ref_p, ref_vel = (p.w.copy(), p.a.copy(), p.b.copy()), (0.0, 0.0, 0.0)
+        for _ in range(2):
+            ref_p, ref_vel = ascent_form_update(ref_p, pos, neg, hp, ref_vel)
+            assert apply_update(p, pos, neg, hp, state) is p
+            # the step lands in p's own buffers and nowhere else
+            assert all(got is buf for got, buf in zip((p.w, p.a, p.b), buffers))
+            for got, want in zip((p.w, p.a, p.b), ref_p):
+                assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
         for arr, orig in zip(inputs, before):
             np.testing.assert_array_equal(arr, orig)
-        for new, old in zip((out.w, out.a, out.b), (p.w, p.a, p.b)):
-            assert not np.shares_memory(new, old)
 
     @pytest.mark.parametrize("field", ["vel_w", "vel_a", "vel_b"])
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
@@ -318,6 +331,14 @@ def random_stats(rng, n_visible, n_hidden):
                       rng.uniforms(n_visible), rng.uniforms(n_hidden))
 
 
+def random_row_stats(rng, n_visible, n_hidden, rows, kind=BINARY):
+    """batch_stats of rows visible rows (0/1 for binary visibles, real
+    for Gaussian ones) and hidden probabilities."""
+    v = rng.uniforms((rows, n_visible))
+    v = (v < 0.5).astype(float) if kind == BINARY else 2.0 * rng.normals((rows, n_visible))
+    return batch_stats(v, rng.uniforms((rows, n_hidden)))
+
+
 def ascent_form_update(params, pos, neg, hp, vel):
     """Reference update in ascent form: velocities step along pos - neg
     with the decay pulled off. apply_update's descent form (neg - pos,
@@ -329,12 +350,115 @@ def ascent_form_update(params, pos, neg, hp, vel):
     return (w + vel_w, a + vel_a, b + vel_b), (vel_w, vel_a, vel_b)
 
 
+def stacked_form_update(params, pos_rows, neg_rows, hp, vel):
+    """Reference update whose weight direction is written out as the one
+    stacked product [v_neg; v_pos]^T @ [h_neg / m_neg; -h_pos / m_pos];
+    the biases step along the difference of np.mean's of the rows."""
+    w, a, b = params
+    (v_pos, h_pos), (v_neg, h_neg) = pos_rows, neg_rows
+    h = np.concatenate([h_neg / v_neg.shape[0], h_pos / -v_pos.shape[0]])
+    grad_w = np.concatenate([v_neg, v_pos]).T @ h
+    if hp.weight_decay:
+        grad_w = grad_w + hp.weight_decay * w
+    grad_a = np.mean(v_neg, axis=0) - np.mean(v_pos, axis=0)
+    grad_b = np.mean(h_neg, axis=0) - np.mean(h_pos, axis=0)
+    vel = tuple(hp.momentum * old - hp.epsilon * g
+                for old, g in zip(vel, (grad_w, grad_a, grad_b)))
+    return (w + vel[0], a + vel[1], b + vel[2]), vel
+
+
+class TestStackedStep:
+    """apply_update on two row-backed phases: one product over both
+    phases' rows, never reading vh."""
+
+    @pytest.mark.parametrize("momentum", [0.0, 0.9])
+    @pytest.mark.parametrize("decay", [0.0, 0.01])
+    @pytest.mark.parametrize("m_pos, m_neg", [(20, 20), (20, 10)])
+    @pytest.mark.parametrize("kind", [BINARY, GAUSSIAN])
+    def test_bit_identical_to_stacked_form(self, momentum, decay, m_pos, m_neg,
+                                           kind):
+        hp = Hyperparams(epsilon=0.1, momentum=momentum, weight_decay=decay)
+        rng = RngStream(38, 0)
+        p = RbmParams(0.1 * rng.normals((30, 9)), rng.normals(30), rng.normals(9),
+                      kind)
+        state = UpdateState.zeros_like(p)
+        ref_p, ref_vel = (p.w.copy(), p.a.copy(), p.b.copy()), (0.0, 0.0, 0.0)
+        for _ in range(3):
+            pos = random_row_stats(rng, 30, 9, m_pos, kind)
+            neg = random_row_stats(rng, 30, 9, m_neg, kind)
+            ref_p, ref_vel = stacked_form_update(ref_p, pos._rows, neg._rows,
+                                                 hp, ref_vel)
+            apply_update(p, pos, neg, hp, state)
+            for got, want in zip((p.w, p.a, p.b, state.vel_w, state.vel_a,
+                                  state.vel_b), ref_p + ref_vel):
+                np.testing.assert_array_equal(got, want)
+
+    @pytest.mark.parametrize("m_pos, m_neg", [(20, 20), (20, 10)])
+    @pytest.mark.parametrize("kind", [BINARY, GAUSSIAN])
+    def test_matches_dense_form(self, m_pos, m_neg, kind):
+        # the same step from dense copies of the statistics: the weights
+        # agree to rounding, the biases bit for bit
+        hp = Hyperparams(epsilon=0.1, momentum=0.9, weight_decay=0.01)
+        rng = RngStream(39, 0)
+        p = RbmParams(0.1 * rng.normals((794, 64)), rng.normals(794),
+                      rng.normals(64), kind)
+        dense_p = p.copy()
+        state, dense_state = UpdateState.zeros_like(p), UpdateState.zeros_like(p)
+        for _ in range(3):
+            pos = random_row_stats(rng, 794, 64, m_pos, kind)
+            neg = random_row_stats(rng, 794, 64, m_neg, kind)
+            apply_update(p, pos, neg, hp, state)
+            apply_update(dense_p, *[GradientStats(s.vh, s.v, s.h, s.count)
+                                    for s in (pos, neg)], hp, dense_state)
+            for got, want in ((p.w, dense_p.w), (state.vel_w, dense_state.vel_w)):
+                assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
+            for got, want in ((p.a, dense_p.a), (p.b, dense_p.b),
+                              (state.vel_a, dense_state.vel_a),
+                              (state.vel_b, dense_state.vel_b)):
+                np.testing.assert_array_equal(got, want)
+
+    def test_never_reads_vh(self, monkeypatch):
+        def unread(stats):
+            raise AssertionError("vh read")
+
+        monkeypatch.setattr(GradientStats, "vh",
+                            property(unread, GradientStats.vh.fset))
+        rng = RngStream(40, 0)
+        p = RbmParams(rng.normals((6, 4)), rng.normals(6), rng.normals(4))
+        apply_update(p, random_row_stats(rng, 6, 4, 5), random_row_stats(rng, 6, 4, 3),
+                     Hyperparams(), UpdateState.zeros_like(p))
+
+    @pytest.mark.parametrize("side", ["pos", "neg"])
+    def test_assigned_vh_is_followed(self, side):
+        hp = Hyperparams(epsilon=0.1, momentum=0.5)
+        rng = RngStream(41, 0)
+        p = RbmParams(rng.normals((6, 4)), rng.normals(6), rng.normals(4))
+        stats = {"pos": random_row_stats(rng, 6, 4, 5),
+                 "neg": random_row_stats(rng, 6, 4, 3)}
+        assigned = stats[side].vh + rng.uniforms((6, 4))
+        stats[side].vh = assigned
+        assert stats[side].vh is assigned
+        want = p.copy()
+        dense = {k: GradientStats(s.vh, s.v, s.h, s.count) for k, s in stats.items()}
+        apply_update(want, dense["pos"], dense["neg"], hp, UpdateState.zeros_like(p))
+        apply_update(p, stats["pos"], stats["neg"], hp, UpdateState.zeros_like(p))
+        for got, ref in zip((p.w, p.a, p.b), (want.w, want.a, want.b)):
+            np.testing.assert_array_equal(got, ref)
+
+
 class TestMomentumStep:
     def test_updates_velocity_in_place(self):
         hp = Hyperparams(epsilon=0.5, momentum=0.5, weight_decay=0.1)
         vel = np.ones(3)
         assert momentum_step(vel, np.full(3, 2.0), hp) is vel
         np.testing.assert_array_equal(vel, 0.5 - 0.5 * 2.0)
+
+    def test_zero_momentum_drops_the_old_velocity(self):
+        hp = Hyperparams(epsilon=0.5, momentum=0.0, weight_decay=0.1)
+        vel = np.full(3, 7.0)
+        grad = np.array([2.0, -1.0, 0.0])
+        assert momentum_step(vel, grad, hp, np.full(3, 10.0)) is vel
+        np.testing.assert_array_equal(vel, -0.5 * (np.array([2.0, -1.0, 0.0]) + 1.0))
 
     def test_decay_applies_only_with_param(self):
         hp = Hyperparams(epsilon=0.5, momentum=0.5, weight_decay=0.1)

@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
 
-from rbmkit import (BINARY, GAUSSIAN, Hyperparams, RbmParams, RngStream,
+from rbmkit import (BINARY, GAUSSIAN, GradientStats, Hyperparams, RbmParams,
+                    RngStream,
                     TrainingDivergedError, UpdateState, apply_update,
                     batch_stats, cd_k, fepcd_step, free_energy, hidden_input,
                     hidden_probs, init_params, make_pool, pcd_step,
@@ -163,6 +164,27 @@ class TestTrainRbm:
         with pytest.raises(ValueError):
             train_rbm(ref_model, np.zeros((0, 2)), Hyperparams(), "cd", seed=0)
 
+    @pytest.mark.parametrize("estimator", ESTIMATORS)
+    def test_steps_a_private_copy_from_rows(self, monkeypatch, estimator):
+        # at the criterion-5 shape every update is the one stacked product:
+        # no phase's vh is formed, and init is never written
+        def unread(stats):
+            raise AssertionError("a dense vh was formed during training")
+
+        monkeypatch.setattr(GradientStats, "vh",
+                            property(unread, GradientStats.vh.fset))
+        feats, init = training_data(794, 64, 60, BINARY, 10)
+        before = init.copy()
+        hp = Hyperparams(epsilon=0.1, momentum=0.5, weight_decay=0.01,
+                         batch_size=20, epochs=2)
+        trained, _ = train_rbm(init, feats, hp, estimator, seed=60)
+        assert not np.array_equal(trained.w, before.w)
+        for kept, orig, out in zip((init.w, init.a, init.b),
+                                   (before.w, before.a, before.b),
+                                   (trained.w, trained.a, trained.b)):
+            np.testing.assert_array_equal(kept, orig)
+            assert not np.shares_memory(out, kept)
+
     def test_epoch_callback_sees_each_epoch(self, ref_model):
         seen = []
         hp = Hyperparams(epsilon=0.1, batch_size=2, epochs=3)
@@ -199,7 +221,7 @@ def plain_minibatch_loop(init, feats, hp, estimator, seed):
     """Params after hp.epochs of positive phase, negative phase and update
     over each shuffled minibatch, with no evaluation at all."""
     shuffle_rng, data_rng = RngStream(seed, STREAM_SHUFFLE), RngStream(seed, STREAM_DATA)
-    p, vel, pool = init, UpdateState.zeros_like(init), None
+    p, vel, pool = init.copy(), UpdateState.zeros_like(init), None
     m = feats.shape[0]
     for _ in range(hp.epochs):
         order = shuffle_rng.permutation(m)
@@ -215,7 +237,7 @@ def plain_minibatch_loop(init, feats, hp, estimator, seed):
                     neg, pool = pcd_step(p, pool, hp.k)
                 else:
                     neg, pool = fepcd_step(p, pool, hp.k, hp.elite_fraction)
-            p = apply_update(p, pos, neg, hp, vel)
+            apply_update(p, pos, neg, hp, vel)
     return p
 
 
@@ -252,8 +274,11 @@ class TestEpochMetrics:
         apply_update, updates = trainer.apply_update, []
 
         def recording_update(*args):
-            updates.append(apply_update(*args))
-            return updates[-1]
+            # the update steps the trainer's params in place: keep a
+            # snapshot of each step's result
+            out = apply_update(*args)
+            updates.append(out.copy())
+            return out
 
         monkeypatch.setattr(trainer, "apply_update", recording_update)
         feats, init = training_data(n_visible, n_hidden, rows, kind, labels)
@@ -265,10 +290,16 @@ class TestEpochMetrics:
         per_epoch = -(-rows // batch)
         assert len(updates) == per_epoch * hp.epochs
         assert [e for e, _, _ in seen] == [1, 2, 3]
-        # the callback gets each epoch's last update and that epoch's row
+        # the callback gets a snapshot of each epoch's last update, and
+        # that epoch's row
         ends = updates[per_epoch - 1::per_epoch]
-        assert all(p is end for (_, p, _), end in zip(seen, ends))
-        assert seen[-1][1] is trained
+        for (_, p, _), end in zip(seen, ends):
+            for got, want in zip((p.w, p.a, p.b), (end.w, end.a, end.b)):
+                np.testing.assert_array_equal(got, want)
+        for got, want in zip((seen[-1][1].w, seen[-1][1].a, seen[-1][1].b),
+                             (trained.w, trained.a, trained.b)):
+            np.testing.assert_array_equal(got, want)
+            assert not np.shares_memory(got, want)
         assert [row for _, _, row in seen] == metrics
         want = epoch_end_metrics([p for _, p, _ in seen], feats, rows)
         assert [(r.recon_error, r.mean_free_energy) for r in metrics] == want

@@ -1,7 +1,9 @@
 """Mutation check: shows the tier-1 suite fails on each known estimator,
-chain-noise, trainer and classifier fault (among them an epoch's metrics
-taken on the params from before its last update, taken only after the
-epoch callback, or on a probe of rows redrawn each epoch), on a
+chain-noise, weight-step, trainer and classifier fault (among them the
+stacked weight step's positive rows divided by the negative count or
+added with the wrong sign, and an epoch's metrics taken on the params
+from before its last update, taken only after the epoch callback, or on
+a probe of rows redrawn each epoch), on a
 discriminative stack's labelled top layer trained with the bottom
 layer's unit kind or seed, on each way of making an oracle identity
 vacuous (log Z taken over the visible states through the oracle's own -F
@@ -84,7 +86,7 @@ MUTANTS = {
         "zip(block, self.streams[1:] + self.streams[:1])"),
     "metrics-on-pre-update-params": (
         "trainer.py",
-        "                p = apply_update(p, pos, neg, hp, vel)\n"
+        "                apply_update(p, pos, neg, hp, vel)\n"
         "            except ValueError as exc:\n"
         "                raise TrainingDivergedError(\n"
         "                    f\"non-finite parameters at epoch {epoch}, \"\n"
@@ -92,7 +94,8 @@ MUTANTS = {
         "        x = hidden_input(p, probe)\n"
         "        recon = reconstruction_error(p, probe, eval_rng, x)\n"
         "        mean_fe = float(np.mean(free_energy(p, probe, x)))\n",
-        "                before, p = p, apply_update(p, pos, neg, hp, vel)\n"
+        "                before = p.copy()\n"
+        "                apply_update(p, pos, neg, hp, vel)\n"
         "            except ValueError as exc:\n"
         "                raise TrainingDivergedError(\n"
         "                    f\"non-finite parameters at epoch {epoch}, \"\n"
@@ -108,9 +111,9 @@ MUTANTS = {
         "        metrics.append(EpochMetrics(epoch, recon, mean_fe,\n"
         "                                    time.perf_counter() - t0, estimator, seed))\n"
         "        if epoch_callback is not None:\n"
-        "            epoch_callback(epoch, p, metrics[-1])\n",
+        "            epoch_callback(epoch, p.copy(), metrics[-1])\n",
         "        if epoch_callback is not None:\n"
-        "            epoch_callback(epoch, p, metrics[-1] if metrics else None)\n"
+        "            epoch_callback(epoch, p.copy(), metrics[-1] if metrics else None)\n"
         "        x = hidden_input(p, probe)\n"
         "        recon = reconstruction_error(p, probe, eval_rng, x)\n"
         "        mean_fe = float(np.mean(free_energy(p, probe, x)))\n"
@@ -126,6 +129,14 @@ MUTANTS = {
         "model.py",
         "vel *= hp.momentum",
         "vel *= 0.0"),
+    "stacked-step-pos-divided-by-neg-count": (
+        "model.py",
+        "np.divide(h_pos, -pos.count, out=h[m_neg:])",
+        "np.divide(h_pos, -neg.count, out=h[m_neg:])"),
+    "stacked-step-pos-sign-flipped": (
+        "model.py",
+        "np.divide(h_pos, -pos.count, out=h[m_neg:])",
+        "np.divide(h_pos, pos.count, out=h[m_neg:])"),
     "gaussian-classifier-drops-label-term": (
         "dbn.py",
         "label_term = 0.5 * np.sum((np.eye(p.label_units) - p.a[d:]) ** 2, axis=1)",
