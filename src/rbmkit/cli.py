@@ -25,8 +25,7 @@ from .model import (BINARY, GAUSSIAN, Hyperparams, RbmParams, free_energy,
                     hidden_input, visible_probs)
 from .oracle import run_oracle_checks
 from .samplers import gibbs_chain, make_pool
-from .trainer import (ESTIMATORS, STREAM_SAMPLE, STREAM_SUBSET,
-                      metrics_csv_text)
+from .trainer import ESTIMATORS, METRICS_FIELDS, STREAM_SAMPLE, STREAM_SUBSET
 
 __all__ = ["main", "run_oracle_checks"]
 
@@ -101,15 +100,17 @@ def _load_raw(kind: str, images, labels, csv_path) -> Dataset:
         if not images or not labels:
             raise DataFormatError("mnist input needs --images and --labels paths")
         return load_mnist_idx(images, labels)
+    if kind in ("isolet", "csv") and not csv_path:
+        raise DataFormatError(f"{kind} input needs a --csv path")
     if kind == "isolet":
-        if not csv_path:
-            raise DataFormatError("isolet input needs a --csv path")
         return load_isolet_csv(csv_path)
     if kind == "csv":
-        if not csv_path:
-            raise DataFormatError("csv input needs a --csv path")
         try:
-            feats = np.loadtxt(csv_path, delimiter=",", ndmin=2)
+            with open(csv_path, encoding="utf-8") as fh:
+                lines = [ln for ln in fh if ln.split("#", 1)[0].strip()]
+            if not lines:  # loadtxt would only warn
+                raise DataFormatError(f"{csv_path}: no data rows")
+            feats = np.loadtxt(lines, delimiter=",", ndmin=2)
         except ValueError as exc:
             raise DataFormatError(f"{csv_path}: {exc}") from None
         return Dataset(feats)
@@ -195,10 +196,11 @@ def cmd_train_rbm(args) -> int:
         model = model.layers[0]
 
     save_model(f"{args.out}.model.json", model)
-    names = ([".metrics.csv"] if len(metric_sets) == 1 else
-             [f".layer{i}.metrics.csv" for i in range(len(metric_sets))])
-    for name, metrics in zip(names, metric_sets):
-        atomic_write_text(args.out + name, metrics_csv_text(metrics, echo))
+    for i, metrics in enumerate(metric_sets):
+        layer = "" if len(metric_sets) == 1 else f".layer{i}"
+        _write_csv(f"{args.out}{layer}.metrics.csv", echo, METRICS_FIELDS, (
+            (str(r.epoch), f"{r.recon_error:.17g}", f"{r.mean_free_energy:.17g}",
+             f"{r.seconds:.6f}", r.estimator, str(r.seed)) for r in metrics))
     print(f"wrote {args.out}.model.json")
     return 0
 

@@ -12,7 +12,14 @@ from __future__ import annotations
 
 import numpy as np
 
-__all__ = ["RngStream", "sigmoid", "log1p_exp"]
+__all__ = ["RngStream", "as_int", "sigmoid", "log1p_exp"]
+
+
+def as_int(name: str, value) -> int:
+    """value as an int: a Python or numpy integer, but not a bool."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    return int(value)
 
 
 class RngStream:
@@ -28,10 +35,7 @@ class RngStream:
 
     def __init__(self, seed: int, stream_id: int = 0):
         for name, key in (("seed", seed), ("stream_id", stream_id)):
-            # a bool is an int, and a float would key its integer part's stream
-            if isinstance(key, bool) or not isinstance(key, (int, np.integer)):
-                raise ValueError(f"{name} must be an integer, got {key!r}")
-            if not 0 <= int(key) < 2**64:
+            if not 0 <= as_int(name, key) < 2**64:
                 raise ValueError(f"{name} must be an unsigned 64-bit integer, "
                                  f"got {key!r}")
         self.seed = int(seed)

@@ -20,6 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .core import as_int
 from .dbn import DbnModel
 from .errors import (CsvFormatError, IdxCountMismatchError, IdxMagicError,
                      IdxTruncatedError, ModelFormatError)
@@ -71,7 +72,7 @@ class Dataset:
         if self.n_classes is not None:
             if self.labels is None:
                 raise ValueError("n_classes needs labels")
-            self.n_classes = int(self.n_classes)
+            self.n_classes = as_int("n_classes", self.n_classes)
             if self.labels.size and not (
                     0 <= self.labels.min() and self.labels.max() < self.n_classes):
                 raise ValueError(f"labels outside [0, {self.n_classes})")

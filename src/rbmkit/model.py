@@ -24,7 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import log1p_exp, sigmoid
+from .core import as_int, log1p_exp, sigmoid
 
 BINARY = "binary"
 GAUSSIAN = "gaussian"
@@ -66,6 +66,7 @@ class RbmParams:
                              f"unit, got {self.a.size} and {self.b.size}")
         if self.visible_kind not in _VISIBLE_KINDS:
             raise ValueError(f"unknown visible_kind {self.visible_kind!r}")
+        self.label_units = as_int("label_units", self.label_units)
         if not (0 <= self.label_units <= self.a.size):
             raise ValueError("label_units out of range")
         _check_finite(self.w, self.a, self.b)
@@ -140,15 +141,15 @@ class Hyperparams:
 
     def validate(self):
         for name, option in (("epsilon", "--lr"), ("momentum", "--momentum"),
-                             ("weight_decay", "--decay")):
+                             ("weight_decay", "--decay"),
+                             ("elite_fraction", "--elite-fraction")):
             value = getattr(self, name)
-            if not np.isfinite(value):
-                raise ValueError(f"{name} ({option}) must be finite, got {value}")
+            if np.asarray(value).dtype.kind not in "iuf" or not np.isfinite(value):
+                raise ValueError(f"{name} ({option}) must be a finite number, "
+                                 f"got {value!r}")
         for name in ("batch_size", "k", "epochs", "n_chains"):
-            value = getattr(self, name)
-            if value is not None and (isinstance(value, bool)
-                                      or not isinstance(value, (int, np.integer))):
-                raise ValueError(f"{name} must be an integer, got {value!r}")
+            if getattr(self, name) is not None:
+                as_int(name, getattr(self, name))
         if self.epsilon < 0:
             raise ValueError("learning rate must be >= 0")
         if self.momentum < 0 or self.weight_decay < 0:

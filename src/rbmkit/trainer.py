@@ -14,8 +14,6 @@ Stream layout under one seed:
 
 from __future__ import annotations
 
-import csv
-import io
 import time
 from dataclasses import dataclass
 
@@ -53,8 +51,7 @@ __all__ = [
     "CD", "PCD", "FEPCD", "ESTIMATORS",
     "STREAM_INIT", "STREAM_SHUFFLE", "STREAM_DATA", "STREAM_EVAL",
     "STREAM_SUBSET", "STREAM_SAMPLE", "EVAL_ROWS",
-    "EpochMetrics", "reconstruction_error", "train_rbm",
-    "metrics_csv_text", "read_metrics_csv",
+    "METRICS_FIELDS", "EpochMetrics", "reconstruction_error", "train_rbm",
 ]
 
 
@@ -163,43 +160,3 @@ def train_rbm(init: RbmParams, data, hp: Hyperparams, estimator: str, seed: int,
         if epoch_callback is not None:
             epoch_callback(epoch, p.copy(), metrics[-1])
     return p, metrics
-
-
-def metrics_csv_text(metrics, config_line: str | None = None) -> str:
-    """Metrics CSV body with the mandatory header row.
-
-    An optional '# config: ...' comment line above the header echoes the
-    producing configuration for reproducibility.
-    """
-    buf = io.StringIO()
-    if config_line:
-        buf.write(f"# config: {config_line}\n")
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(METRICS_FIELDS)
-    for row in metrics:
-        writer.writerow([
-            row.epoch,
-            format(row.recon_error, ".17g"),
-            format(row.mean_free_energy, ".17g"),
-            format(row.seconds, ".6f"),
-            row.estimator,
-            row.seed,
-        ])
-    return buf.getvalue()
-
-
-def read_metrics_csv(path) -> list[EpochMetrics]:
-    rows = []
-    with open(path, newline="") as fh:
-        lines = [ln for ln in fh if not ln.startswith("#")]
-    reader = csv.DictReader(lines)
-    for rec in reader:
-        rows.append(EpochMetrics(
-            epoch=int(rec["epoch"]),
-            recon_error=float(rec["recon_error"]),
-            mean_free_energy=float(rec["mean_free_energy"]),
-            seconds=float(rec["seconds"]),
-            estimator=rec["estimator"],
-            seed=int(rec["seed"]),
-        ))
-    return rows

@@ -29,8 +29,9 @@ from rbmkit.oracle import (enumerate_states, exact_gradient,
                            state_index, visible_marginal)
 from rbmkit.samplers import (cd_k, fepcd_step, gibbs_chain, make_pool,
                              pcd_step, select_elite)
-from rbmkit.trainer import STREAM_INIT, read_metrics_csv
+from rbmkit.trainer import STREAM_INIT
 
+from metricsfile import read_metrics_csv
 from synthdata import digit_dataset, digit_generator, write_idx_fixture
 
 

@@ -1,21 +1,24 @@
 import os
+import re
 import subprocess
 import sys
+import warnings
 
 import numpy as np
 import pytest
 
 from rbmkit import (BINARY, Dataset, Hyperparams, RbmParams, RngStream,
-                    free_energy, hidden_probs, load_mnist_idx, load_model,
-                    minmax_normalize, visible_probs)
+                    free_energy, hidden_probs, init_params, load_mnist_idx,
+                    load_model, minmax_normalize, train_rbm, visible_probs)
 from rbmkit.cli import main, run_oracle_checks
 from rbmkit.dataio import save_model
 from rbmkit.dbn import (DbnModel, pretrain_stack, propagate_up,
                         train_discriminative_rbm)
 from rbmkit.samplers import (CHAIN_STREAM_BASE, gibbs_chain, make_pool,
                              select_elite)
-from rbmkit.trainer import STREAM_SAMPLE, STREAM_SUBSET, read_metrics_csv
+from rbmkit.trainer import STREAM_INIT, STREAM_SAMPLE, STREAM_SUBSET
 
+from metricsfile import read_metrics_csv
 from synthdata import write_idx_fixture
 
 
@@ -243,6 +246,90 @@ class TestGenericCsvPath:
                      "--seed", "1", "--out", out])
         assert code == 0
         assert load_model(f"{out}.model.json").visible_kind == "binary"
+
+    @pytest.mark.parametrize("text", ["", "\n\n", "# header only\n"],
+                             ids=["empty", "blank-lines", "comment-only"])
+    def test_file_without_data_rows_exits_2_without_a_warning(
+            self, tmp_path, capsys, text):
+        csv_path = tmp_path / "empty.csv"
+        csv_path.write_text(text)
+        out = tmp_path / "plain"
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code = main(["train-rbm", "--data", "csv", "--csv", str(csv_path),
+                         "--hidden", "3", "--epochs", "2", "--out", str(out)])
+        assert code == 2
+        assert [str(w.message) for w in caught] == []
+        err = capsys.readouterr().err.splitlines()
+        assert err == [f"error: {csv_path}: no data rows"]
+        assert not os.path.exists(f"{out}.model.json")
+
+
+# the header row each CSV the CLI writes documents, by the file's kind
+CSV_HEADERS = {
+    "metrics": "epoch,recon_error,mean_free_energy,seconds,estimator,seed",
+    "compare-samplers": "estimator,epoch,seconds,error",
+    "sample-means": "v0,v1,v2,v3,v4,v5",
+    "sample-free-energies": "sample,free_energy",
+}
+
+
+def write_cli_csv(kind, idx_pair, tmp_path) -> str:
+    """Run the command that writes the CSV named by kind; return its path."""
+    images, labels = idx_pair
+    if kind == "metrics":
+        out = str(tmp_path / "run")
+        assert main(train_args(idx_pair, out)) == 0
+        return f"{out}.metrics.csv"
+    if kind == "compare-samplers":
+        out = str(tmp_path / "compare.csv")
+        assert main(["compare-samplers", "--data", "mnist", "--images", images,
+                     "--labels", labels, "--test-images", images,
+                     "--test-labels", labels, "--hidden", "6", "--epochs", "2",
+                     "--batch", "8", "--out", out]) == 0
+        return out
+    model_path = str(tmp_path / "m.model.json")
+    save_model(model_path, init_params(6, 3, RngStream(61, 0)))
+    out = str(tmp_path / "samples.csv")
+    assert main(["sample", "--model", model_path, "--n", "4", "--steps", "2",
+                 "--out", out]) == 0
+    return out if kind == "sample-means" else f"{out}.free_energy.csv"
+
+
+class TestCsvOutputs:
+    """Every CSV the CLI writes: a '# config:' line, the documented
+    header row, then one row per record, each ended by a bare newline."""
+
+    @pytest.mark.parametrize("kind", list(CSV_HEADERS))
+    def test_config_line_header_and_line_endings(self, idx_pair, tmp_path, kind):
+        with open(write_cli_csv(kind, idx_pair, tmp_path), newline="") as fh:
+            text = fh.read()
+        assert "\r" not in text
+        lines = text.split("\n")
+        assert lines[0].startswith("# config: ")
+        assert lines[1] == CSV_HEADERS[kind]
+        assert lines[-1] == "" and "" not in lines[2:-1]
+        assert len(lines) > 3
+
+    def test_metrics_cells_are_train_rbms_values(self, idx_pair, tmp_path):
+        path = write_cli_csv("metrics", idx_pair, tmp_path)
+        train = minmax_normalize(load_mnist_idx(*idx_pair))
+        init = init_params(train.n_features, 6, RngStream(7, STREAM_INIT))
+        _, want = train_rbm(init, train, Hyperparams(epsilon=0.05, batch_size=8,
+                                                     epochs=3), "cd", 7)
+        with open(path) as fh:
+            rows = [ln.rstrip("\n").split(",") for ln in fh.readlines()[2:]]
+        assert len(rows) == len(want) == 3
+        for cells, row in zip(rows, want):
+            assert re.fullmatch(r"\d+\.\d{6}", cells[3])
+            assert cells[:3] + cells[4:] == [
+                str(row.epoch), format(row.recon_error, ".17g"),
+                format(row.mean_free_energy, ".17g"), "cd", "7"]
+
+        def unclocked(metrics):
+            return [(r.epoch, r.recon_error, r.mean_free_energy, r.estimator,
+                     r.seed) for r in metrics]
+        assert unclocked(read_metrics_csv(path)) == unclocked(want)
 
 
 class TestConsoleScript:

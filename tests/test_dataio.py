@@ -169,6 +169,15 @@ class TestDatasetClassCount:
         with pytest.raises(ValueError):
             Dataset(np.zeros((2, 1)), labels, n_classes=n_classes)
 
+    @pytest.mark.parametrize("n_classes", [2.5, 2.0, True, "2"])
+    def test_non_integer_rejected_naming_it(self, n_classes):
+        with pytest.raises(ValueError, match="^n_classes must be an integer"):
+            Dataset(np.zeros((2, 1)), [0, 1], n_classes=n_classes)
+
+    def test_numpy_integer_stored_as_int(self):
+        ds = Dataset(np.zeros((2, 1)), [0, 1], n_classes=np.int64(3))
+        assert type(ds.n_classes) is int and ds.n_classes == 3
+
     def test_normalization_keeps_it(self):
         ds = minmax_normalize(Dataset(np.array([[0.0], [2.0]]), [0, 1], n_classes=5))
         assert ds.n_classes == 5

@@ -6,8 +6,8 @@ import pytest
 
 from rbmkit import (BINARY, GAUSSIAN, GradientStats, Hyperparams, RbmParams,
                     RngStream, UpdateState, apply_update, batch_stats, energy,
-                    free_energy, hidden_input, hidden_probs, log1p_exp,
-                    momentum_step, visible_probs)
+                    free_energy, hidden_input, hidden_probs, load_model,
+                    log1p_exp, momentum_step, save_model, visible_probs)
 from rbmkit.oracle import free_energy_entropy_form
 
 
@@ -483,6 +483,19 @@ class TestValidation:
             RbmParams(np.zeros((n_visible, n_hidden)), np.zeros(n_visible),
                       np.zeros(n_hidden))
 
+    @pytest.mark.parametrize("value", [2.0, np.float64(1.0), True, "1"])
+    def test_non_integer_label_units_rejected_naming_the_field(self, value):
+        with pytest.raises(ValueError, match="^label_units must be an integer"):
+            RbmParams(np.zeros((4, 2)), np.zeros(4), np.zeros(2),
+                      label_units=value)
+
+    def test_numpy_integer_label_units_stored_as_int(self, tmp_path):
+        p = RbmParams(np.zeros((4, 2)), np.zeros(4), np.zeros(2),
+                      label_units=np.int64(2))
+        assert type(p.label_units) is int and p.label_units == 2
+        save_model(tmp_path / "m.json", p)
+        assert load_model(tmp_path / "m.json").label_units == 2
+
     def test_hyperparams_epsilon_zero_allowed(self):
         Hyperparams(epsilon=0.0).validate()
 
@@ -497,6 +510,14 @@ class TestValidation:
     def test_hyperparams_non_integer_count_rejected_naming_the_field(self, name,
                                                                      value):
         with pytest.raises(ValueError, match=f"^{name} must be an integer"):
+            Hyperparams(**{name: value}).validate()
+
+    @pytest.mark.parametrize("value", [True, False, np.True_, "0.1", None])
+    @pytest.mark.parametrize("name", ["epsilon", "momentum", "weight_decay",
+                                      "elite_fraction"])
+    def test_hyperparams_non_number_rate_rejected_naming_the_field(self, name,
+                                                                   value):
+        with pytest.raises(ValueError, match=f"^{name} .*must be a finite number"):
             Hyperparams(**{name: value}).validate()
 
     @pytest.mark.parametrize("name", ["batch_size", "k", "epochs", "n_chains"])

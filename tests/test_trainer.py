@@ -10,8 +10,7 @@ from rbmkit import (BINARY, GAUSSIAN, GradientStats, Hyperparams, RbmParams,
 from rbmkit import trainer
 from rbmkit.oracle import mean_log_likelihood
 from rbmkit.trainer import (ESTIMATORS, FEPCD, PCD, STREAM_DATA, STREAM_EVAL,
-                            STREAM_INIT, STREAM_SHUFFLE, metrics_csv_text,
-                            read_metrics_csv)
+                            STREAM_INIT, STREAM_SHUFFLE)
 
 TWO_PATTERN_DATA = np.array([[1.0, 1.0]] * 4 + [[0.0, 0.0]] * 2)
 
@@ -328,24 +327,3 @@ class TestEpochMetrics:
         train_rbm(init, feats, Hyperparams(batch_size=20, epochs=4), "cd", seed=1)
         assert calls == [500] * 4
 
-
-class TestMetricsCsv:
-    def test_round_trip_with_header(self, tmp_path):
-        init = init_params(2, 2, RngStream(8, STREAM_INIT))
-        hp = Hyperparams(epsilon=0.1, batch_size=2, epochs=3)
-        _, metrics = train_rbm(init, TWO_PATTERN_DATA, hp, "cd", seed=8)
-        path = tmp_path / "metrics.csv"
-        path.write_text(metrics_csv_text(metrics, config_line="estimator=cd seed=8"))
-        text = path.read_text().splitlines()
-        assert text[0] == "# config: estimator=cd seed=8"
-        assert text[1] == "epoch,recon_error,mean_free_energy,seconds,estimator,seed"
-        back = read_metrics_csv(path)
-        assert metrics_tuple(back) == metrics_tuple(metrics)
-
-    def test_one_line_ending_throughout(self):
-        init = init_params(2, 2, RngStream(8, STREAM_INIT))
-        hp = Hyperparams(epsilon=0.1, batch_size=2, epochs=2)
-        _, metrics = train_rbm(init, TWO_PATTERN_DATA, hp, "cd", seed=8)
-        text = metrics_csv_text(metrics, "estimator=cd")
-        assert "\r" not in text
-        assert len(text.split("\n")) == 1 + 1 + 2 + 1
