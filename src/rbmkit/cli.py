@@ -95,13 +95,16 @@ def _subset(ds: Dataset, n, seed: int) -> Dataset:
     return Dataset(ds.features[order], labels, n_classes=ds.n_classes)
 
 
-def _load_raw(kind: str, images, labels, csv_path) -> Dataset:
+def _load_raw(kind: str, images, labels, csv_path, flag: str = "--") -> Dataset:
+    """A kind dataset read from these paths. A missing path is named by its
+    flag: flag + "images", "labels" or "csv" ("--test-" for test data)."""
     if kind == "mnist":
         if not images or not labels:
-            raise DataFormatError("mnist input needs --images and --labels paths")
+            raise DataFormatError(
+                f"mnist input needs {flag}images and {flag}labels paths")
         return load_mnist_idx(images, labels)
     if kind in ("isolet", "csv") and not csv_path:
-        raise DataFormatError(f"{kind} input needs a --csv path")
+        raise DataFormatError(f"{kind} input needs a {flag}csv path")
     if kind == "isolet":
         return load_isolet_csv(csv_path)
     if kind == "csv":
@@ -137,7 +140,8 @@ def _load_train_test(args):
     test = None
     if args.test_images or args.test_csv:
         test = _subset(_load_raw(args.data, args.test_images, args.test_labels,
-                                 args.test_csv), args.test_subset, args.seed)
+                                 args.test_csv, "--test-"),
+                       args.test_subset, args.seed)
         test = minmax_normalize(test, train.normalization)
     return train, test
 

@@ -12,7 +12,8 @@ from __future__ import annotations
 
 import numpy as np
 
-__all__ = ["RngStream", "as_int", "sigmoid", "log1p_exp"]
+__all__ = ["RngStream", "as_int", "sigmoid", "log1p_exp", "log_sum_exp",
+           "softmax"]
 
 
 def as_int(name: str, value) -> int:
@@ -118,3 +119,23 @@ def log1p_exp(x):
     if out.ndim == 0:
         return float(out)
     return out
+
+
+def log_sum_exp(x, axis):
+    """log sum exp(x) over axis, shifted by the max along it. Consumes x:
+    the shifted exponentials are computed in x's own buffer, so x must be
+    a fresh float64 array that nothing else reads."""
+    m = np.max(x, axis=axis, keepdims=True)
+    x -= m
+    np.exp(x, out=x)
+    return m.squeeze(axis) + np.log(np.sum(x, axis=axis))
+
+
+def softmax(x, axis=-1):
+    """exp(x) / sum exp(x) along axis, each line shifted by its own max so
+    nothing overflows and no sum is 0. Computed in x's own buffer, which is
+    returned: x must be a fresh float64 array that nothing else reads."""
+    x -= np.max(x, axis=axis, keepdims=True)
+    np.exp(x, out=x)
+    x /= np.sum(x, axis=axis, keepdims=True)
+    return x

@@ -24,7 +24,7 @@ from .core import as_int
 from .dbn import DbnModel
 from .errors import (CsvFormatError, IdxCountMismatchError, IdxMagicError,
                      IdxTruncatedError, ModelFormatError)
-from .model import GAUSSIAN, BINARY, RbmParams
+from .model import RbmParams
 
 IDX_IMAGE_MAGIC = 2051
 IDX_LABEL_MAGIC = 2049
@@ -187,13 +187,17 @@ def minmax_normalize(ds: Dataset, stats: NormStats | None = None) -> Dataset:
     Without stats, each column is scaled by its own min/max (constant
     columns map to 0) and the statistics are recorded on the result. With
     stats — the training statistics, applied to test data — values are
-    scaled the same way and clamped into [0, 1].
+    scaled the same way and clamped into [0, 1]; stats of another width
+    than the data raise ValueError.
     """
     if ds.n_samples == 0:
         raise ValueError("empty dataset")
     fresh = stats is None
     if fresh:
         stats = NormStats(ds.features.min(axis=0), ds.features.max(axis=0))
+    elif stats.col_min.shape != (ds.n_features,):
+        raise ValueError(f"data has {ds.n_features} columns, its normalization "
+                         f"statistics {stats.col_min.size} columns")
     span = stats.col_max - stats.col_min
     safe = np.where(span > 0, span, 1.0)
     scaled = ds.features - stats.col_min
@@ -273,19 +277,16 @@ def _count_in(doc: dict, key: str, what: str, default=None) -> int:
 def _rbm_from_dict(doc: dict, what: str = "model") -> RbmParams:
     if not isinstance(doc, dict):
         raise ModelFormatError(f"{what}: a layer must be an object")
-    kind = doc.get("visible_kind")
     n_visible = _count_in(doc, "n_visible", what)
     n_hidden = _count_in(doc, "n_hidden", what)
     label_units = _count_in(doc, "label_units", what, 0)
-    if kind not in (BINARY, GAUSSIAN):
-        raise ModelFormatError(f"{what}: unknown visible_kind {kind!r}")
     if n_visible < 1 or n_hidden < 1:
         raise ModelFormatError(f"{what}: dimensions must be positive")
     w = _floats_in(doc.get("weights"), (n_visible, n_hidden), f"{what}.weights")
     a = _floats_in(doc.get("visible_bias"), (n_visible,), f"{what}.visible_bias")
     b = _floats_in(doc.get("hidden_bias"), (n_hidden,), f"{what}.hidden_bias")
     try:
-        return RbmParams(w, a, b, kind, label_units)
+        return RbmParams(w, a, b, doc.get("visible_kind"), label_units)
     except ValueError as exc:
         raise ModelFormatError(f"{what}: {exc}") from None
 

@@ -15,10 +15,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import RngStream, log1p_exp, sigmoid
+from .core import RngStream, log1p_exp, log_sum_exp, sigmoid, softmax
 from .errors import TrainingDivergedError
 from .model import (BINARY, Hyperparams, RbmParams, hidden_probs, init_params,
-                    momentum_step)
+                    momentum_step, visible_term)
 from .trainer import STREAM_INIT, STREAM_SHUFFLE, train_rbm
 
 __all__ = [
@@ -201,12 +201,8 @@ def _label_free_energies(p: RbmParams, v: np.ndarray) -> np.ndarray:
     base_input = v @ p.w[:d] + p.b                      # (m, n_hidden)
     # the feature block's visible term is the same for every clamped label,
     # and the label block's is one number a class
-    if p.visible_kind == BINARY:
-        feature_term = -(v @ p.a[:d])
-        label_term = -p.a[d:]
-    else:
-        feature_term = 0.5 * np.sum((v - p.a[:d]) ** 2, axis=1)
-        label_term = 0.5 * np.sum((np.eye(p.label_units) - p.a[d:]) ** 2, axis=1)
+    feature_term = visible_term(p.visible_kind, p.a[:d], v)
+    label_term = visible_term(p.visible_kind, p.a[d:], np.eye(p.label_units))
     f = np.empty((v.shape[0], p.label_units))
     for c in range(p.label_units):
         hidden_term = np.sum(log1p_exp(base_input + p.w[d + c]), axis=1)
@@ -223,10 +219,7 @@ def classify_free_energy(p: RbmParams, v):
     """
     single = np.asarray(v).ndim == 1
     f = _label_free_energies(p, v)
-    neg = -f
-    neg -= neg.max(axis=1, keepdims=True)
-    scores = np.exp(neg)
-    scores /= scores.sum(axis=1, keepdims=True)
+    scores = softmax(-f)
     pred = np.argmin(f, axis=1)
     if single:
         return int(pred[0]), scores[0]
@@ -291,9 +284,7 @@ def net_forward(net: FeedforwardNet, x: np.ndarray):
     """Activations of every layer; the last entry is the normalized
     class-score matrix."""
     acts, z = _forward_logits(net, x)
-    z -= z.max(axis=1, keepdims=True)
-    ez = np.exp(z)
-    acts.append(ez / ez.sum(axis=1, keepdims=True))
+    acts.append(softmax(z))
     return acts
 
 
@@ -301,10 +292,8 @@ def cross_entropy(net: FeedforwardNet, x: np.ndarray, labels) -> float:
     """Mean negative log score of the true class."""
     labels = np.asarray(labels, dtype=np.int64)
     _, z = _forward_logits(net, x)
-    zmax = z.max(axis=1, keepdims=True)
-    log_norm = zmax.squeeze(1) + np.log(np.exp(z - zmax).sum(axis=1))
     true_z = z[np.arange(labels.size), labels]
-    return float(np.mean(log_norm - true_z))
+    return float(np.mean(log_sum_exp(z, axis=1) - true_z))
 
 
 def net_gradients(net: FeedforwardNet, x: np.ndarray, labels):

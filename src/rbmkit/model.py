@@ -242,6 +242,15 @@ def visible_probs(p: RbmParams, h) -> np.ndarray:
     return mean
 
 
+def visible_term(kind: str, a, v):
+    """The visible units' share of F(v), per row: -a.v for binary units,
+    sum_i (v_i - a_i)^2 / 2 for Gaussian ones. A sum over the units, so a
+    block of the visible layer gives its own term from its slice of a."""
+    if kind == BINARY:
+        return -(v @ a)
+    return 0.5 * ((v - a) ** 2).sum(axis=-1)
+
+
 def free_energy(p: RbmParams, v, h_input=None):
     """F(v) = -log sum_h exp(-E(v, h)), in closed form.
 
@@ -253,12 +262,7 @@ def free_energy(p: RbmParams, v, h_input=None):
     v = _check_visible(p, v)
     if h_input is None:
         h_input = hidden_input(p, v)
-    hidden_term = log1p_exp(h_input).sum(axis=-1)
-    if p.visible_kind == BINARY:
-        visible_term = -(v @ p.a)
-    else:
-        visible_term = 0.5 * ((v - p.a) ** 2).sum(axis=-1)
-    out = visible_term - hidden_term
+    out = visible_term(p.visible_kind, p.a, v) - log1p_exp(h_input).sum(axis=-1)
     if out.ndim == 0:
         return float(out)
     return out

@@ -37,7 +37,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .core import RngStream, log1p_exp, sigmoid
+from .core import RngStream, log1p_exp, log_sum_exp, sigmoid, softmax
 from .model import (BINARY, GradientStats, RbmParams, batch_stats, free_energy,
                     hidden_probs)
 from .samplers import gibbs_chain, make_pool
@@ -72,18 +72,6 @@ __all__ = [
     "TOLERANCES",
     "run_oracle_checks",
 ]
-
-
-def _logsumexp(x, axis):
-    """log sum exp(x) over axis.
-
-    Consumes x: the max-shifted exponentials are computed in x's own
-    buffer, so x must be a fresh float64 table that nothing else reads.
-    """
-    m = np.max(x, axis=axis, keepdims=True)
-    x -= m
-    np.exp(x, out=x)
-    return m.squeeze(axis) + np.log(np.sum(x, axis=axis))
 
 
 def _check_enumerable(p: RbmParams):
@@ -172,7 +160,7 @@ def _log_partitions(w, a, b) -> np.ndarray:
     is gone before the softplus.
     """
     x = _hidden_product(enumerate_states(w.shape[2]), w, b)
-    return _logsumexp(_hidden_log_weights(x, a)[1], axis=1)
+    return log_sum_exp(_hidden_log_weights(x, a)[1], axis=1)
 
 
 def _stack(p: RbmParams):
@@ -247,10 +235,7 @@ def exact_gradient(p: RbmParams, data: np.ndarray):
     H = enumerate_states(p.n_hidden)
     w, a, b = _stack(p)
     act, ph = _hidden_log_weights(_hidden_product(H, w, b), a)
-    act, ph = act[0], ph[0]
-    ph -= ph.max()
-    np.exp(ph, out=ph)
-    ph /= ph.sum()  # P(h)
+    act, ph = act[0], softmax(ph[0])  # P(h)
     pv = sigmoid(act)  # P(v_i = 1 | h)
     pv *= ph[:, None]
     neg = GradientStats(vh=pv.T @ H, v=pv.sum(axis=0), h=ph @ H,
@@ -332,7 +317,7 @@ def _finite_diff_grads(w, a, b, data) -> np.ndarray:
         m = slice(s, s + block)
         log_pv = _neg_free_energies(W[m], A[m], B[m], data[owner[m]])
         log_w = _hidden_log_weights(_hidden_product(H, W[m], B[m]), A[m])[1]
-        loglik.append(np.mean(log_pv - _logsumexp(log_w, axis=1)[:, None], axis=1))
+        loglik.append(np.mean(log_pv - log_sum_exp(log_w, axis=1)[:, None], axis=1))
     loglik = np.concatenate(loglik)
 
     return ((loglik[0::2] - loglik[1::2]) / (2.0 * FD_STEP)).reshape(k, n)
@@ -491,7 +476,7 @@ def run_oracle_checks(n_visible: int = 3, n_hidden: int = 3, trials: int = 25,
         a = np.stack([p.a for p in models])
         b = np.stack([p.b for p in models])
         H = enumerate_states(n_hidden)
-        brute_f = -_logsumexp(_neg_energy_tables(w, a, b, V, H), axis=2)
+        brute_f = -log_sum_exp(_neg_energy_tables(w, a, b, V, H), axis=2)
         note("free_energy_marginalization", np.abs(np.stack(closed_f) - brute_f))
 
         # P(h_j = 1 | v) by direct enumeration of each joint row

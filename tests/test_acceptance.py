@@ -13,6 +13,7 @@ import os
 import struct
 import time
 from contextlib import contextmanager
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -313,7 +314,7 @@ def test_criterion_9_reproducibility(tmp_path):
                              "--epochs", "3", "--batch", "8",
                              "--seed", "9", "--out", out])
             assert code == 0
-            model_bytes.append(open(f"{out}.model.json", "rb").read())
+            model_bytes.append(Path(f"{out}.model.json").read_bytes())
             metric_rows.append([(r.epoch, r.recon_error, r.mean_free_energy,
                                  r.estimator, r.seed)
                                 for r in read_metrics_csv(f"{out}.metrics.csv")])

@@ -56,3 +56,37 @@ def test_logistic_and_softplus_live_only_in_core():
             elif _hand_written_logistic(node):
                 offenders.append(f"{path.name}:{node.lineno} writes 1/(1+exp(...))")
     assert offenders == []
+
+
+def _calls_max(node):
+    return isinstance(node, ast.Call) and getattr(node.func, "attr", None) == "max"
+
+
+def test_softmax_and_log_sum_exp_live_only_in_core():
+    """Fails on a max-shifted exponential written out by hand: a function
+    outside core.py that calls both a max (np.max or .max) and an exp."""
+    offenders = []
+    for path in sorted(PACKAGE_DIR.glob("*.py")):
+        if path.name == "core.py":
+            continue
+        for fn in ast.walk(ast.parse(path.read_text(), str(path))):
+            if isinstance(fn, ast.FunctionDef):
+                nodes = list(ast.walk(fn))
+                if any(map(_calls_max, nodes)) and any(map(_calls_exp, nodes)):
+                    offenders.append(f"{path.name}:{fn.lineno} {fn.name}")
+    assert offenders == []
+
+
+def test_dbn_and_dataio_compare_with_no_visible_kind():
+    """dbn.py takes each visible term from model.visible_term, and dataio.py
+    leaves the kind check to RbmParams: neither compares with a kind."""
+    kinds = {"BINARY", "GAUSSIAN"}
+    offenders = []
+    for name in ("dbn.py", "dataio.py"):
+        path = PACKAGE_DIR / name
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if isinstance(node, ast.Compare) and any(
+                    getattr(sub, "id", getattr(sub, "attr", None)) in kinds
+                    for sub in ast.walk(node)):
+                offenders.append(f"{name}:{node.lineno}")
+    assert offenders == []

@@ -3,6 +3,7 @@ import re
 import subprocess
 import sys
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -70,8 +71,7 @@ class TestTrainRbmCommand:
         assert model.n_hidden == 6
         rows = read_metrics_csv(f"{out}.metrics.csv")
         assert [r.epoch for r in rows] == [1, 2, 3]
-        first = open(f"{out}.metrics.csv").readline()
-        assert first.startswith("# config:")
+        assert Path(f"{out}.metrics.csv").read_text().startswith("# config:")
 
     def test_missing_data_path_exits_2_without_artifacts(self, tmp_path, capsys):
         out = str(tmp_path / "run")
@@ -177,7 +177,7 @@ class TestTrainRbmCommand:
             out = str(tmp_path / name)
             assert main(train_args(idx_pair, out, ["--estimator", "fepcd"])) == 0
             outs.append(out)
-        models = [open(f"{o}.model.json", "rb").read() for o in outs]
+        models = [Path(f"{o}.model.json").read_bytes() for o in outs]
         assert models[0] == models[1] == models[2]
         metric_rows = [[(r.epoch, r.recon_error, r.mean_free_energy)
                         for r in read_metrics_csv(f"{o}.metrics.csv")]
@@ -356,7 +356,7 @@ class TestCompareSamplersCommand:
                      "--hidden", "6", "--epochs", "3", "--batch", "8",
                      "--seed", "1", "--out", out])
         assert code == 0
-        lines = [ln for ln in open(out).read().splitlines()
+        lines = [ln for ln in Path(out).read_text().splitlines()
                  if not ln.startswith("#")]
         assert lines[0] == "estimator,epoch,seconds,error"
         assert len(lines) == 1 + 3 * 3
@@ -385,7 +385,7 @@ class TestCompareSamplersCommand:
     def test_estimator_selects_the_rows(self, idx_pair, tmp_path):
         out = str(tmp_path / "compare.csv")
         assert self.compare(idx_pair, out, "fepcd") == 0
-        lines = open(out).read().splitlines()
+        lines = Path(out).read_text().splitlines()
         assert lines[0].startswith("# config: ")
         assert " estimator=fepcd " in lines[0]
         assert lines[1] == "estimator,epoch,seconds,error"
@@ -436,6 +436,41 @@ class TestCompareSamplersCommand:
         assert err.startswith("error:") and "--test-subset" in err
         assert not out.exists()
 
+    def test_test_images_of_another_width_exit_2_naming_both(
+            self, idx_pair, tmp_path, capsys):
+        rng = RngStream(58, 0)
+        test_images = str(tmp_path / "test-images")
+        test_labels = str(tmp_path / "test-labels")
+        write_idx_fixture(test_images, test_labels,
+                          (rng.uniforms((10, 5, 5)) * 255).astype(np.uint8),
+                          np.arange(10, dtype=np.uint8) % 2)
+        images, labels = idx_pair
+        out = tmp_path / "compare.csv"
+        assert main(["compare-samplers", "--data", "mnist",
+                     "--images", images, "--labels", labels,
+                     "--test-images", test_images, "--test-labels", test_labels,
+                     "--hidden", "6", "--epochs", "1", "--out", str(out)]) == 2
+        errors = [ln for ln in capsys.readouterr().err.splitlines()
+                  if ln.startswith("error:")]
+        assert len(errors) == 1
+        assert "25 columns" in errors[0] and "16 columns" in errors[0]
+        assert not out.exists()
+
+    @pytest.mark.parametrize("data, missing", [
+        ("mnist", "--test-images and --test-labels"), ("isolet", "--test-csv")])
+    def test_missing_test_path_names_the_test_flag(
+            self, idx_pair, isolet_csv, tmp_path, capsys, data, missing):
+        images, labels = idx_pair
+        train = (["--images", images, "--labels", labels] if data == "mnist"
+                 else ["--csv", isolet_csv])
+        out = tmp_path / "compare.csv"
+        assert main(["compare-samplers", "--data", data, *train,
+                     "--test-images", images, "--hidden", "4", "--epochs", "1",
+                     "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and missing in err
+        assert not out.exists()
+
     @pytest.mark.parametrize("estimator", ["bogus", "cd,bogus", "pcd,pcd", ","])
     def test_bad_estimator_list_exits_2(self, idx_pair, tmp_path, capsys,
                                         estimator):
@@ -454,7 +489,7 @@ class TestSampleCommand:
         code = main(["sample", "--model", model_path, "--n", "1",
                      "--steps", "0", "--seed", "5", "--out", out])
         assert code == 0
-        raw = open(out, "rb").read()
+        raw = Path(out).read_bytes()
         assert raw.startswith(b"P5\n4 4\n255\n")
         assert set(raw.split(b"\n255\n", 1)[1]) == {128}
 
@@ -468,7 +503,7 @@ class TestSampleCommand:
         code = main(["sample", "--model", model_path, "--n", str(n),
                      "--steps", str(steps), "--seed", str(seed), "--out", out])
         assert code == 0
-        lines = [ln for ln in open(f"{out}.free_energy.csv").read().splitlines()
+        lines = [ln for ln in Path(f"{out}.free_energy.csv").read_text().splitlines()
                  if not ln.startswith("#")]
         assert lines[0] == "sample,free_energy"
         fe = np.array([float(ln.split(",")[1]) for ln in lines[1:]])
@@ -488,7 +523,7 @@ class TestSampleCommand:
             stream.uniforms(steps * (3 + 6))
             u_h[c] = stream.uniforms(3)
         means = visible_probs(p, (u_h < hidden_probs(p, states)).astype(float))
-        rows = [ln for ln in open(out).read().splitlines() if not ln.startswith("#")]
+        rows = [ln for ln in Path(out).read_text().splitlines() if not ln.startswith("#")]
         assert rows[0] == ",".join(f"v{i}" for i in range(6))
         got = np.array([[float(x) for x in ln.split(",")] for ln in rows[1:]])
         np.testing.assert_array_equal(got, means)
@@ -502,8 +537,8 @@ class TestSampleCommand:
             out = str(tmp_path / f"{name}.pgm")
             assert main(["sample", "--model", model_path, "--n", "4",
                          "--steps", "3", "--seed", "11", "--out", out]) == 0
-            raws.append(open(out, "rb").read() +
-                        open(f"{out}.free_energy.csv", "rb").read())
+            raws.append(Path(out).read_bytes() +
+                        Path(f"{out}.free_energy.csv").read_bytes())
         assert raws[0] == raws[1]
 
     def test_dbn_model_rejected(self, tmp_path, ref_model, capsys):
@@ -639,7 +674,7 @@ class TestOptionResolution:
         monkeypatch.chdir(tmp_path)
         assert main(["sample", "--model", model_path]) == 0
         assert os.path.exists("samples.pgm")
-        lines = open("samples.pgm.free_energy.csv").read().splitlines()
+        lines = Path("samples.pgm.free_energy.csv").read_text().splitlines()
         assert lines[0] == f"# config: model={model_path} n=16 steps=100 seed=0"
         assert len(lines) == 2 + 16
 
@@ -684,7 +719,7 @@ class TestOptionResolution:
         cfg = write_config(tmp_path, f"model={model_path}\nn=3\nsteps=2\n"
                                      f"seed=4\nout={out}\n")
         assert main(["sample", "--config", cfg, "--seed", "5"]) == 0
-        lines = open(f"{out}.free_energy.csv").read().splitlines()
+        lines = Path(f"{out}.free_energy.csv").read_text().splitlines()
         assert lines[0] == f"# config: model={model_path} n=3 steps=2 seed=5"
         assert len(lines) == 2 + 3
 

@@ -7,6 +7,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from rbmkit import RngStream, log1p_exp, sigmoid
+from rbmkit.core import log_sum_exp, softmax
 
 F64_EPS = np.finfo(np.float64).eps
 FINITE = st.floats(allow_nan=False, allow_infinity=False)
@@ -147,6 +148,45 @@ class TestElementwiseNumerics:
         assert math.isclose(log1p_exp(x) - log1p_exp(-x), x,
                             rel_tol=4 * F64_EPS, abs_tol=4 * F64_EPS)
         assert log1p_exp(x) >= max(x, 0.0)
+
+
+class TestLogsumexp:
+    @pytest.mark.parametrize("axis", [0, 1])
+    def test_matches_a_shifted_sum_and_consumes_its_input(self, axis):
+        # entries near +-800: exp alone overflows to inf or underflows to 0
+        x = RngStream(45, 0).normals((7, 5)) + np.array([800.0, -800.0, 0.0,
+                                                         3.0, -3.0])
+        x[2] = 800.0
+        want = [m + math.log(math.fsum(math.exp(v - m) for v in line))
+                for line in np.moveaxis(x, axis, -1)
+                for m in [max(line)]]
+        m = np.max(x, axis=axis, keepdims=True)
+        table = x.copy()
+        got = log_sum_exp(table, axis)
+        assert got.shape == (x.shape[1 - axis],)
+        np.testing.assert_allclose(got, want, rtol=1e-14)
+        # the shifted exponentials are left in the table's own buffer
+        np.testing.assert_array_equal(table, np.exp(x - m))
+
+
+class TestSoftmax:
+    @pytest.mark.parametrize("axis", [0, -1])
+    def test_lines_far_apart_stay_finite_and_match_fsum_in_place(self, axis):
+        # lines about 1600 apart: shifted by the array's one max instead of
+        # each line's own, the low line's exponentials would all underflow
+        lines = RngStream(46, 0).normals((4, 6)) + np.array(
+            [[800.0], [-800.0], [0.0], [3.0]])
+        want = [[math.exp(v - m) / math.fsum(math.exp(u - m) for u in line)
+                 for v in line] for line in lines for m in [max(line)]]
+        x = lines.T.copy() if axis == 0 else lines.copy()
+        got = softmax(x, axis)
+        assert got is x
+        assert np.isfinite(got).all()
+        np.testing.assert_allclose(np.moveaxis(got, axis, -1), want, rtol=1e-14)
+
+    def test_vector_sums_to_one(self):
+        got = softmax(np.array([-1000.0, 0.0, 1000.0, 1000.0]))
+        np.testing.assert_array_equal(got, [0.0, 0.0, 0.5, 0.5])
 
 
 class TestRngStream:

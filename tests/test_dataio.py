@@ -232,6 +232,11 @@ class TestMinmaxNormalize:
         with pytest.raises(ValueError):
             minmax_normalize(Dataset(np.zeros((0, 3))))
 
+    def test_stats_of_another_width_rejected_naming_both(self):
+        train = minmax_normalize(Dataset(np.zeros((2, 16))))
+        with pytest.raises(ValueError, match=r"25 columns.*16 columns"):
+            minmax_normalize(Dataset(np.zeros((3, 25))), train.normalization)
+
 
 class TestModelJson:
     def test_rbm_round_trip_bit_exact(self, ref_model, tmp_path):
@@ -284,6 +289,15 @@ class TestModelJson:
         path.write_text(json.dumps(doc))
         with pytest.raises(ModelFormatError, match="top_label_units"):
             load_model(path)
+
+    def test_unknown_visible_kind_named(self, tmp_path):
+        doc = json.loads(RBM_JSON)
+        doc["visible_kind"] = "poisson"
+        path = tmp_path / "model.json"
+        path.write_text(json.dumps(doc))
+        with pytest.raises(ModelFormatError) as err:
+            load_model(path)
+        assert str(err.value) == f"{path}: unknown visible_kind 'poisson'"
 
     def test_version_mismatch_rejected(self, ref_model, tmp_path):
         path = tmp_path / "model.json"

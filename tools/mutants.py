@@ -13,8 +13,10 @@ stationarity trials' models (the trials' start states joined in the
 wrong order among them), on a stacked witness (finite difference, joint
 table or brute -F) that reads the first trial's rows or model for every
 trial in its group, on a log-sum-exp that holds a second copy of its
-table, and on exact negative statistics whose P(h) drops the b.h term or
-is not normalized.
+table or drops its max term, on a softmax normalized over the wrong axis
+or shifted by the whole array's max, on a visible free-energy term with
+the Gaussian half dropped or the binary sign flipped, and on exact
+negative statistics whose P(h) drops the b.h term or is not normalized.
 
 Usage, from the repository root:
 
@@ -137,14 +139,25 @@ MUTANTS = {
         "model.py",
         "np.divide(h_pos, -pos.count, out=h[m_neg:])",
         "np.divide(h_pos, pos.count, out=h[m_neg:])"),
+    # a lookup, not a comparison with GAUSSIAN, which a boundary test forbids
     "gaussian-classifier-drops-label-term": (
         "dbn.py",
-        "label_term = 0.5 * np.sum((np.eye(p.label_units) - p.a[d:]) ** 2, axis=1)",
-        "label_term = np.zeros(p.label_units)"),
+        "label_term = visible_term(p.visible_kind, p.a[d:], np.eye(p.label_units))",
+        "label_term = visible_term(p.visible_kind, p.a[d:], np.eye(p.label_units))"
+        " * {'gaussian': 0.0}.get(p.visible_kind, 1.0)"),
     "gaussian-classifier-label-term-sign": (
         "dbn.py",
-        "label_term = 0.5 * np.sum((np.eye(p.label_units) - p.a[d:]) ** 2, axis=1)",
-        "label_term = -0.5 * np.sum((np.eye(p.label_units) - p.a[d:]) ** 2, axis=1)"),
+        "label_term = visible_term(p.visible_kind, p.a[d:], np.eye(p.label_units))",
+        "label_term = visible_term(p.visible_kind, p.a[d:], np.eye(p.label_units))"
+        " * {'gaussian': -1.0}.get(p.visible_kind, 1.0)"),
+    "visible-term-gaussian-half-dropped": (
+        "model.py",
+        "return 0.5 * ((v - a) ** 2).sum(axis=-1)",
+        "return ((v - a) ** 2).sum(axis=-1)"),
+    "visible-term-binary-sign-flipped": (
+        "model.py",
+        "return -(v @ a)",
+        "return v @ a"),
     "labelled-top-layer-bottom-visible-kind": (
         "dbn.py",
         "visible_kind if idx == 0 else BINARY,",
@@ -176,7 +189,7 @@ MUTANTS = {
         "cond = np.stack(probs)"),
     "oracle-brute-free-energy-from-closed-form": (
         "oracle.py",
-        "brute_f = -_logsumexp(_neg_energy_tables(w, a, b, V, H), axis=2)",
+        "brute_f = -log_sum_exp(_neg_energy_tables(w, a, b, V, H), axis=2)",
         "brute_f = np.stack(closed_f)"),
     "oracle-fd-every-trial-reads-first-trial-rows": (
         "oracle.py",
@@ -188,8 +201,8 @@ MUTANTS = {
         "cond = (joint[0] @ H) / joint[0].sum(axis=1, keepdims=True)"),
     "oracle-brute-free-energy-every-trial-from-first": (
         "oracle.py",
-        "brute_f = -_logsumexp(_neg_energy_tables(w, a, b, V, H), axis=2)",
-        "brute_f = -_logsumexp(_neg_energy_tables(w, a, b, V, H), axis=2)[:1]"),
+        "brute_f = -log_sum_exp(_neg_energy_tables(w, a, b, V, H), axis=2)",
+        "brute_f = -log_sum_exp(_neg_energy_tables(w, a, b, V, H), axis=2)[:1]"),
     "oracle-fd-last-model-skipped": (
         "oracle.py",
         "for s in range(0, len(params), block):",
@@ -207,13 +220,25 @@ MUTANTS = {
         "np.concatenate(starts, axis=1)",
         "np.concatenate(starts[::-1], axis=1)"),
     "oracle-logsumexp-out-of-place": (
-        "oracle.py",
+        "core.py",
         "    x -= m\n",
         "    x = x - m\n"),
+    "logsumexp-drops-max-term": (
+        "core.py",
+        "return m.squeeze(axis) + np.log(np.sum(x, axis=axis))",
+        "return np.log(np.sum(x, axis=axis))"),
+    "softmax-normalized-over-axis-0": (
+        "core.py",
+        "x /= np.sum(x, axis=axis, keepdims=True)",
+        "x /= np.sum(x, axis=0, keepdims=True)"),
+    "softmax-shifted-by-global-max": (
+        "core.py",
+        "x -= np.max(x, axis=axis, keepdims=True)",
+        "x -= np.max(x)"),
     "oracle-log-z-over-visible-states": (
         "oracle.py",
-        "return _logsumexp(_hidden_log_weights(x, a)[1], axis=1)",
-        "return _logsumexp(_neg_free_energies(w, a, b, enumerate_states(w.shape[1])),"
+        "return log_sum_exp(_hidden_log_weights(x, a)[1], axis=1)",
+        "return log_sum_exp(_neg_free_energies(w, a, b, enumerate_states(w.shape[1])),"
         " axis=1)"),
     "oracle-exact-p-h-drops-b-h": (
         "oracle.py",
@@ -221,8 +246,8 @@ MUTANTS = {
         "_hidden_log_weights(_hidden_product(H, w, 0.0 * b), a)"),
     "oracle-exact-p-h-unnormalized": (
         "oracle.py",
-        "    ph /= ph.sum()  # P(h)\n",
-        ""),
+        "softmax(ph[0])  # P(h)",
+        "np.exp(ph[0] - ph[0].max())  # P(h)"),
 }
 
 
