@@ -231,8 +231,8 @@ def hidden_probs(p: RbmParams, v) -> np.ndarray:
 def visible_probs(p: RbmParams, h) -> np.ndarray:
     """Conditional visible activations given h.
 
-    Binary: P(v_i = 1 | h). Gaussian: the conditional mean a_i + (W h)_i;
-    sampling adds unit-variance noise downstream.
+    Binary: P(v_i = 1 | h). Gaussian: the conditional mean a_i + (W h)_i,
+    to which sample_visible adds unit-variance noise.
     """
     h = _check_hidden(p, h)
     mean = h @ p.w.T
@@ -240,6 +240,26 @@ def visible_probs(p: RbmParams, h) -> np.ndarray:
     if p.visible_kind == BINARY:
         return sigmoid(mean, out=mean)
     return mean
+
+
+def sample_visible(p: RbmParams, h, e) -> np.ndarray:
+    """v drawn given the binary hidden state h and the sweep's visible
+    draws e from visible_noise: binary units are on where
+    e < P(v_i = 1 | h); Gaussian units are the conditional mean plus e,
+    written into the mean's own buffer."""
+    mean = visible_probs(p, h)
+    if p.visible_kind == BINARY:
+        return (e < mean).astype(np.float64)
+    mean += e
+    return mean
+
+
+def visible_noise(p: RbmParams, stream, shape) -> np.ndarray:
+    """The draws sample_visible takes, from one stream: uniforms for
+    binary units, standard normals for Gaussian ones."""
+    if p.visible_kind == BINARY:
+        return stream.uniforms(shape)
+    return stream.normals(shape)
 
 
 def visible_term(kind: str, a, v):

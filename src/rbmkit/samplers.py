@@ -19,8 +19,9 @@ straight into its row of the block, and hands out one sweep's slice per
 call, so its streams may run up to one block ahead of what the pool has
 used. One Philox generator gives the same doubles whatever widths they
 are drawn in, so every chain sees the same sequence as with one call per
-sweep. Gaussian pools draw per sweep: normals consume a variable number
-of raw outputs, so they cannot be drawn ahead without changing the draws.
+sweep. Gaussian pools draw each chain's model.visible_noise per sweep:
+normals consume a variable number of raw outputs, so they cannot be drawn
+ahead without changing the draws.
 """
 
 from __future__ import annotations
@@ -31,7 +32,7 @@ import numpy as np
 
 from .core import RngStream, sigmoid
 from .model import (BINARY, RbmParams, batch_stats, free_energy, hidden_input,
-                    hidden_probs, visible_probs)
+                    hidden_probs, sample_visible, visible_noise)
 
 CHAIN_STREAM_BASE = 100
 
@@ -102,6 +103,7 @@ class ChainPool:
         which a pool still holding unused uniforms refuses with ValueError
         rather than skip them."""
         n_h, n_v = p.n_hidden, p.n_visible
+        # normals take a variable number of raw outputs, so only uniforms draw ahead
         if p.visible_kind == BINARY:
             width = n_h + n_v
             # 8 bytes per float64 uniform
@@ -122,7 +124,7 @@ class ChainPool:
                     raise ValueError("the pool holds unused uniforms; a Gaussian "
                                      "draw would skip them")
                 u_h = np.stack([s.uniforms(n_h) for s in self.streams])
-                return u_h, np.stack([s.normals(n_v) for s in self.streams])
+                return u_h, np.stack([visible_noise(p, s, n_v) for s in self.streams])
         return draw
 
     def _refill(self, n: int):
@@ -155,13 +157,13 @@ def gibbs_chain(p: RbmParams, v, k: int, noise, ph=None):
     """Advance every row of v through k full Gibbs sweeps, all rows at once.
 
     noise() is called once per sweep and returns that sweep's draws
-    (u_h, e_v): uniforms shaped like the hidden layer, then uniforms
-    (binary visibles) or standard normals (Gaussian visibles) shaped like
-    v. Supplying the draws lets every caller keep its own stream layout
-    while sharing this one kernel. ph, when given, must be
-    hidden_probs(p, v); the first sweep then starts from it instead of
-    recomputing it. Each later sweep reuses the probabilities computed at
-    the end of the previous one.
+    (u_h, e_v): uniforms shaped like the hidden layer, then
+    model.visible_noise's draws shaped like v, from which
+    model.sample_visible draws the new v. Supplying the draws lets every
+    caller keep its own stream layout while sharing this one kernel. ph,
+    when given, must be hidden_probs(p, v); the first sweep then starts
+    from it instead of recomputing it. Each later sweep reuses the
+    probabilities computed at the end of the previous one.
 
     Returns (v, ph, h_input): the final visible state, its hidden
     activation probabilities (what negative-phase statistics average) and
@@ -174,11 +176,7 @@ def gibbs_chain(p: RbmParams, v, k: int, noise, ph=None):
         ph = hidden_probs(p, v)
     for _ in range(k):
         u_h, e_v = noise()
-        mean_v = visible_probs(p, (u_h < ph).astype(np.float64))
-        if p.visible_kind == BINARY:
-            v = (e_v < mean_v).astype(np.float64)
-        else:
-            v = mean_v + e_v
+        v = sample_visible(p, (u_h < ph).astype(np.float64), e_v)
         x = hidden_input(p, v)
         ph = sigmoid(x)
     return v, ph, x
@@ -195,9 +193,8 @@ def gibbs_step(p: RbmParams, v, rng: RngStream, ph=None):
     """
     v = np.asarray(v, dtype=np.float64)
     h_shape = v.shape[:-1] + (p.n_hidden,)
-    draw_v = rng.uniforms if p.visible_kind == BINARY else rng.normals
-    return gibbs_chain(p, v, 1, lambda: (rng.uniforms(h_shape), draw_v(v.shape)),
-                       ph)[:2]
+    return gibbs_chain(p, v, 1, lambda: (rng.uniforms(h_shape),
+                                         visible_noise(p, rng, v.shape)), ph)[:2]
 
 
 def cd_k(p: RbmParams, data_batch: np.ndarray, k: int, rng: RngStream):

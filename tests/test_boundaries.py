@@ -77,16 +77,42 @@ def test_softmax_and_log_sum_exp_live_only_in_core():
     assert offenders == []
 
 
+def _kind_comparisons(tree):
+    """Line numbers of the comparisons with BINARY or GAUSSIAN under tree."""
+    kinds = {"BINARY", "GAUSSIAN"}
+    return [node.lineno for node in ast.walk(tree)
+            if isinstance(node, ast.Compare) and any(
+                getattr(sub, "id", getattr(sub, "attr", None)) in kinds
+                for sub in ast.walk(node))]
+
+
+def _parse(name):
+    path = PACKAGE_DIR / name
+    return ast.parse(path.read_text(), str(path))
+
+
+def _named(nodes, kind, name):
+    return next(node for node in nodes if isinstance(node, kind) and node.name == name)
+
+
 def test_dbn_and_dataio_compare_with_no_visible_kind():
     """dbn.py takes each visible term from model.visible_term, and dataio.py
     leaves the kind check to RbmParams: neither compares with a kind."""
-    kinds = {"BINARY", "GAUSSIAN"}
-    offenders = []
-    for name in ("dbn.py", "dataio.py"):
-        path = PACKAGE_DIR / name
-        for node in ast.walk(ast.parse(path.read_text(), str(path))):
-            if isinstance(node, ast.Compare) and any(
-                    getattr(sub, "id", getattr(sub, "attr", None)) in kinds
-                    for sub in ast.walk(node)):
-                offenders.append(f"{name}:{node.lineno}")
+    offenders = [f"{name}:{line}" for name in ("dbn.py", "dataio.py")
+                 for line in _kind_comparisons(_parse(name))]
     assert offenders == []
+
+
+def test_samplers_and_trainer_leave_the_visible_draw_to_model():
+    """model.sample_visible and model.visible_noise decide how each visible
+    kind is drawn. trainer.py compares with no kind, and samplers.py only
+    once, in ChainPool.noise, whose choice is whether it may draw ahead."""
+    offenders = [f"trainer.py:{line}" for line in _kind_comparisons(_parse("trainer.py"))]
+    samplers = _parse("samplers.py")
+    noise = _named(_named(samplers.body, ast.ClassDef, "ChainPool").body,
+                   ast.FunctionDef, "noise")
+    allowed = _kind_comparisons(noise)
+    offenders += [f"samplers.py:{line}" for line in _kind_comparisons(samplers)
+                  if line not in allowed]
+    assert offenders == []
+    assert len(allowed) == 1

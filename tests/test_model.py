@@ -8,6 +8,7 @@ from rbmkit import (BINARY, GAUSSIAN, GradientStats, Hyperparams, RbmParams,
                     RngStream, UpdateState, apply_update, batch_stats, energy,
                     free_energy, hidden_input, hidden_probs, load_model,
                     log1p_exp, momentum_step, save_model, visible_probs)
+from rbmkit.model import sample_visible, visible_noise
 from rbmkit.oracle import free_energy_entropy_form
 
 
@@ -81,6 +82,32 @@ class TestConditionals:
         for i, v in enumerate(batch):
             np.testing.assert_allclose(rows[i], hidden_probs(ref_model, v),
                                        atol=1e-15)
+
+    @pytest.mark.parametrize("h", [[0.0, 1.0], [[1.0, 0.0], [0.0, 1.0], [1.0, 1.0]]])
+    def test_binary_draw_at_the_probability_stays_off(self, ref_model, h):
+        e = visible_probs(ref_model, h)
+        v = sample_visible(ref_model, h, e)
+        assert v.dtype == np.float64 and v.shape == e.shape
+        np.testing.assert_array_equal(v, np.zeros_like(e))
+        np.testing.assert_array_equal(sample_visible(ref_model, h, np.nextafter(e, 0)),
+                                      np.ones_like(e))
+
+    @pytest.mark.parametrize("h", [[0.0, 1.0], [[1.0, 0.0], [0.0, 1.0], [1.0, 1.0]]])
+    def test_gaussian_draw_is_the_mean_plus_the_noise(self, h):
+        rng = RngStream(4, 0)
+        p = RbmParams(rng.normals((3, 2)), rng.normals(3), rng.normals(2),
+                      visible_kind=GAUSSIAN)
+        e = rng.normals(np.shape(h)[:-1] + (3,))
+        v = sample_visible(p, h, e)
+        assert v.dtype == np.float64
+        np.testing.assert_array_equal(v, visible_probs(p, h) + e)
+
+    @pytest.mark.parametrize("kind, draw", [(BINARY, "uniforms"), (GAUSSIAN, "normals")])
+    def test_visible_noise_consumes_its_kinds_draws(self, zero_model, kind, draw):
+        ours, ref = RngStream(9, 2), RngStream(9, 2)
+        got = visible_noise(zero_model(visible_kind=kind), ours, (4, 2))
+        np.testing.assert_array_equal(got, getattr(ref, draw)((4, 2)))
+        np.testing.assert_array_equal(ours.uniforms(3), ref.uniforms(3))
 
 
 class TestFreeEnergy:

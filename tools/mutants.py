@@ -15,8 +15,10 @@ table or brute -F) that reads the first trial's rows or model for every
 trial in its group, on a log-sum-exp that holds a second copy of its
 table or drops its max term, on a softmax normalized over the wrong axis
 or shifted by the whole array's max, on a visible free-energy term with
-the Gaussian half dropped or the binary sign flipped, and on exact
-negative statistics whose P(h) drops the b.h term or is not normalized.
+the Gaussian half dropped or the binary sign flipped, on a visible draw
+whose binary threshold is inverted, whose Gaussian mean gets no noise or
+whose Gaussian noise is uniform, and on exact negative statistics whose
+P(h) drops the b.h term or is not normalized.
 
 Usage, from the repository root:
 
@@ -150,6 +152,18 @@ MUTANTS = {
         "label_term = visible_term(p.visible_kind, p.a[d:], np.eye(p.label_units))",
         "label_term = visible_term(p.visible_kind, p.a[d:], np.eye(p.label_units))"
         " * {'gaussian': -1.0}.get(p.visible_kind, 1.0)"),
+    "visible-draw-threshold-inverted": (
+        "model.py",
+        "return (e < mean).astype(np.float64)",
+        "return (e > mean).astype(np.float64)"),
+    "gaussian-draw-drops-noise": (
+        "model.py",
+        "    mean += e\n",
+        "    pass\n"),
+    "gaussian-noise-is-uniform": (
+        "model.py",
+        "return stream.normals(shape)",
+        "return stream.uniforms(shape)"),
     "visible-term-gaussian-half-dropped": (
         "model.py",
         "return 0.5 * ((v - a) ** 2).sum(axis=-1)",
@@ -289,9 +303,9 @@ def main() -> int:
                         ignore=shutil.ignore_patterns("__pycache__", "*.egg-info"))
         t0 = time.perf_counter()
         ok, summary = run_tier1(src_dir)
-        print(f"clean: {summary} ({time.perf_counter() - t0:.0f}s)")
+        print(f"clean: {summary} ({time.perf_counter() - t0:.0f}s)", flush=True)
         if not ok:
-            print("the clean copy already fails tier-1")
+            print("the clean copy already fails tier-1", flush=True)
             return 1
         survivors = []
         for name in MUTANTS:
@@ -301,12 +315,13 @@ def main() -> int:
             t0 = time.perf_counter()
             ok, summary = run_tier1(mutant_dir)
             verdict = "SURVIVED" if ok else "killed"
-            print(f"{name}: {verdict} - {summary} ({time.perf_counter() - t0:.0f}s)")
+            print(f"{name}: {verdict} - {summary} "
+                  f"({time.perf_counter() - t0:.0f}s)", flush=True)
             if ok:
                 survivors.append(name)
             shutil.rmtree(mutant_dir)
     print(f"{len(MUTANTS) - len(survivors)}/{len(MUTANTS)} mutants killed"
-          + (f"; survivors: {', '.join(survivors)}" if survivors else ""))
+          + (f"; survivors: {', '.join(survivors)}" if survivors else ""), flush=True)
     return 1 if survivors else 0
 
 
