@@ -1,9 +1,10 @@
 """Elementary math and random-number streams shared by every module.
 
 All floating point is 64-bit. Randomness flows exclusively through
-:class:`RngStream` objects, each addressed by a (seed, stream_id) pair on
-top of numpy's counter-based Philox generator, so that any computation is
-reproducible bit-for-bit from its seeds. Streams are stateful: each
+:class:`RngStream` objects, each addressed by a (seed, stream_id) pair:
+numpy's SeedSequence hashes the seed as entropy and the stream_id as its
+spawn key into the state of an SFC64 generator, so that any computation
+is reproducible bit-for-bit from its seeds. Streams are stateful: each
 consumer (a persistent chain, the epoch shuffle, weight initialization)
 owns its own, so how much one consumes never shifts another's draws.
 """
@@ -27,9 +28,13 @@ class RngStream:
     """One independent, reproducible random stream.
 
     Two streams built from the same (seed, stream_id) yield bit-identical
-    draw sequences; distinct stream_ids give statistically independent
-    sequences. Chains, shuffling, initialization etc. each get their own
-    stream_id so consumption in one never perturbs another. Each key must
+    draw sequences; distinct keys give statistically independent
+    sequences. The generator is SFC64, seeded by
+    SeedSequence(seed, spawn_key=(stream_id,)): the spawn key keeps the
+    two numbers apart, where SeedSequence([seed, stream_id]) would split
+    (2**32, 5) and (0, 1 + 5 * 2**32) into the same 32-bit words. Chains,
+    shuffling, initialization etc. each get their own stream_id so
+    consumption in one never perturbs another. Each key must
     be an integer (a Python or numpy one, not a bool) in [0, 2^64);
     anything else raises ValueError naming it.
     """
@@ -41,8 +46,8 @@ class RngStream:
                                  f"got {key!r}")
         self.seed = int(seed)
         self.stream_id = int(stream_id)
-        key = np.array([self.seed, self.stream_id], dtype=np.uint64)
-        self._gen = np.random.Generator(np.random.Philox(key=key))
+        self._gen = np.random.Generator(np.random.SFC64(np.random.SeedSequence(
+            self.seed, spawn_key=(self.stream_id,))))
 
     def __repr__(self):
         return f"RngStream(seed={self.seed}, stream_id={self.stream_id})"

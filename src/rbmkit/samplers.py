@@ -17,9 +17,9 @@ A binary pool draws each chain's uniforms a block of sweeps at a time
 (NOISE_BLOCK_BYTES, and at least NOISE_MIN_SWEEPS sweeps), each chain's
 straight into its row of the block, and hands out one sweep's slice per
 call, so its streams may run up to one block ahead of what the pool has
-used. One Philox generator gives the same doubles whatever widths they
-are drawn in, so every chain sees the same sequence as with one call per
-sweep. Gaussian pools draw each chain's model.visible_noise per sweep:
+used. A stream's SFC64 generator gives the same doubles whatever widths
+they are drawn in, so every chain sees the same sequence as with one call
+per sweep. Gaussian pools draw each chain's model.visible_noise per sweep:
 normals consume a variable number of raw outputs, so they cannot be drawn
 ahead without changing the draws.
 """
@@ -44,13 +44,13 @@ CHAIN_STREAM_BASE = 100
 # next to a core's L2 cache.
 NOISE_BLOCK_BYTES = 64 * 1024
 # Fewest sweeps a refill draws. A 794-wide pool of 20 or more chains needs
-# more than NOISE_BLOCK_BYTES for one sweep (137 KB at 20 x 858 uniforms);
-# drawing one sweep per call there cost about 11 us per chain and sweep
-# against 9 us when drawn several sweeps at once (2 vCPUs, numpy 2.4.6).
-# With 4, noise per 794-wide sweep fell 326 -> 245 us at 24 chains and
-# 864 -> 644 us at 72, and `rbmkit sample` ran about 10% more chain-steps
-# a second than with 1 (2 and 8 gained less); the largest block, 72
-# chains x 4 x 858 uniforms, is 2 MB. Small pools already draw more.
+# more than NOISE_BLOCK_BYTES for one sweep (137 KB at 20 x 858 uniforms),
+# and there the per-call cost still shows: noise per 794-wide sweep at 24
+# chains took 89-100 us drawn one sweep per call, 65-75 us at 2 sweeps,
+# 56-71 us at 4 and 54-67 us at 8; at 72 chains 271-286, 206-249, 178-202
+# and 165-287 us (2 vCPUs, numpy 2.4.6, SFC64 at about 2 ns a double).
+# 4 is the knee; the largest block, 72 chains x 4 x 858 uniforms, is
+# 2 MB. Small pools already draw more.
 NOISE_MIN_SWEEPS = 4
 
 __all__ = [

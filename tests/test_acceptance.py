@@ -27,7 +27,7 @@ from rbmkit.dbn import (FeedforwardNet, classify_free_energy, cross_entropy,
 from rbmkit.model import free_energy
 from rbmkit.oracle import (enumerate_states, exact_gradient,
                            finite_diff_loglik_grad, free_energy_entropy_form,
-                           state_index, visible_marginal)
+                           joint_table, state_index, visible_marginal)
 from rbmkit.samplers import (cd_k, fepcd_step, gibbs_chain, make_pool,
                              pcd_step, select_elite)
 from rbmkit.trainer import STREAM_INIT
@@ -102,21 +102,42 @@ def test_criterion_2_gibbs_stationarity(ref_model):
 
 
 def test_criterion_3_cd_bias_trend(ref_model):
+    # The bias is the oracle's: CD-k's expected negative statistics from
+    # the data distribution pushed k steps through the exact Gibbs kernel,
+    # against the model's. It is about 1e-6 at k=5 and below 1e-15 at k=20,
+    # far below what a batch can resolve, so the sampled gaps of k=5 and
+    # k=20 are both sampling noise; cd_k's draws are instead held to their
+    # own k's exact expectation, within 5 standard errors per statistic.
     with criterion(3, "CD-k bias gap shrinks monotonically over k in {1,5,20}"):
-        states = enumerate_states(2)
-        _, exact_neg = exact_gradient(ref_model, states)
-        batch = np.tile(states, (10_000, 1))
+        V = H = enumerate_states(2)
+        joint = joint_table(ref_model)
+        h_given_v = joint / joint.sum(axis=1, keepdims=True)
+        kernel = h_given_v @ (joint / joint.sum(axis=0, keepdims=True)).T
+        q = h_given_v @ H
+        # per-row statistics (v h^T, v, h) with h at its expectation given v
+        row_stats = np.hstack([(V[:, :, None] * q[:, None, :]).reshape(4, -1),
+                               V, q])
+        _, exact_neg = exact_gradient(ref_model, V)
+        model = np.concatenate([exact_neg.vh.ravel(), exact_neg.v, exact_neg.h])
+        np.testing.assert_allclose(visible_marginal(ref_model) @ row_stats,
+                                   model, rtol=0, atol=1e-12)
+        tiles = 50_000
+        batch = np.tile(V, (tiles, 1))
 
-        def gap(k):
+        def gaps(k):
+            dist = np.full(4, 0.25) @ np.linalg.matrix_power(kernel, k)
+            mean = dist @ row_stats
+            se = np.sqrt((dist @ row_stats ** 2 - mean ** 2) / (4 * tiles))
             _, neg = cd_k(ref_model, batch, k, RngStream(38, 50 + k))
-            return max(float(np.max(np.abs(neg.vh - exact_neg.vh))),
-                       float(np.max(np.abs(neg.v - exact_neg.v))),
-                       float(np.max(np.abs(neg.h - exact_neg.h))))
+            drawn = np.concatenate([neg.vh.ravel(), neg.v, neg.h])
+            return (float(np.max(np.abs(mean - model))),
+                    float(np.max(np.abs(drawn - mean) / se)))
 
-        gaps = [gap(k) for k in (1, 5, 20)]
-        print(f"  [criterion 3] gaps k=1:{gaps[0]:.5f} k=5:{gaps[1]:.5f} "
-              f"k=20:{gaps[2]:.5f}")
-        assert gaps[0] > gaps[1] > gaps[2]
+        (b1, z1), (b5, z5), (b20, z20) = (gaps(k) for k in (1, 5, 20))
+        print(f"  [criterion 3] exact bias k=1:{b1:.2e} k=5:{b5:.2e} "
+              f"k=20:{b20:.2e}; cd_k within {max(z1, z5, z20):.2f} se")
+        assert b1 > b5 > b20
+        assert max(z1, z5, z20) <= 5.0
 
 
 def test_criterion_4_fepcd_selection_law(ref_model):

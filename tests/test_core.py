@@ -195,10 +195,27 @@ class TestRngStream:
         b = RngStream(12345, 7).uniforms(1000)
         assert np.array_equal(a, b)
 
-    def test_distinct_streams_differ(self):
-        a = RngStream(12345, 0).uniforms(100)
-        b = RngStream(12345, 1).uniforms(100)
+    @pytest.mark.parametrize("key_a, key_b", [
+        ((12345, 0), (12345, 1)),
+        # both split into the 32-bit words [0, 1, 5], so a key joined into
+        # one SeedSequence([seed, stream_id]) list would give them one stream
+        ((2**32, 5), (0, 1 + 5 * 2**32)),
+    ])
+    def test_distinct_streams_differ(self, key_a, key_b):
+        a = RngStream(*key_a).uniforms(100)
+        b = RngStream(*key_b).uniforms(100)
         assert not np.array_equal(a, b)
+
+    def test_draws_in_pieces_equal_one_draw(self):
+        # a chain pool draws its uniforms blocks ahead into its own buffer
+        # and relies on the doubles not depending on the call widths
+        whole = RngStream(31, 4).uniforms(1000)
+        rng = RngStream(31, 4)
+        pieces = np.concatenate([rng.uniforms(7), rng.uniforms(993)])
+        np.testing.assert_array_equal(pieces, whole)
+        out = np.full((4, 250), np.nan)
+        assert RngStream(31, 4).uniforms((4, 250), out=out) is out
+        np.testing.assert_array_equal(out.ravel(), whole)
 
     def test_cross_correlation_below_threshold(self):
         n = 100_000

@@ -17,8 +17,10 @@ table or drops its max term, on a softmax normalized over the wrong axis
 or shifted by the whole array's max, on a visible free-energy term with
 the Gaussian half dropped or the binary sign flipped, on a visible draw
 whose binary threshold is inverted, whose Gaussian mean gets no noise or
-whose Gaussian noise is uniform, and on exact negative statistics whose
-P(h) drops the b.h term or is not normalized.
+whose Gaussian noise is uniform, on exact negative statistics whose
+P(h) drops the b.h term or is not normalized, and on random streams
+keyed without their stream_id or by seed and stream_id joined into one
+SeedSequence entropy list (where distinct keys can share a stream).
 
 Usage, from the repository root:
 
@@ -249,6 +251,14 @@ MUTANTS = {
         "core.py",
         "x -= np.max(x, axis=axis, keepdims=True)",
         "x -= np.max(x)"),
+    "stream-key-concatenated": (
+        "core.py",
+        "self.seed, spawn_key=(self.stream_id,))))",
+        "[self.seed, self.stream_id])))"),
+    "stream-id-ignored": (
+        "core.py",
+        "self.seed, spawn_key=(self.stream_id,))))",
+        "self.seed)))"),
     "oracle-log-z-over-visible-states": (
         "oracle.py",
         "return log_sum_exp(_hidden_log_weights(x, a)[1], axis=1)",
