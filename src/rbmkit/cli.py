@@ -74,9 +74,10 @@ def _config_echo(args, keys) -> str:
 
 
 def _hidden_sizes(text: str) -> list:
-    """--hidden's comma-separated layer sizes, each an integer >= 1."""
+    """--hidden's comma-separated layer sizes, each an integer >= 1; an
+    empty item (8,,4 or 8,) is refused."""
     try:
-        sizes = [int(part) for part in str(text).split(",") if part != ""]
+        sizes = [int(part) for part in str(text).split(",")]
     except ValueError:
         sizes = []
     if not sizes or min(sizes) < 1:
@@ -160,11 +161,12 @@ def _hyperparams(args) -> Hyperparams:
 
 
 def _estimators(args) -> list:
-    """--estimator's comma-separated names, each one of ESTIMATORS."""
-    estimators = [part.strip() for part in str(args.estimator).split(",")
-                  if part.strip()]
-    if not estimators:
-        raise ValueError("--estimator names no estimator")
+    """--estimator's comma-separated names, each one of ESTIMATORS; an
+    empty item (cd,,pcd or cd,) is refused."""
+    estimators = [part.strip() for part in str(args.estimator).split(",")]
+    if not all(estimators):
+        raise ValueError(f"--estimator takes comma-separated names, got "
+                         f"{args.estimator!r}")
     for est in estimators:
         if est not in ESTIMATORS:
             raise ValueError(f"unknown estimator {est!r}")

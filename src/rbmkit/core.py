@@ -129,7 +129,12 @@ def log1p_exp(x):
 def log_sum_exp(x, axis):
     """log sum exp(x) over axis, shifted by the max along it. Consumes x:
     the shifted exponentials are computed in x's own buffer, so x must be
-    a fresh float64 array that nothing else reads."""
+    a fresh float64 array that nothing else reads.
+
+    On return x holds exp(x - max) of each line along axis, bit for bit:
+    every line's largest entry is exactly 1, so no line sums to 0, and a
+    caller may read those weights (normalized by their own line sum)
+    instead of exponentiating again."""
     m = np.max(x, axis=axis, keepdims=True)
     x -= m
     np.exp(x, out=x)

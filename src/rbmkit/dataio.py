@@ -47,6 +47,19 @@ class NormStats:
     col_max: np.ndarray
 
 
+def _integer_labels(labels) -> np.ndarray:
+    """labels as int64; booleans, and values that are not whole numbers,
+    raise ValueError rather than being truncated."""
+    raw = np.asarray(labels)
+    if raw.dtype == bool:
+        raise ValueError("labels must be whole numbers, got booleans")
+    if raw.dtype.kind == "f":
+        bad = raw[~(np.isfinite(raw) & (raw == np.round(raw)))]
+        if bad.size:
+            raise ValueError(f"labels must be whole numbers, got {bad[0]}")
+    return raw.astype(np.int64)
+
+
 @dataclass
 class Dataset:
     """Row-major sample matrix with optional integer labels.
@@ -66,7 +79,7 @@ class Dataset:
         if not np.all(np.isfinite(self.features)):
             raise ValueError("non-finite feature values")
         if self.labels is not None:
-            self.labels = np.asarray(self.labels, dtype=np.int64)
+            self.labels = _integer_labels(self.labels)
             if self.labels.shape != (self.features.shape[0],):
                 raise ValueError("labels must align with feature rows")
         if self.n_classes is not None:

@@ -19,7 +19,8 @@ from .core import RngStream, log1p_exp, log_sum_exp, sigmoid, softmax
 from .errors import TrainingDivergedError
 from .model import (BINARY, Hyperparams, RbmParams, hidden_probs, init_params,
                     momentum_step, visible_term)
-from .trainer import STREAM_INIT, STREAM_SHUFFLE, train_rbm
+from .trainer import (STREAM_FINE_TUNE, STREAM_INIT, STREAM_OUTPUT_INIT,
+                      features_of, train_rbm)
 
 __all__ = [
     "DbnModel", "FeedforwardNet",
@@ -147,7 +148,7 @@ def pretrain_stack(sizes, data, hp: Hyperparams, estimators, seed: int,
     carry labels, and the top layer is the label-augmented RBM that
     train_discriminative_rbm trains on the rows coming up the stack.
     """
-    feats = np.atleast_2d(np.asarray(getattr(data, "features", data), dtype=np.float64))
+    feats = features_of(data)
     n_rbms = len(sizes) - 1
     if n_rbms < 1:
         raise ValueError("need at least one (visible, hidden) pair")
@@ -185,9 +186,8 @@ def train_discriminative_rbm(data, n_hidden: int, hp: Hyperparams,
     integer labels.
     """
     block = _label_block(data)
-    feats = np.atleast_2d(np.asarray(data.features, dtype=np.float64))
-    return _train_layer(feats, n_hidden, hp, estimator, seed, visible_kind,
-                        block, epoch_callback)
+    return _train_layer(features_of(data), n_hidden, hp, estimator, seed,
+                        visible_kind, block, epoch_callback)
 
 
 def _label_free_energies(p: RbmParams, v: np.ndarray) -> np.ndarray:
@@ -255,12 +255,13 @@ class FeedforwardNet:
 
 def unroll_to_network(dbn: DbnModel, n_classes: int, seed: int) -> FeedforwardNet:
     """Copy the stack's weights into a feedforward net and append a fresh
-    small-random output layer of n_classes units.
+    small-random output layer of n_classes units, drawn from stream
+    STREAM_OUTPUT_INIT of seed (no layer's init stream).
 
     Visible biases are discarded; on a label-augmented top layer only the
     feature rows of W survive (the generative label weights are dropped).
     """
-    rng = RngStream(seed, STREAM_INIT)
+    rng = RngStream(seed, STREAM_OUTPUT_INIT)
     weights, biases = [], []
     for layer in dbn.layers:
         d = layer.n_visible - layer.label_units
@@ -326,20 +327,21 @@ def fine_tune(net: FeedforwardNet, data, hp: Hyperparams, seed: int):
     (decayed) and bias vector (undecayed), and the velocities are added in
     place into a private copy of net, so the input net is never written.
     Epoch losses are the mean training cross-entropy measured after each
-    epoch.
+    epoch. Each epoch's order comes from stream STREAM_FINE_TUNE of seed,
+    not from the pretraining shuffle's.
     """
     labels = getattr(data, "labels", None)
     if labels is None:
         raise ValueError("fine-tuning requires labels")
     hp.validate()
-    feats = np.atleast_2d(np.asarray(data.features, dtype=np.float64))
+    feats = features_of(data)
     labels = np.asarray(labels, dtype=np.int64)
     m = feats.shape[0]
 
     net = net.copy()
     vel_w = [np.zeros_like(w) for w in net.weights]
     vel_b = [np.zeros_like(b) for b in net.biases]
-    shuffle_rng = RngStream(seed, STREAM_SHUFFLE)
+    shuffle_rng = RngStream(seed, STREAM_FINE_TUNE)
     losses = []
     for epoch in range(1, hp.epochs + 1):
         order = shuffle_rng.permutation(m)

@@ -23,10 +23,11 @@ run_oracle_checks bundles these into the identity suite behind the
 oracle-check command. Each trial calls the functions under test
 (visible_marginal, free_energy, free_energy_entropy_form, hidden_probs,
 exact_gradient) through this module's bindings, one model at a time. The
-witnesses they are checked against (brute -F and the conditionals from
-the joint -E table, the finite-difference gradient) are built afterwards
-for a group of trials at once, as stacked models, as many trials a group
-as FD_BLOCK_BYTES of joint tables holds.
+witnesses they are checked against are built afterwards for a group of
+trials at once, as stacked models, as many trials a group as
+FD_BLOCK_BYTES of joint tables holds: one joint -E table per group, which
+log_sum_exp reduces to brute -F while leaving each row's exp(-E - max_h)
+for the conditionals to read, and the finite-difference gradient.
 
 All sums run in log space (log-sum-exp). Each call builds the state grids
 it needs with enumerate_states, which returns a fresh array, and keeps
@@ -188,20 +189,14 @@ def visible_marginal(p: RbmParams) -> np.ndarray:
     return np.exp(log_pv - partition_function(p))
 
 
-def _joint_tables(w, a, b) -> np.ndarray:
-    """P(v, h) of K stacked models over the full joint grid, shape
-    (K, 2^n_v, 2^n_h), each normalized by its model's log Z."""
-    n_v, n_h = w.shape[1:]
-    joint = _neg_energy_tables(w, a, b, enumerate_states(n_v),
-                               enumerate_states(n_h))
-    joint -= _log_partitions(w, a, b)[:, None, None]
-    return np.exp(joint, out=joint)
-
-
 def joint_table(p: RbmParams) -> np.ndarray:
-    """P(v, h) over the full joint grid, visible rows x hidden columns."""
+    """P(v, h) over the full joint grid, visible rows x hidden columns:
+    exp(-E(v, h) - log Z), normalized by partition_function."""
     _check_enumerable(p)
-    return _joint_tables(*_stack(p))[0]
+    joint = _neg_energy_tables(*_stack(p), enumerate_states(p.n_visible),
+                               enumerate_states(p.n_hidden))[0]
+    joint -= partition_function(p)
+    return np.exp(joint, out=joint)
 
 
 def _binary_rows(p: RbmParams, data) -> np.ndarray:
@@ -417,9 +412,9 @@ def run_oracle_checks(n_visible: int = 3, n_hidden: int = 3, trials: int = 25,
 
     Each trial calls the functions under test through this module's
     bindings, so a fault patched into one of them (as the tests do) shows
-    as that identity's failure. The witnesses are built for a group of
-    trials at a time as stacked models, each slice bit-identical to
-    building it for the trial alone.
+    as that identity's failure, a NaN gap included. The witnesses are
+    built for a group of trials at a time as stacked models, each slice
+    bit-identical to building it for the trial alone.
     """
     if n_visible < 1:
         raise ValueError(f"n_visible (--visible) must be >= 1, got {n_visible}")
@@ -439,7 +434,8 @@ def run_oracle_checks(n_visible: int = 3, n_hidden: int = 3, trials: int = 25,
     stationarity = []
 
     def note(name, gaps):
-        worst[name] = max(worst[name], float(np.max(gaps)))
+        # np.maximum keeps a NaN gap, which then fails the identity
+        worst[name] = float(np.maximum(worst[name], np.max(gaps)))
 
     # Trials a group: as many joint tables as FD_BLOCK_BYTES holds, and at
     # least one (4x14, say, whose table is 2 MiB)
@@ -476,14 +472,15 @@ def run_oracle_checks(n_visible: int = 3, n_hidden: int = 3, trials: int = 25,
         a = np.stack([p.a for p in models])
         b = np.stack([p.b for p in models])
         H = enumerate_states(n_hidden)
-        brute_f = -log_sum_exp(_neg_energy_tables(w, a, b, V, H), axis=2)
+        table = _neg_energy_tables(w, a, b, V, H)
+        brute_f = -log_sum_exp(table, axis=2)
         note("free_energy_marginalization", np.abs(np.stack(closed_f) - brute_f))
 
-        # P(h_j = 1 | v) by direct enumeration of each joint row
-        joint = _joint_tables(w, a, b)
-        cond = (joint @ H) / joint.sum(axis=2, keepdims=True)
+        # P(h_j = 1 | v) by direct enumeration of each joint row, from the
+        # exp(-E - max_h) that log_sum_exp leaves in the table
+        cond = (table @ H) / table.sum(axis=2, keepdims=True)
         note("conditional_consistency", np.abs(cond - np.stack(probs)))
-        del joint, H
+        del table, H
 
         fd = _finite_diff_grads(w, a, b, np.stack(rows))
         note("gradient_finite_difference", np.abs(np.stack(grads) - fd))

@@ -5,10 +5,11 @@ run's seed, so a run is a pure function of (init, data, hyperparams,
 estimator, seed) and is reproducible bit-for-bit. Wall-clock seconds are
 the single exception and are excluded from reproducibility comparisons.
 
-Stream layout under one seed:
+Stream layout under one seed, one consumer each:
     0 weight init | 1 epoch shuffling | 2 estimator data-side sampling
     3 metric probe rows and draws | 4 subset selection
-    5 ad-hoc sampling CLI | 100+c persistent chain c
+    5 ad-hoc sampling CLI | 6 unrolled net's output layer
+    7 fine-tuning shuffle | 100+c persistent chain c
     1000+t oracle-check trial t
 """
 
@@ -32,6 +33,8 @@ STREAM_DATA = 2
 STREAM_EVAL = 3
 STREAM_SUBSET = 4
 STREAM_SAMPLE = 5
+STREAM_OUTPUT_INIT = 6
+STREAM_FINE_TUNE = 7
 
 CD = "cd"
 PCD = "pcd"
@@ -50,8 +53,9 @@ EVAL_ROWS = 500
 __all__ = [
     "CD", "PCD", "FEPCD", "ESTIMATORS",
     "STREAM_INIT", "STREAM_SHUFFLE", "STREAM_DATA", "STREAM_EVAL",
-    "STREAM_SUBSET", "STREAM_SAMPLE", "EVAL_ROWS",
-    "METRICS_FIELDS", "EpochMetrics", "reconstruction_error", "train_rbm",
+    "STREAM_SUBSET", "STREAM_SAMPLE", "STREAM_OUTPUT_INIT", "STREAM_FINE_TUNE",
+    "EVAL_ROWS", "METRICS_FIELDS", "EpochMetrics", "features_of",
+    "reconstruction_error", "train_rbm",
 ]
 
 
@@ -65,7 +69,9 @@ class EpochMetrics:
     seed: int
 
 
-def _features_of(data) -> np.ndarray:
+def features_of(data) -> np.ndarray:
+    """data's feature rows (a Dataset's features, or data itself) as a 2-D
+    float64 array; a dataset with no rows raises ValueError."""
     feats = getattr(data, "features", data)
     feats = np.atleast_2d(np.asarray(feats, dtype=np.float64))
     if feats.shape[0] == 0:
@@ -115,7 +121,7 @@ def train_rbm(init: RbmParams, data, hp: Hyperparams, estimator: str, seed: int,
     hp.validate()
     if estimator not in ESTIMATORS:
         raise ValueError(f"unknown estimator {estimator!r}")
-    feats = _features_of(data)
+    feats = features_of(data)
     m = feats.shape[0]
     n_chains = hp.batch_size if hp.n_chains is None else hp.n_chains
 

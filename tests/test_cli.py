@@ -187,7 +187,9 @@ class TestTrainRbmCommand:
 
     @pytest.mark.parametrize("option, value", [
         ("--subset", "-5"), ("--hidden", "0"),
-        ("--hidden", "8,-3"), ("--hidden", "8,x"), ("--lr", "nan")])
+        ("--hidden", "8,-3"), ("--hidden", "8,x"), ("--lr", "nan"),
+        # an empty item is refused, not dropped to train [8, 4] or [8]
+        ("--hidden", "8,,4"), ("--hidden", "8,"), ("--hidden", ",")])
     def test_bad_size_exits_2_naming_the_option(self, idx_pair, tmp_path,
                                                 capsys, option, value):
         out = str(tmp_path / "run")
@@ -195,6 +197,18 @@ class TestTrainRbmCommand:
         assert code == 2
         err = capsys.readouterr().err
         assert err.startswith("error:") and option in err
+        assert len(err.splitlines()) == 1
+        assert not os.path.exists(f"{out}.model.json")
+
+    # an empty item is refused, not dropped to train [cd, pcd] or [cd]
+    @pytest.mark.parametrize("value", ["cd,,pcd", "cd,", "", " , "])
+    def test_empty_estimator_name_exits_2_naming_the_option(self, idx_pair, tmp_path,
+                                                            capsys, value):
+        out = str(tmp_path / "run")
+        assert main(train_args(idx_pair, out, ["--estimator", value])) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: --estimator ")
+        assert len(err.splitlines()) == 1
         assert not os.path.exists(f"{out}.model.json")
 
 

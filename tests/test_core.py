@@ -168,6 +168,20 @@ class TestLogsumexp:
         # the shifted exponentials are left in the table's own buffer
         np.testing.assert_array_equal(table, np.exp(x - m))
 
+    def test_leaves_lines_whose_largest_weight_is_one(self):
+        # lines about 1600 apart along the last axis of a stack, as the
+        # oracle's joint -E tables: a plain exp would give lines of only
+        # inf or only 0, whose weights over their own sum are NaN
+        x = RngStream(47, 0).normals((2, 3, 5)) + np.array(
+            [[[800.0], [-800.0], [0.0]], [[-800.0], [3.0], [800.0]]])
+        table = x.copy()
+        log_sum_exp(table, axis=2)
+        np.testing.assert_array_equal(table, np.exp(x - x.max(axis=2, keepdims=True)))
+        np.testing.assert_array_equal(table.max(axis=2), 1.0)
+        weights = table / table.sum(axis=2, keepdims=True)
+        assert np.isfinite(weights).all()
+        np.testing.assert_allclose(weights.sum(axis=2), 1.0, rtol=1e-15)
+
 
 class TestSoftmax:
     @pytest.mark.parametrize("axis", [0, -1])

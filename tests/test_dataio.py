@@ -184,6 +184,20 @@ class TestDatasetClassCount:
         assert minmax_normalize(ds, ds.normalization).n_classes == 5
 
 
+class TestDatasetLabels:
+    @pytest.mark.parametrize("labels", [[0.5, 1.7], [1.0, np.nan], [0.0, np.inf],
+                                        [True, False], np.array([1, 0], bool)])
+    def test_labels_that_are_not_whole_numbers_rejected(self, labels):
+        # refused rather than truncated ([0.5, 1.7] would become [0, 1])
+        with pytest.raises(ValueError, match="^labels must be whole numbers"):
+            Dataset(np.zeros((2, 3)), labels)
+
+    def test_whole_float_labels_kept(self):
+        labels = Dataset(np.zeros((3, 1)), [2.0, 0.0, -0.0]).labels
+        assert labels.dtype == np.int64
+        np.testing.assert_array_equal(labels, [2, 0, 0])
+
+
 class TestMinmaxNormalize:
     def test_byte_range_maps_to_unit_interval(self):
         ds = minmax_normalize(Dataset(np.array([[0.0], [255.0]])))

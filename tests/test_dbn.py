@@ -5,12 +5,13 @@ from rbmkit import (BINARY, GAUSSIAN, Dataset, Hyperparams, RbmParams,
                     RngStream,
                     TrainingDivergedError, free_energy, init_params, one_hot,
                     sigmoid, train_rbm)
-from rbmkit.dbn import (DbnModel, FeedforwardNet, classify_free_energy,
-                        classify_net, cross_entropy, fine_tune, net_forward,
-                        net_gradients, pretrain_stack, propagate_up,
-                        train_discriminative_rbm, unroll_to_network)
+from rbmkit.dbn import (OUTPUT_WEIGHT_SCALE, DbnModel, FeedforwardNet,
+                        classify_free_energy, classify_net, cross_entropy,
+                        fine_tune, net_forward, net_gradients, pretrain_stack,
+                        propagate_up, train_discriminative_rbm,
+                        unroll_to_network)
 from rbmkit.oracle import state_index, visible_marginal
-from rbmkit.trainer import STREAM_INIT, STREAM_SHUFFLE
+from rbmkit.trainer import STREAM_FINE_TUNE, STREAM_INIT, STREAM_OUTPUT_INIT
 
 from synthdata import digit_dataset
 
@@ -318,6 +319,58 @@ class TestUnroll:
         net = unroll_to_network(dbn, n_classes=2, seed=2)
         np.testing.assert_array_equal(net.weights[1], top.w[:3])
 
+    def test_output_layer_draws_from_its_own_stream(self):
+        net = unroll_to_network(self.build_stack(), n_classes=3, seed=7)
+        want = OUTPUT_WEIGHT_SCALE * RngStream(7, STREAM_OUTPUT_INIT).normals((2, 3))
+        np.testing.assert_array_equal(net.weights[-1], want)
+        rerun = unroll_to_network(self.build_stack(), n_classes=3, seed=7)
+        np.testing.assert_array_equal(rerun.weights[-1], want)
+
+
+def streams_drawn(monkeypatch, method, fn, *args):
+    """(seed, stream_id) of every stream whose RngStream method fn(*args)
+    calls."""
+    drawn = set()
+    real = getattr(RngStream, method)
+
+    def recording(stream, *a, **kw):
+        drawn.add((stream.seed, stream.stream_id))
+        return real(stream, *a, **kw)
+
+    with monkeypatch.context() as m:
+        m.setattr(RngStream, method, recording)
+        fn(*args)
+    return drawn
+
+
+class TestStreamOwnership:
+    """Under one seed, unrolling and fine-tuning draw from streams that no
+    pretraining step reads."""
+
+    def test_output_layer_is_not_drawn_from_an_init_stream(self, monkeypatch):
+        # on one stream the output weights would be layer 0's first
+        # initial weights, entry for entry
+        data = (RngStream(7, 9).uniforms((6, 4)) < 0.5).astype(float)
+        hp = Hyperparams(epochs=0)
+        stack, _ = pretrain_stack([4, 3], data, hp, "cd", seed=7)
+        pretrained = streams_drawn(monkeypatch, "normals", pretrain_stack,
+                                   [4, 3], data, hp, "cd", 7)
+        unrolled = streams_drawn(monkeypatch, "normals", unroll_to_network,
+                                 stack, 2, 7)
+        assert pretrained == {(7, STREAM_INIT)}
+        assert unrolled == {(7, STREAM_OUTPUT_INIT)}
+
+    def test_fine_tune_does_not_shuffle_as_pretraining(self, monkeypatch):
+        data = Dataset(TOY_FEATURES, TOY_LABELS)
+        hp = Hyperparams(epochs=2, batch_size=4)
+        stack, _ = pretrain_stack([4, 3], data, hp, "cd", seed=7)
+        net = unroll_to_network(stack, n_classes=2, seed=7)
+        pretrained = streams_drawn(monkeypatch, "permutation", pretrain_stack,
+                                   [4, 3], data, hp, "cd", 7)
+        tuned = streams_drawn(monkeypatch, "permutation", fine_tune, net, data, hp, 7)
+        assert tuned == {(7, STREAM_FINE_TUNE)}
+        assert not tuned & pretrained
+
 
 class TestBackprop:
     def test_gradients_match_finite_differences(self):
@@ -400,6 +453,13 @@ class TestBackprop:
         with pytest.raises(ValueError):
             fine_tune(net, Dataset(np.zeros((3, 4))), Hyperparams(), seed=0)
 
+    def test_empty_dataset_rejected(self):
+        # refused rather than reporting the loss of no rows as nan
+        net = unroll_to_network(TestUnroll().build_stack(), 2, seed=5)
+        with pytest.raises(ValueError, match="empty dataset"):
+            fine_tune(net, Dataset(np.zeros((0, 4)), np.zeros(0, np.int64)),
+                      Hyperparams(), seed=0)
+
     @pytest.mark.parametrize("momentum", [0.0, 0.9])
     @pytest.mark.parametrize("decay", [0.0, 0.01])
     def test_bit_identical_to_reference_loop(self, momentum, decay):
@@ -439,7 +499,7 @@ def reference_fine_tune(net, data, hp, seed):
     net = net.copy()
     vel_w = [np.zeros_like(w) for w in net.weights]
     vel_b = [np.zeros_like(b) for b in net.biases]
-    shuffle_rng = RngStream(seed, STREAM_SHUFFLE)
+    shuffle_rng = RngStream(seed, STREAM_FINE_TUNE)
     m = data.n_samples
     for _ in range(hp.epochs):
         order = shuffle_rng.permutation(m)

@@ -457,6 +457,32 @@ class TestRunOracleChecks:
         verdicts = {r.name: r.ok for r in run_oracle_checks(trials=3, seed=4)}
         assert not verdicts[identity]
 
+    @pytest.mark.parametrize("binding", ["free_energy", "hidden_probs"])
+    def test_a_nan_gap_fails_its_identity(self, monkeypatch, binding):
+        # max(worst, nan) would keep worst and pass every identity
+        real = getattr(oracle, binding)
+        monkeypatch.setattr(oracle, binding,
+                            lambda p, v, *rest: np.full_like(real(p, v, *rest), np.nan))
+        results = run_oracle_checks(3, 3, 5, 0)
+        failed = [r for r in results if not r.ok]
+        assert failed
+        assert all(r.detail.startswith("worst nan ") for r in failed)
+
+    def test_conditional_witness_has_no_nan_on_a_sharp_model(self, monkeypatch):
+        # weights and biases x400: a joint row's exp(-E - log Z) underflows
+        # to all zeros, whose conditional is 0/0; each row shifted by its
+        # own max keeps its largest weight at 1
+        random_model = oracle._random_model
+
+        def sharp_model(n_visible, n_hidden, rng):
+            p = random_model(n_visible, n_hidden, rng)
+            return RbmParams(400.0 * p.w, 400.0 * p.a, 400.0 * p.b)
+
+        monkeypatch.setattr(oracle, "_random_model", sharp_model)
+        results = {r.name: r for r in run_oracle_checks(3, 3, 5, 0)}
+        assert results["conditional_consistency"].ok
+        assert "nan" not in results["conditional_consistency"].detail
+
 
 def loop_stationarity(n_visible, n_hidden, trials, seed):
     """(visited states, TV) of each of run_oracle_checks' first three
@@ -564,8 +590,10 @@ def loop_suite(n_visible, n_hidden, trials, seed):
         note("free_energy_marginalization", np.abs(free_energy(p, V) - brute_f))
         note("free_energy_two_forms",
              np.abs(oracle.free_energy_entropy_form(p, V) - free_energy(p, V)))
-        joint = joint_table(p)
-        cond = (joint @ H) / joint.sum(axis=1, keepdims=True)
+        # each joint row's exp(-E) shifted by the row's own max
+        table = oracle._neg_energy_tables(p.w[None], p.a[None], p.b[None], V, H)[0]
+        weights = np.exp(table - table.max(axis=1, keepdims=True))
+        cond = (weights @ H) / weights.sum(axis=1, keepdims=True)
         note("conditional_consistency", np.abs(cond - hidden_probs(p, V)))
         data = (rng.uniforms((6, n_visible)) < 0.5).astype(float)
         pos, neg = exact_gradient(p, data)
@@ -583,15 +611,15 @@ def loop_suite(n_visible, n_hidden, trials, seed):
 
 def stacked_suite(monkeypatch, n_visible, n_hidden, trials, seed):
     """(run_oracle_checks' result lines, the number of trials in each
-    group whose joint tables it built)."""
+    group whose joint -E tables it built, one build per group)."""
     groups = []
-    joint_tables = oracle._joint_tables
+    neg_energy_tables = oracle._neg_energy_tables
 
-    def recording_joint_tables(w, a, b):
+    def recording_tables(w, a, b, rows, H):
         groups.append(len(w))
-        return joint_tables(w, a, b)
+        return neg_energy_tables(w, a, b, rows, H)
 
-    monkeypatch.setattr(oracle, "_joint_tables", recording_joint_tables)
+    monkeypatch.setattr(oracle, "_neg_energy_tables", recording_tables)
     results = run_oracle_checks(n_visible, n_hidden, trials, seed)
     return [repr(r) for r in results], groups
 
@@ -627,9 +655,10 @@ class TestStackedWitnesses:
         assert peak <= 4 * 2 ** 20, f"traced peak {peak / 2 ** 20:.2f} MiB"
 
     def test_traced_peak_of_a_one_trial_group_is_about_one_table(self):
-        # 12x8: an 8 MiB joint table, one trial a group. Brute -F reduces
-        # its table in place, and the joint table is built after it: about
-        # 10 MiB. A shifted copy beside either table traced 17.5 MiB.
+        # 12x8: an 8 MiB joint -E table, one trial a group. Brute -F
+        # reduces it in place and the conditionals read what that leaves,
+        # so no second table is built: about 10 MiB. A shifted copy
+        # beside the table traced 17.5 MiB.
         peak = traced_peak(run_oracle_checks, 12, 8, 1)
         assert peak <= 12 * 2 ** 20, f"traced peak {peak / 2 ** 20:.2f} MiB"
 

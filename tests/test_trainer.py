@@ -9,6 +9,7 @@ from rbmkit import (BINARY, GAUSSIAN, GradientStats, Hyperparams, RbmParams,
                     reconstruction_error, train_rbm, visible_probs)
 from rbmkit import trainer
 from rbmkit.oracle import mean_log_likelihood
+from rbmkit.samplers import CHAIN_STREAM_BASE
 from rbmkit.trainer import (ESTIMATORS, FEPCD, PCD, STREAM_DATA, STREAM_EVAL,
                             STREAM_INIT, STREAM_SHUFFLE)
 
@@ -154,7 +155,7 @@ class TestTrainRbm:
                                              ("batch_size", True), ("k", 2.0)])
     def test_non_integer_count_rejected_before_any_work(self, monkeypatch,
                                                         ref_model, name, value):
-        monkeypatch.setattr(trainer, "_features_of", None)
+        monkeypatch.setattr(trainer, "features_of", None)
         hp = Hyperparams(**{name: value})
         with pytest.raises(ValueError, match=f"^{name} must be an integer"):
             train_rbm(ref_model, TWO_PATTERN_DATA, hp, "pcd", seed=0)
@@ -327,3 +328,11 @@ class TestEpochMetrics:
         train_rbm(init, feats, Hyperparams(batch_size=20, epochs=4), "cd", seed=1)
         assert calls == [500] * 4
 
+
+def test_every_stream_in_the_table_has_its_own_id():
+    # unroll_to_network's output layer and fine_tune's shuffle among them
+    ids = {name: getattr(trainer, name) for name in trainer.__all__
+           if name.startswith("STREAM_")}
+    assert {"STREAM_OUTPUT_INIT", "STREAM_FINE_TUNE"} <= set(ids)
+    assert len(set(ids.values())) == len(ids)
+    assert max(ids.values()) < CHAIN_STREAM_BASE

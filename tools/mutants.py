@@ -12,7 +12,9 @@ count of visited states and its one chain pool over the union of the
 stationarity trials' models (the trials' start states joined in the
 wrong order among them), on a stacked witness (finite difference, joint
 table or brute -F) that reads the first trial's rows or model for every
-trial in its group, on a log-sum-exp that holds a second copy of its
+trial in its group, on conditionals read from the joint -E table before
+log_sum_exp leaves its shifted exponentials there, on a worst gap that
+drops a NaN, on a log-sum-exp that holds a second copy of its
 table or drops its max term, on a softmax normalized over the wrong axis
 or shifted by the whole array's max, on a visible free-energy term with
 the Gaussian half dropped or the binary sign flipped, on a visible draw
@@ -201,24 +203,33 @@ MUTANTS = {
         "np.abs(f - f)"),
     "oracle-conditional-from-hidden-probs": (
         "oracle.py",
-        "cond = (joint @ H) / joint.sum(axis=2, keepdims=True)",
+        "cond = (table @ H) / table.sum(axis=2, keepdims=True)",
         "cond = np.stack(probs)"),
+    "oracle-conditional-from-table-before-log-sum-exp": (
+        "oracle.py",
+        "brute_f = -log_sum_exp(table, axis=2)",
+        "brute_f = -log_sum_exp(table.copy(), axis=2)"),
+    # the table is still reduced, so the conditionals read what they should
     "oracle-brute-free-energy-from-closed-form": (
         "oracle.py",
-        "brute_f = -log_sum_exp(_neg_energy_tables(w, a, b, V, H), axis=2)",
-        "brute_f = np.stack(closed_f)"),
+        "brute_f = -log_sum_exp(table, axis=2)",
+        "brute_f = np.stack(closed_f) + 0.0 * log_sum_exp(table, axis=2)"),
     "oracle-fd-every-trial-reads-first-trial-rows": (
         "oracle.py",
         "data[owner[m]]",
         "data[0 * owner[m]]"),
     "oracle-conditional-every-trial-from-first-joint-table": (
         "oracle.py",
-        "cond = (joint @ H) / joint.sum(axis=2, keepdims=True)",
-        "cond = (joint[0] @ H) / joint[0].sum(axis=1, keepdims=True)"),
+        "cond = (table @ H) / table.sum(axis=2, keepdims=True)",
+        "cond = (table[0] @ H) / table[0].sum(axis=1, keepdims=True)"),
     "oracle-brute-free-energy-every-trial-from-first": (
         "oracle.py",
-        "brute_f = -log_sum_exp(_neg_energy_tables(w, a, b, V, H), axis=2)",
-        "brute_f = -log_sum_exp(_neg_energy_tables(w, a, b, V, H), axis=2)[:1]"),
+        "brute_f = -log_sum_exp(table, axis=2)",
+        "brute_f = -log_sum_exp(table, axis=2)[:1]"),
+    "oracle-nan-gap-swallowed": (
+        "oracle.py",
+        "worst[name] = float(np.maximum(worst[name], np.max(gaps)))",
+        "worst[name] = max(worst[name], float(np.max(gaps)))"),
     "oracle-fd-last-model-skipped": (
         "oracle.py",
         "for s in range(0, len(params), block):",
