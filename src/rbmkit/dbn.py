@@ -19,8 +19,8 @@ from .core import RngStream, log1p_exp, log_sum_exp, sigmoid, softmax
 from .errors import TrainingDivergedError
 from .model import (BINARY, Hyperparams, RbmParams, hidden_probs, init_params,
                     momentum_step, visible_term)
-from .trainer import (STREAM_FINE_TUNE, STREAM_INIT, STREAM_OUTPUT_INIT,
-                      features_of, train_rbm)
+from .trainer import (STREAM_FINE_TUNE, STREAM_FINE_TUNE_EVAL, STREAM_INIT,
+                      STREAM_OUTPUT_INIT, features_of, probe_rows, train_rbm)
 
 __all__ = [
     "DbnModel", "FeedforwardNet",
@@ -66,10 +66,22 @@ class DbnModel:
         return self.layers[-1].label_units
 
 
+def _class_labels(labels, m: int, n_classes: int) -> np.ndarray:
+    """labels as int64: one whole number in [0, n_classes) for each of m
+    rows, or ValueError naming what is wrong."""
+    raw = np.asarray(labels)
+    if raw.shape != (m,):
+        raise ValueError(f"need one label per row, not {raw.shape} for {m} rows")
+    kind = raw.dtype.kind
+    if kind not in "iu" and (kind != "f" or np.any(raw != np.round(raw))):
+        raise ValueError("labels must be whole numbers")
+    if m and not (0 <= raw.min() and raw.max() < n_classes):
+        raise ValueError(f"labels outside [0, {n_classes})")
+    return raw.astype(np.int64, copy=False)
+
+
 def one_hot(labels, n_classes: int) -> np.ndarray:
-    labels = np.asarray(labels, dtype=np.int64)
-    if labels.size and (labels.min() < 0 or labels.max() >= n_classes):
-        raise ValueError("labels outside [0, n_classes)")
+    labels = _class_labels(labels, np.size(labels), n_classes)
     out = np.zeros((labels.size, n_classes))
     out[np.arange(labels.size), labels] = 1.0
     return out
@@ -291,8 +303,8 @@ def net_forward(net: FeedforwardNet, x: np.ndarray):
 
 def cross_entropy(net: FeedforwardNet, x: np.ndarray, labels) -> float:
     """Mean negative log score of the true class."""
-    labels = np.asarray(labels, dtype=np.int64)
     _, z = _forward_logits(net, x)
+    labels = _class_labels(labels, z.shape[0], net.n_classes)
     true_z = z[np.arange(labels.size), labels]
     return float(np.mean(log_sum_exp(z, axis=1) - true_z))
 
@@ -301,11 +313,10 @@ def net_gradients(net: FeedforwardNet, x: np.ndarray, labels):
     """Cross-entropy gradients for every weight and bias, by reverse
     accumulation through the logistic layers and normalized output."""
     x = np.atleast_2d(np.asarray(x, dtype=np.float64))
-    labels = np.asarray(labels, dtype=np.int64)
     m = x.shape[0]
+    labels = _class_labels(labels, m, net.n_classes)
     acts = net_forward(net, x)
-    scores = acts[-1]
-    delta = scores.copy()
+    delta = acts[-1]  # the softmax buffer, which nothing else reads
     delta[np.arange(m), labels] -= 1.0
     delta /= m
     grad_w = [None] * len(net.weights)
@@ -326,17 +337,20 @@ def fine_tune(net: FeedforwardNet, data, hp: Hyperparams, seed: int):
     training: each minibatch takes one momentum_step per weight matrix
     (decayed) and bias vector (undecayed), and the velocities are added in
     place into a private copy of net, so the input net is never written.
-    Epoch losses are the mean training cross-entropy measured after each
-    epoch. Each epoch's order comes from stream STREAM_FINE_TUNE of seed,
-    not from the pretraining shuffle's.
+    Labels are checked before the first epoch. Each epoch's order
+    comes from stream STREAM_FINE_TUNE of seed, not from the pretraining
+    shuffle's. Epoch losses are the mean cross-entropy after each epoch on
+    the probe_rows drawn once per call from stream STREAM_FINE_TUNE_EVAL,
+    which never moves the weights.
     """
     labels = getattr(data, "labels", None)
     if labels is None:
         raise ValueError("fine-tuning requires labels")
     hp.validate()
     feats = features_of(data)
-    labels = np.asarray(labels, dtype=np.int64)
     m = feats.shape[0]
+    labels = _class_labels(labels, m, net.n_classes)
+    probe = probe_rows(m, RngStream(seed, STREAM_FINE_TUNE_EVAL))
 
     net = net.copy()
     vel_w = [np.zeros_like(w) for w in net.weights]
@@ -357,7 +371,7 @@ def fine_tune(net: FeedforwardNet, data, hp: Hyperparams, seed: int):
                 raise TrainingDivergedError(
                     f"non-finite network parameters at epoch {epoch}, "
                     f"batch offset {start}")
-        losses.append(cross_entropy(net, feats, labels))
+        losses.append(cross_entropy(net, feats[probe], labels[probe]))
     return net, losses
 
 

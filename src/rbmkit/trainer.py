@@ -9,8 +9,8 @@ Stream layout under one seed, one consumer each:
     0 weight init | 1 epoch shuffling | 2 estimator data-side sampling
     3 metric probe rows and draws | 4 subset selection
     5 ad-hoc sampling CLI | 6 unrolled net's output layer
-    7 fine-tuning shuffle | 100+c persistent chain c
-    1000+t oracle-check trial t
+    7 fine-tuning shuffle | 8 fine-tuning loss probe rows
+    100+c persistent chain c | 1000+t oracle-check trial t
 """
 
 from __future__ import annotations
@@ -35,6 +35,7 @@ STREAM_SUBSET = 4
 STREAM_SAMPLE = 5
 STREAM_OUTPUT_INIT = 6
 STREAM_FINE_TUNE = 7
+STREAM_FINE_TUNE_EVAL = 8
 
 CD = "cd"
 PCD = "pcd"
@@ -44,18 +45,18 @@ ESTIMATORS = (CD, PCD, FEPCD)
 METRICS_FIELDS = ("epoch", "recon_error", "mean_free_energy", "seconds",
                   "estimator", "seed")
 
-# Most rows each epoch's metrics are taken on: a probe chosen once per run
-# from STREAM_EVAL, or all the data when it has no more rows. At the
-# criterion-5 shape (2000 rows) this costs about a quarter of metrics
-# taken on every minibatch.
+# Most rows each epoch's metrics (train_rbm) or loss (dbn.fine_tune) are
+# taken on: a probe chosen once per run by probe_rows, or all the data when
+# it has no more rows. At 2000 rows this costs about a quarter of scoring
+# every row.
 EVAL_ROWS = 500
 
 __all__ = [
     "CD", "PCD", "FEPCD", "ESTIMATORS",
     "STREAM_INIT", "STREAM_SHUFFLE", "STREAM_DATA", "STREAM_EVAL",
     "STREAM_SUBSET", "STREAM_SAMPLE", "STREAM_OUTPUT_INIT", "STREAM_FINE_TUNE",
-    "EVAL_ROWS", "METRICS_FIELDS", "EpochMetrics", "features_of",
-    "reconstruction_error", "train_rbm",
+    "STREAM_FINE_TUNE_EVAL", "EVAL_ROWS", "METRICS_FIELDS", "EpochMetrics",
+    "features_of", "probe_rows", "reconstruction_error", "train_rbm",
 ]
 
 
@@ -77,6 +78,15 @@ def features_of(data) -> np.ndarray:
     if feats.shape[0] == 0:
         raise ValueError("empty dataset")
     return feats
+
+
+def probe_rows(m: int, rng: RngStream):
+    """Index of the evaluation probe over m rows: every row (slice(None),
+    nothing drawn) when m <= EVAL_ROWS, else the sorted first EVAL_ROWS
+    entries of rng.permutation(m)."""
+    if m <= EVAL_ROWS:
+        return slice(None)
+    return np.sort(rng.permutation(m)[:EVAL_ROWS])
 
 
 def reconstruction_error(p: RbmParams, batch: np.ndarray, rng: RngStream,
@@ -105,11 +115,11 @@ def train_rbm(init: RbmParams, data, hp: Hyperparams, estimator: str, seed: int,
     keep one chain pool alive across the whole run, initialized from the
     first minibatch. Each epoch is a plain minibatch loop (positive phase,
     negative phase, update). After its last update the epoch is evaluated
-    once, on a probe of at most EVAL_ROWS data rows chosen once per run
-    from STREAM_EVAL: the reconstruction_error and the mean free_energy
-    of the probe, under the epoch-end parameters, with the probe's hidden
-    samples drawn from the same stream. The evaluation never feeds back
-    into training, and the epoch's seconds include it.
+    once, on the probe_rows drawn once per run from STREAM_EVAL: the
+    reconstruction_error and the mean free_energy of the probe, under the
+    epoch-end parameters, with its hidden samples drawn from that stream.
+    The evaluation never feeds back into training, and the epoch's seconds
+    include it.
     epoch_callback(epoch, params, metrics_row), when given, runs after
     each evaluation, off the training clock; params is a snapshot of the
     epoch-end parameters, which later updates do not write.
@@ -128,9 +138,7 @@ def train_rbm(init: RbmParams, data, hp: Hyperparams, estimator: str, seed: int,
     shuffle_rng = RngStream(seed, STREAM_SHUFFLE)
     data_rng = RngStream(seed, STREAM_DATA)
     eval_rng = RngStream(seed, STREAM_EVAL)
-    probe = feats
-    if m > EVAL_ROWS:
-        probe = feats[np.sort(eval_rng.permutation(m)[:EVAL_ROWS])]
+    probe = feats[probe_rows(m, eval_rng)]
 
     p = init.copy()
     vel = UpdateState.zeros_like(p)

@@ -1,3 +1,5 @@
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 
@@ -5,13 +7,15 @@ from rbmkit import (BINARY, GAUSSIAN, Dataset, Hyperparams, RbmParams,
                     RngStream,
                     TrainingDivergedError, free_energy, init_params, one_hot,
                     sigmoid, train_rbm)
+from rbmkit import dbn
 from rbmkit.dbn import (OUTPUT_WEIGHT_SCALE, DbnModel, FeedforwardNet,
                         classify_free_energy, classify_net, cross_entropy,
                         fine_tune, net_forward, net_gradients, pretrain_stack,
                         propagate_up, train_discriminative_rbm,
                         unroll_to_network)
 from rbmkit.oracle import state_index, visible_marginal
-from rbmkit.trainer import STREAM_FINE_TUNE, STREAM_INIT, STREAM_OUTPUT_INIT
+from rbmkit.trainer import (STREAM_FINE_TUNE, STREAM_FINE_TUNE_EVAL, STREAM_INIT,
+                            STREAM_OUTPUT_INIT)
 
 from synthdata import digit_dataset
 
@@ -370,6 +374,13 @@ class TestStreamOwnership:
         tuned = streams_drawn(monkeypatch, "permutation", fine_tune, net, data, hp, 7)
         assert tuned == {(7, STREAM_FINE_TUNE)}
         assert not tuned & pretrained
+        # the loss probe has a stream of its own, drawn only when there
+        # are more rows than the probe holds
+        big = Dataset(np.tile(TOY_FEATURES, (63, 1)), np.tile(TOY_LABELS, 63))
+        tuned = streams_drawn(monkeypatch, "permutation", fine_tune, net, big,
+                              Hyperparams(epochs=1, batch_size=50), 7)
+        assert tuned == {(7, STREAM_FINE_TUNE), (7, STREAM_FINE_TUNE_EVAL)}
+        assert not tuned & pretrained
 
 
 class TestBackprop:
@@ -460,6 +471,32 @@ class TestBackprop:
             fine_tune(net, Dataset(np.zeros((0, 4)), np.zeros(0, np.int64)),
                       Hyperparams(), seed=0)
 
+    def test_each_epoch_loss_is_scored_on_the_probe(self, monkeypatch):
+        calls = []
+        xent = dbn.cross_entropy
+
+        def counting(net, x, labels):
+            calls.append(x.shape[0])
+            return xent(net, x, labels)
+
+        monkeypatch.setattr(dbn, "cross_entropy", counting)
+        net, data = self.random_problem(39, rows=1210)
+        fine_tune(net, data, Hyperparams(epsilon=0.1, epochs=4, batch_size=50), seed=39)
+        assert calls == [500] * 4
+
+    def test_bit_identical_to_reference_loop_above_the_probe_size(self):
+        # the probe's draws must leave the shuffle, and so every weight,
+        # as they are; the last loss is the reference net's on the probe
+        net, data = self.random_problem(40, rows=620)
+        hp = Hyperparams(epsilon=0.1, momentum=0.9, weight_decay=0.01,
+                         epochs=2, batch_size=25)
+        tuned, losses = fine_tune(net, data, hp, seed=40)
+        ref = reference_fine_tune(net, data, hp, seed=40)
+        for got, want in zip(tuned.weights + tuned.biases, ref.weights + ref.biases):
+            np.testing.assert_array_equal(got, want)
+        rows = np.sort(RngStream(40, STREAM_FINE_TUNE_EVAL).permutation(620)[:500])
+        assert losses[-1] == cross_entropy(ref, data.features[rows], data.labels[rows])
+
     @pytest.mark.parametrize("momentum", [0.0, 0.9])
     @pytest.mark.parametrize("decay", [0.0, 0.01])
     def test_bit_identical_to_reference_loop(self, momentum, decay):
@@ -484,12 +521,59 @@ class TestBackprop:
             assert not np.shares_memory(new, old)
 
     @staticmethod
-    def random_problem(seed):
+    def random_problem(seed, rows=30):
         rng = RngStream(seed, 0)
         net = FeedforwardNet([rng.normals((6, 5)), rng.normals((5, 4)), rng.normals((4, 3))],
                              [rng.normals(5), rng.normals(4), rng.normals(3)])
-        data = Dataset(rng.uniforms((30, 6)), (rng.uniforms(30) * 3).astype(np.int64))
+        data = Dataset(rng.uniforms((rows, 6)), (rng.uniforms(rows) * 3).astype(np.int64))
         return net, data
+
+
+class TestMalformedLabels:
+    """net_gradients, cross_entropy and fine_tune refuse labels that are
+    not one whole number in [0, n_classes) per row, rather than training
+    on or scoring something else; fine_tune refuses them before its first
+    forward pass."""
+
+    X = RngStream(41, 0).uniforms((5, 4))
+
+    @staticmethod
+    def net():
+        rng = RngStream(41, 1)
+        return FeedforwardNet([rng.normals((4, 3)), rng.normals((3, 2))],
+                              [rng.normals(3), rng.normals(2)])
+
+    def refused_by_all(self, monkeypatch, labels, match):
+        net = self.net()
+        with pytest.raises(ValueError, match=match):
+            net_gradients(net, self.X, labels)
+        with pytest.raises(ValueError, match=match):
+            cross_entropy(net, self.X, labels)
+        forward = dbn.net_forward
+        passes = []
+        monkeypatch.setattr(dbn, "net_forward",
+                            lambda *a: passes.append(1) or forward(*a))
+        # not a Dataset, which would refuse some of these labels itself
+        data = SimpleNamespace(features=self.X, labels=np.asarray(labels))
+        with pytest.raises(ValueError, match=match):
+            fine_tune(net, data, Hyperparams(epochs=2, batch_size=2), seed=41)
+        assert passes == []
+
+    def test_negative_label_refused(self, monkeypatch):
+        # -1 would index, train and score the last class
+        self.refused_by_all(monkeypatch, [0, 1, -1, 0, 1], r"outside \[0, 2\)")
+
+    def test_one_label_for_many_rows_refused(self, monkeypatch):
+        # one label would broadcast over all five rows
+        self.refused_by_all(monkeypatch, [1], "one label per row")
+
+    def test_fractional_labels_refused(self, monkeypatch):
+        # 0.7 and 1.2 would be truncated to 0 and 1
+        self.refused_by_all(monkeypatch, [0.7, 1.2, 0.0, 1.0, 1.0], "whole numbers")
+
+    def test_label_past_the_last_class_refused(self, monkeypatch):
+        # a bare IndexError before
+        self.refused_by_all(monkeypatch, [0, 1, 5, 0, 1], r"outside \[0, 2\)")
 
 
 def reference_fine_tune(net, data, hp, seed):

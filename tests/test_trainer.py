@@ -193,6 +193,23 @@ class TestTrainRbm:
         assert seen == [(1, 1), (2, 2), (3, 3)]
 
 
+class TestProbeRows:
+    def test_at_most_the_probe_size_is_every_row_and_draws_nothing(self):
+        rng = RngStream(3, STREAM_EVAL)
+        for m in (1, 499, 500):
+            rows = trainer.probe_rows(m, rng)
+            np.testing.assert_array_equal(np.arange(m)[rows], np.arange(m))
+        np.testing.assert_array_equal(rng.uniforms(4),
+                                      RngStream(3, STREAM_EVAL).uniforms(4))
+
+    def test_above_it_the_sorted_head_of_one_permutation(self):
+        rng = RngStream(4, STREAM_EVAL)
+        rows = trainer.probe_rows(1210, rng)
+        want = RngStream(4, STREAM_EVAL)
+        np.testing.assert_array_equal(rows, np.sort(want.permutation(1210)[:500]))
+        np.testing.assert_array_equal(rng.uniforms(4), want.uniforms(4))
+
+
 def probe_of(feats, seed):
     """(probe rows, metric stream at the first epoch's draw): the rows
     train_rbm evaluates on, chosen once per run as the sorted first 500 of
@@ -330,9 +347,10 @@ class TestEpochMetrics:
 
 
 def test_every_stream_in_the_table_has_its_own_id():
-    # unroll_to_network's output layer and fine_tune's shuffle among them
+    # unroll_to_network's output layer, fine_tune's shuffle and its loss
+    # probe among them
     ids = {name: getattr(trainer, name) for name in trainer.__all__
            if name.startswith("STREAM_")}
-    assert {"STREAM_OUTPUT_INIT", "STREAM_FINE_TUNE"} <= set(ids)
+    assert {"STREAM_OUTPUT_INIT", "STREAM_FINE_TUNE", "STREAM_FINE_TUNE_EVAL"} <= set(ids)
     assert len(set(ids.values())) == len(ids)
     assert max(ids.values()) < CHAIN_STREAM_BASE

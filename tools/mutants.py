@@ -22,7 +22,9 @@ whose binary threshold is inverted, whose Gaussian mean gets no noise or
 whose Gaussian noise is uniform, on exact negative statistics whose
 P(h) drops the b.h term or is not normalized, and on random streams
 keyed without their stream_id or by seed and stream_id joined into one
-SeedSequence entropy list (where distinct keys can share a stream).
+SeedSequence entropy list (where distinct keys can share a stream), on a
+fine-tuning loss taken on every row or on a probe drawn from the shuffle's
+stream, and on backprop labels taken unchecked.
 
 Usage, from the repository root:
 
@@ -133,6 +135,19 @@ MUTANTS = {
         "        if m > EVAL_ROWS:\n"
         "            probe = feats[np.sort(eval_rng.permutation(m)[:EVAL_ROWS])]\n"
         "        x = hidden_input(p, probe)\n"),
+    "fine-tune-loss-on-every-row": (
+        "dbn.py",
+        "losses.append(cross_entropy(net, feats[probe], labels[probe]))",
+        "losses.append(cross_entropy(net, feats, labels))"),
+    # a fresh copy of the shuffle stream: the weights stay as they are
+    "fine-tune-probe-from-shuffle-stream": (
+        "dbn.py",
+        "probe_rows(m, RngStream(seed, STREAM_FINE_TUNE_EVAL))",
+        "probe_rows(m, RngStream(seed, STREAM_FINE_TUNE))"),
+    "net-labels-unchecked": (
+        "dbn.py",
+        "    raw = np.asarray(labels)\n",
+        "    return np.asarray(labels, dtype=np.int64)\n"),
     "momentum-ignored": (
         "model.py",
         "vel *= hp.momentum",
