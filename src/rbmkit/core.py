@@ -70,15 +70,15 @@ class RngStream:
         return self._gen.permutation(n)
 
 
-def _fresh(ufunc, x):
-    """(x as float64, ufunc(x) in a new float64 buffer), the buffer 0-d
-    for a scalar. A float64 ndarray of at least one dimension goes
+def _fresh(ufunc, x, *args):
+    """(x as float64, ufunc(x, *args) in a new float64 buffer), the buffer
+    0-d for a scalar. A float64 ndarray of at least one dimension goes
     straight to ufunc, which allocates the same buffer, without
     np.asarray and np.empty_like."""
     if type(x) is np.ndarray and x.dtype == np.float64 and x.ndim:
-        return x, ufunc(x)
+        return x, ufunc(x, *args)
     x = np.asarray(x, dtype=np.float64)
-    return x, ufunc(x, out=np.empty_like(x))
+    return x, ufunc(x, *args, out=np.empty_like(x))
 
 
 def sigmoid(x, out=None):
@@ -109,18 +109,19 @@ def sigmoid(x, out=None):
 
 
 def log1p_exp(x):
-    """Softplus log(1+exp(x)) in the stable form max(x,0) + log1p(exp(-|x|)).
+    """Softplus log(1+exp(x)) as max(log1p(exp(min(x, 709))), x).
 
-    exp only ever sees a non-positive argument, so no input overflows or
-    warns: large positive x gives x, large negative x gives exp(x) down to
-    0, and NaN propagates. A scalar input returns a float, an array an
+    709 is the largest whole argument whose exp is finite, so exp never
+    overflows and no errstate is needed; above it the max returns x, which
+    is the softplus to the last bit. For x <= 0 this is log1p(exp(x)) bit
+    for bit, and NaN propagates. Four passes (min, exp, log1p, max) in one
+    fresh float64 buffer: a scalar input returns a float, an array an
     array; the input is never written.
     """
-    x, out = _fresh(np.abs, x)
-    np.negative(out, out=out)
+    x, out = _fresh(np.minimum, x, 709.0)
     np.exp(out, out=out)
     np.log1p(out, out=out)
-    out += np.maximum(x, 0.0)
+    np.maximum(out, x, out=out)
     if out.ndim == 0:
         return float(out)
     return out

@@ -202,8 +202,12 @@ def train_discriminative_rbm(data, n_hidden: int, hp: Hyperparams,
                         visible_kind, block, epoch_callback)
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def _label_free_energies(p: RbmParams, v: np.ndarray) -> np.ndarray:
-    """F([v, one_hot(c)]) for every class c; rows follow the batch."""
+    """F([v, one_hot(c)]) for every class c; rows follow the batch. A row
+    whose F is not finite (a NaN or infinite feature, or a row so large
+    that F overflows: the parameters are finite) raises ValueError naming
+    it, so the floating-point flags raised on the way there are silenced."""
     if p.label_units < 2:
         raise ValueError("model has no label units")
     d = p.n_visible - p.label_units
@@ -216,9 +220,14 @@ def _label_free_energies(p: RbmParams, v: np.ndarray) -> np.ndarray:
     feature_term = visible_term(p.visible_kind, p.a[:d], v)
     label_term = visible_term(p.visible_kind, p.a[d:], np.eye(p.label_units))
     f = np.empty((v.shape[0], p.label_units))
+    clamped = np.empty_like(base_input)  # each class's hidden input in turn
     for c in range(p.label_units):
-        hidden_term = np.sum(log1p_exp(base_input + p.w[d + c]), axis=1)
-        f[:, c] = feature_term + label_term[c] - hidden_term
+        np.add(base_input, p.w[d + c], out=clamped)
+        f[:, c] = feature_term + label_term[c] - log1p_exp(clamped).sum(axis=1)
+    bad = np.flatnonzero(~np.isfinite(f).all(axis=1))
+    if bad.size:
+        raise ValueError(f"row {bad[0]} has a non-finite free energy: a NaN or "
+                         "infinite feature, or a row too large for a finite F")
     return f
 
 

@@ -204,16 +204,6 @@ def _check_hidden(p: RbmParams, h: np.ndarray) -> np.ndarray:
     return h
 
 
-def energy(p: RbmParams, v, h) -> float:
-    """Joint energy of one configuration (v, h)."""
-    v = _check_visible(p, v)
-    h = _check_hidden(p, h)
-    interaction = v @ p.w @ h
-    if p.visible_kind == BINARY:
-        return float(-interaction - p.a @ v - p.b @ h)
-    return float(0.5 * np.sum((v - p.a) ** 2) - interaction - p.b @ h)
-
-
 def hidden_input(p: RbmParams, v) -> np.ndarray:
     """Total input I_j = b_j + sum_i v_i W_ij to each hidden unit."""
     v = _check_visible(p, v)

@@ -96,6 +96,31 @@ class TestLog1pExp:
         x = np.linspace(-100, 100, 2001)
         np.testing.assert_allclose(log1p_exp(x) - log1p_exp(-x), x, atol=1e-10)
 
+    def test_non_positive_input_is_log1p_exp_bit_for_bit(self):
+        tiny = np.finfo(np.float64).tiny
+        x = np.concatenate([[0.0, -0.0, -5e-324, -1e-310, -tiny, -709.78,
+                             -745.0, -1e308, -np.inf],
+                            np.linspace(-800.0, 0.0, 8001)])
+        expected = np.log1p(np.exp(x))
+        assert np.array_equal(log1p_exp(x).view(np.int64), expected.view(np.int64))
+        assert [log1p_exp(v) for v in x] == expected.tolist()
+
+    def test_float64_extremes_raise_no_floating_point_flag(self):
+        big = np.finfo(np.float64).max
+        x = np.array([-np.inf, -big, -745.0, -709.78, 709.78, 745.0, big, np.inf])
+        with warnings.catch_warnings(), np.errstate(over="raise", invalid="raise",
+                                                    divide="raise"):
+            warnings.simplefilter("error")
+            out = log1p_exp(x)
+            scalars = [log1p_exp(v) for v in x]
+        assert np.array_equal(out, scalars)
+        assert np.array_equal(out[4:], x[4:])
+
+    @pytest.mark.parametrize("x", [708.9, 709.0, 709.5, 709.78, 710.0])
+    def test_floor_holds_at_the_clamp(self, x):
+        assert log1p_exp(x) >= max(x, 0.0)
+        assert log1p_exp(np.array([x]))[0] >= x
+
 
 class TestElementwiseNumerics:
     """Accuracy and edge behaviour shared by the logistic and the softplus."""

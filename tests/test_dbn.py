@@ -288,6 +288,37 @@ class TestClassifyFreeEnergy:
             classify_free_energy(ref_model, np.zeros(2))
 
 
+class TestNonFiniteFeatures:
+    """A row whose clamped free energy is not finite is refused by index,
+    where it used to be classified (NaN as class 0) or to warn first."""
+
+    @staticmethod
+    def model(kind):
+        rng = RngStream(79, 0)
+        return RbmParams(rng.normals((6, 5)), rng.normals(6), rng.normals(5),
+                         visible_kind=kind, label_units=2)
+
+    @pytest.mark.parametrize("kind", [BINARY, GAUSSIAN])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_single_vector_refused(self, kind, bad):
+        with pytest.raises(ValueError, match="row 0 has a non-finite free energy"):
+            classify_free_energy(self.model(kind), np.array([0.1, bad, 0.3, 0.5]))
+
+    @pytest.mark.parametrize("kind", [BINARY, GAUSSIAN])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_batch_names_the_first_bad_row(self, kind, bad):
+        v = np.full((4, 4), 0.5)
+        v[1, 3] = bad
+        v[3, 0] = bad
+        with pytest.raises(ValueError, match="row 1 has a non-finite free energy"):
+            classify_free_energy(self.model(kind), v)
+
+    def test_row_too_large_for_a_finite_free_energy_refused(self):
+        v = np.array([[0.5, 0.5, 0.5, 0.5], [1e200, 0.5, 0.5, 0.5]])
+        with pytest.raises(ValueError, match="row 1 .* too large"):
+            classify_free_energy(self.model(GAUSSIAN), v)
+
+
 class TestUnroll:
     def build_stack(self):
         rng = RngStream(30, 0)

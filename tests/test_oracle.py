@@ -7,14 +7,14 @@ import weakref
 import numpy as np
 import pytest
 
-from rbmkit import (GAUSSIAN, RbmParams, RngStream, energy, free_energy,
-                    hidden_probs)
+from rbmkit import GAUSSIAN, RbmParams, RngStream, free_energy, hidden_probs
 from rbmkit import oracle
 from rbmkit.oracle import (enumerate_states, exact_gradient,
                            finite_diff_loglik_grad, joint_table,
                            mean_log_likelihood, partition_function,
                            run_oracle_checks, state_index, visible_marginal)
 from rbmkit.samplers import gibbs_chain, make_pool
+from witness import energy
 
 # Golden values for the pinned 2x2 reference model, frozen from the first
 # enumeration run and double-checked below against a plain python loop.

@@ -16,7 +16,9 @@ trial in its group, on conditionals read from the joint -E table before
 log_sum_exp leaves its shifted exponentials there, on a worst gap that
 drops a NaN, on a log-sum-exp that holds a second copy of its
 table or drops its max term, on a softmax normalized over the wrong axis
-or shifted by the whole array's max, on a visible free-energy term with
+or shifted by the whole array's max, on a softplus whose exp sees an
+unclamped x (and overflows) or that drops its final max with x (and
+reads 709 for any larger x), on a visible free-energy term with
 the Gaussian half dropped or the binary sign flipped, on a visible draw
 whose binary threshold is inverted, whose Gaussian mean gets no noise or
 whose Gaussian noise is uniform, on exact negative statistics whose
@@ -277,6 +279,14 @@ MUTANTS = {
         "core.py",
         "x -= np.max(x, axis=axis, keepdims=True)",
         "x -= np.max(x)"),
+    "softplus-clamp-dropped": (
+        "core.py",
+        "_fresh(np.minimum, x, 709.0)",
+        "_fresh(np.minimum, x, np.inf)"),
+    "softplus-floor-dropped": (
+        "core.py",
+        "    np.maximum(out, x, out=out)\n",
+        "    pass\n"),
     "stream-key-concatenated": (
         "core.py",
         "self.seed, spawn_key=(self.stream_id,))))",
